@@ -2,10 +2,7 @@
 matchings, or generate output sets with the toy decoding harness.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Reports go to
-stdout (or --out, written atomically); diagnostics go to stderr only. The
-environment variable MULTISCORE_THREADS (a positive integer) sets the
-default worker count for per-instance evaluation; behavior is identical to
-sequential evaluation.
+stdout (or --out, written atomically); diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -33,14 +30,12 @@ from .decoding import (
 )
 from .metrics import SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
 from .multiscore import corpus_multi_score
-from .report import EvalInstanceView, evaluate_all, render, round2
-from .text import Sentence, tokenize_words
+from .report import evaluate_all, render, round2
+from .text import tokenize_words
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-THREADS_ENV = "MULTISCORE_THREADS"
 
 _STRATEGIES = {
     "beam3": STRATEGY_BEAM,
@@ -48,19 +43,6 @@ _STRATEGIES = {
     "topk3": STRATEGY_TOPK,
     "ensemble": STRATEGY_ENSEMBLE,
 }
-
-
-def _workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _write_atomic(path: str | None, payload: bytes) -> None:
@@ -119,7 +101,6 @@ def _cmd_evaluate(args) -> int:
         chrf_config=chrf_cfg,
         allow_unequal=args.allow_unequal,
         lowercase=not args.no_lowercase,
-        max_workers=_workers(),
     )
     _write_atomic(args.out, render(report, args.format))
     return EXIT_OK
@@ -145,18 +126,9 @@ def _cmd_multiscore(args) -> int:
         metric = BleuMetric(sent_cfg)
     else:
         metric = ChrfMetric(chrf_cfg)
-    lowercase = not args.no_lowercase
-    instances = dataset.instances
-    if not lowercase:
-        instances = tuple(
-            EvalInstanceView(
-                inst.id,
-                [Sentence(o, lowercase=False) for o in inst.outputs],
-                [Sentence(r, lowercase=False) for r in inst.references],
-            )
-            for inst in instances
-        )
-    mean, results = corpus_multi_score(instances, metric, allow_unequal=args.allow_unequal, max_workers=_workers())
+    mean, results = corpus_multi_score(
+        dataset.instances, metric, allow_unequal=args.allow_unequal, lowercase=not args.no_lowercase
+    )
     if args.format == "json":
         payload = {
             "metric": metric.name,

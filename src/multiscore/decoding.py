@@ -304,6 +304,12 @@ class GenerationSet:
     def __post_init__(self):
         if len(self.sentences) != SET_SIZE:
             raise ValueError(f"a generation set holds exactly {SET_SIZE} sentences")
+        if any(not text.strip() for text in self.sentences):
+            # evaluation rejects empty outputs, so never hand one out
+            raise ValueError(
+                f"instance {self.instance_id!r}: {self.strategy} generated an empty sentence "
+                "(is max_len at least 1?)"
+            )
 
 
 def generate_top3_beam(

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .text import Sentence, char_ngrams, word_ngrams
+from .text import Sentence
 
 __all__ = [
     "BleuConfig",
@@ -90,30 +89,19 @@ def _as_reference(text: SentenceLike) -> Sentence:
         raise ValueError("reference sentence must be non-empty") from None
 
 
-@lru_cache(maxsize=1 << 16)
-def _word_profile(tokens: tuple, n: int) -> Counter:
-    return word_ngrams(tokens, n).counts
-
-
-@lru_cache(maxsize=1 << 16)
-def _char_profile(chars: str, n: int) -> Counter:
-    # chars is already whitespace-stripped (Sentence.chars)
-    return char_ngrams(chars, n, strip_whitespace=False).counts
-
-
-def _clipped_matches(hyp_tokens: tuple, ref_token_lists: Sequence[tuple], n: int) -> tuple[int, int]:
+def _clipped_matches(hyp: Sentence, refs: Sequence[Sentence], n: int) -> tuple[int, int]:
     """Matched (clipped against the per-gram maximum over references) and
     total hypothesis n-gram counts for one order."""
-    hyp = _word_profile(hyp_tokens, n)
-    total = sum(hyp.values())
+    hyp_counts = hyp.word_profile(n)
+    total = sum(hyp_counts.values())
     if total == 0:
         return 0, 0
     cap: Counter = Counter()
-    for ref_tokens in ref_token_lists:
-        for gram, count in _word_profile(ref_tokens, n).items():
-            if gram in hyp and count > cap[gram]:
+    for ref in refs:
+        for gram, count in ref.word_profile(n).items():
+            if gram in hyp_counts and count > cap[gram]:
                 cap[gram] = count
-    matched = sum(min(count, cap[gram]) for gram, count in hyp.items() if gram in cap)
+    matched = sum(min(count, cap[gram]) for gram, count in hyp_counts.items() if gram in cap)
     return matched, total
 
 
@@ -169,13 +157,12 @@ def sentence_bleu(
     if isinstance(hypothesis, str) and not hypothesis.strip():
         return 0.0
     hyp = _as_sentence(hypothesis)
-    ref_tokens = [r.tokens for r in refs]
     matched, total = [], []
     for n in range(1, config.max_order + 1):
-        m, t = _clipped_matches(hyp.tokens, ref_tokens, n)
+        m, t = _clipped_matches(hyp, refs, n)
         matched.append(m)
         total.append(t)
-    ref_len = _closest_ref_len(len(hyp.tokens), [len(t) for t in ref_tokens])
+    ref_len = _closest_ref_len(len(hyp.tokens), [len(r.tokens) for r in refs])
     return _bleu_from_stats(matched, total, len(hyp.tokens), ref_len, config)
 
 
@@ -205,17 +192,17 @@ def corpus_bleu(
         if not references:
             raise ValueError("references must be non-empty")
         refs = [_as_reference(r) for r in references]
-        if isinstance(hypothesis, str) and not hypothesis.strip():
-            hyp_tokens: tuple = ()
-        else:
-            hyp_tokens = _as_sentence(hypothesis).tokens
-        ref_tokens = [r.tokens for r in refs]
-        for n in range(1, config.max_order + 1):
-            m, t = _clipped_matches(hyp_tokens, ref_tokens, n)
-            matched[n - 1] += m
-            total[n - 1] += t
-        hyp_len_sum += len(hyp_tokens)
-        ref_len_sum += _closest_ref_len(len(hyp_tokens), [len(t) for t in ref_tokens])
+        hyp_len = 0
+        # an empty hypothesis adds no n-grams, only its reference length
+        if not isinstance(hypothesis, str) or hypothesis.strip():
+            hyp = _as_sentence(hypothesis)
+            hyp_len = len(hyp.tokens)
+            for n in range(1, config.max_order + 1):
+                m, t = _clipped_matches(hyp, refs, n)
+                matched[n - 1] += m
+                total[n - 1] += t
+        hyp_len_sum += hyp_len
+        ref_len_sum += _closest_ref_len(hyp_len, [len(r.tokens) for r in refs])
     return _bleu_from_stats(matched, total, hyp_len_sum, ref_len_sum, config)
 
 
@@ -224,12 +211,12 @@ def _chrf_segment_stats(hyp: Sentence, ref: Sentence, config: ChrfConfig) -> lis
     first, then word orders."""
     stats = []
     for n in range(1, config.char_order + 1):
-        hp = _char_profile(hyp.chars, n)
-        rp = _char_profile(ref.chars, n)
+        hp = hyp.char_profile(n)
+        rp = ref.char_profile(n)
         stats.append((sum((hp & rp).values()), sum(hp.values()), sum(rp.values())))
     for n in range(1, config.word_order + 1):
-        hp = _word_profile(hyp.tokens, n)
-        rp = _word_profile(ref.tokens, n)
+        hp = hyp.word_profile(n)
+        rp = ref.word_profile(n)
         stats.append((sum((hp & rp).values()), sum(hp.values()), sum(rp.values())))
     return stats
 
@@ -318,7 +305,7 @@ def corpus_chrfpp(
             # empty hypothesis: contributes reference totals only
             ref = refs[0] if len(refs) == 1 else min(refs, key=lambda r: len(r.chars))
             for i, n in enumerate(_order_sizes(config)):
-                rp = _char_profile(ref.chars, n) if i < config.char_order else _word_profile(ref.tokens, n)
+                rp = ref.char_profile(n) if i < config.char_order else ref.word_profile(n)
                 agg[i][2] += sum(rp.values())
             continue
         ref = refs[0] if len(refs) == 1 else _best_reference(hyp, refs, config)

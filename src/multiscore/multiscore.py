@@ -6,9 +6,7 @@ maximum-weight matching, and average the matched edge weights.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +32,7 @@ class EvalInstance:
     references: tuple[str, ...]
     outputs: tuple[str, ...] = ()
     category: str | None = None
+    _sentences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "references", tuple(self.references))
@@ -49,13 +48,18 @@ class EvalInstance:
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"instance {self.id!r}: empty output sentence")
 
-    @cached_property
-    def reference_sentences(self) -> tuple[Sentence, ...]:
-        return tuple(Sentence(r) for r in self.references)
-
-    @cached_property
-    def output_sentences(self) -> tuple[Sentence, ...]:
-        return tuple(Sentence(o) for o in self.outputs)
+    def sentences(self, lowercase: bool = True) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
+        """(outputs, references) as :class:`Sentence` tuples under one
+        casing, built once per casing and shared by every metric. Equal
+        texts share one :class:`Sentence`, and so one set of profiles."""
+        pair = self._sentences.get(lowercase)
+        if pair is None:
+            made = {t: Sentence(t, lowercase=lowercase) for t in (*self.outputs, *self.references)}
+            pair = self._sentences[lowercase] = (
+                tuple(made[o] for o in self.outputs),
+                tuple(made[r] for r in self.references),
+            )
+        return pair
 
 
 @dataclass(frozen=True)
@@ -114,37 +118,31 @@ def multi_score(
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
 
 
-def _instance_result(instance: EvalInstance, metric: SentenceMetric, allow_unequal: bool) -> MultiScoreResult:
+def _instance_result(
+    instance: EvalInstance, metric: SentenceMetric, allow_unequal: bool, lowercase: bool
+) -> MultiScoreResult:
     if not instance.outputs:
         raise ValueError(f"instance {instance.id!r} has no outputs to evaluate")
-    return multi_score(
-        instance.output_sentences,
-        instance.reference_sentences,
-        metric,
-        allow_unequal=allow_unequal,
-        instance_id=instance.id,
-    )
+    outputs, references = instance.sentences(lowercase)
+    return multi_score(outputs, references, metric, allow_unequal=allow_unequal, instance_id=instance.id)
 
 
 def corpus_multi_score(
     instances: Sequence[EvalInstance],
     metric: SentenceMetric,
     allow_unequal: bool = False,
-    max_workers: int | None = None,
+    lowercase: bool = True,
 ) -> tuple[float, list[MultiScoreResult]]:
     """Macro-averaged score over a corpus of instances.
 
-    Instances are independent; with ``max_workers`` > 1 they are evaluated
-    in a thread pool, with results identical to sequential evaluation.
-
+    :param allow_unequal: permit output sets whose size differs from the
+        reference set (matched over the smaller side).
+    :param lowercase: score case-insensitively (the default); each instance
+        scores the :class:`Sentence` objects of ``instance.sentences(lowercase)``.
     :return: (mean score, per-instance results in corpus order).
     """
     if not instances:
         raise ValueError("corpus must contain at least one instance")
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda inst: _instance_result(inst, metric, allow_unequal), instances))
-    else:
-        results = [_instance_result(inst, metric, allow_unequal) for inst in instances]
+    results = [_instance_result(inst, metric, allow_unequal, lowercase) for inst in instances]
     mean = sum(r.score for r in results) / len(results)
     return mean, results

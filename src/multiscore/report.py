@@ -27,7 +27,6 @@ from .metrics import (
     self_bleu,
 )
 from .multiscore import EvalInstance, corpus_multi_score
-from .text import Sentence
 
 __all__ = ["EvaluationReport", "InstanceSummary", "evaluate_all", "render", "RENDER_FORMATS"]
 
@@ -55,10 +54,6 @@ class EvaluationReport:
     config: dict
 
 
-def _sentences(texts: Sequence[str], lowercase: bool) -> list[Sentence]:
-    return [Sentence(t, lowercase=lowercase) for t in texts]
-
-
 def evaluate_all(
     dataset: Dataset | Sequence[EvalInstance],
     sentence_bleu_config: BleuConfig | None = None,
@@ -66,7 +61,6 @@ def evaluate_all(
     chrf_config: ChrfConfig | None = None,
     allow_unequal: bool = False,
     lowercase: bool = True,
-    max_workers: int | None = None,
 ) -> EvaluationReport:
     """Compute the full evaluation battery for a dataset with outputs.
 
@@ -77,9 +71,9 @@ def evaluate_all(
         order-4).
     :param allow_unequal: permit output sets whose size differs from the
         reference set (matched over the smaller side).
-    :param lowercase: evaluate case-insensitively (the default).
-    :param max_workers: evaluate instances in parallel; results are
-        identical to sequential evaluation.
+    :param lowercase: evaluate case-insensitively (the default). Every
+        metric reads the same ``inst.sentences(lowercase)``, so each text is
+        tokenized and profiled once per casing.
     """
     instances = tuple(dataset)
     if not instances:
@@ -96,24 +90,21 @@ def evaluate_all(
     corpus_bleu_config = corpus_bleu_config or BleuConfig(smoothing=SMOOTH_NONE)
     chrf_config = chrf_config or ChrfConfig()
 
-    out_sents = {inst.id: _sentences(inst.outputs, lowercase) for inst in instances}
-    ref_sents = {inst.id: _sentences(inst.references, lowercase) for inst in instances}
+    sentences = [inst.sentences(lowercase) for inst in instances]
 
     # diversity: assignment-based set scores, macro-averaged
-    bleu_metric = BleuMetric(sentence_bleu_config)
-    chrf_metric = ChrfMetric(chrf_config)
-    ms_bleu, bleu_results = _corpus_ms(instances, out_sents, ref_sents, bleu_metric, allow_unequal, max_workers)
-    ms_chrf, chrf_results = _corpus_ms(instances, out_sents, ref_sents, chrf_metric, allow_unequal, max_workers)
+    ms_bleu, bleu_results = corpus_multi_score(instances, BleuMetric(sentence_bleu_config), allow_unequal, lowercase)
+    ms_chrf, chrf_results = corpus_multi_score(instances, ChrfMetric(chrf_config), allow_unequal, lowercase)
 
     # diversity: Self-BLEU per instance (needs at least two outputs)
-    self_scores: dict[str, float | None] = {}
-    for inst in instances:
-        if len(inst.outputs) >= 2:
-            self_scores[inst.id] = self_bleu(out_sents[inst.id], sentence_bleu_config)
+    self_scores: list[float | None] = []
+    for inst, (outputs, _) in zip(instances, sentences):
+        if len(outputs) >= 2:
+            self_scores.append(self_bleu(outputs, sentence_bleu_config))
         else:
-            self_scores[inst.id] = None
+            self_scores.append(None)
             log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
-    usable = [s for s in self_scores.values() if s is not None]
+    usable = [s for s in self_scores if s is not None]
     mean_self = sum(usable) / len(usable) if usable else None
     if mean_self is None:
         log.warning("no instance has 2+ outputs; Self-BLEU omitted from the report")
@@ -122,22 +113,13 @@ def evaluate_all(
     n_slots = max(len(inst.outputs) for inst in instances)
     slot_bleu, slot_chrf = [], []
     for k in range(n_slots):
-        pairs = [
-            (out_sents[inst.id][k], ref_sents[inst.id])
-            for inst in instances
-            if len(inst.outputs) > k
-        ]
+        pairs = [(outputs[k], references) for outputs, references in sentences if len(outputs) > k]
         slot_bleu.append(corpus_bleu(pairs, corpus_bleu_config))
         slot_chrf.append(corpus_chrfpp(pairs, chrf_config))
 
     per_instance = tuple(
-        InstanceSummary(
-            id=inst.id,
-            ms_bleu=bleu_results[i].score,
-            ms_chrf=chrf_results[i].score,
-            self_bleu=self_scores[inst.id],
-        )
-        for i, inst in enumerate(instances)
+        InstanceSummary(id=inst.id, ms_bleu=bleu.score, ms_chrf=chrf.score, self_bleu=self_score)
+        for inst, bleu, chrf, self_score in zip(instances, bleu_results, chrf_results, self_scores)
     )
     config = {
         "sentence_bleu": asdict(sentence_bleu_config),
@@ -155,26 +137,6 @@ def evaluate_all(
         per_instance=per_instance,
         config=config,
     )
-
-
-def _corpus_ms(instances, out_sents, ref_sents, metric, allow_unequal, max_workers):
-    staged = [
-        EvalInstanceView(inst.id, out_sents[inst.id], ref_sents[inst.id])
-        for inst in instances
-    ]
-    return corpus_multi_score(staged, metric, allow_unequal=allow_unequal, max_workers=max_workers)
-
-
-class EvalInstanceView:
-    """Pre-tokenized stand-in for EvalInstance used inside evaluate_all so
-    both metrics share Sentence objects (and their token caches)."""
-
-    def __init__(self, id: str, outputs: list[Sentence], references: list[Sentence]):
-        self.id = id
-        self.outputs = outputs
-        self.references = references
-        self.output_sentences = outputs
-        self.reference_sentences = references
 
 
 def round2(value: float) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 __all__ = ["Sentence", "NGramMultiset", "tokenize_words", "word_ngrams", "char_ngrams"]
@@ -93,15 +93,19 @@ def char_ngrams(raw: str, n: int, strip_whitespace: bool = True) -> NGramMultise
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence with lazily computed, cached word tokens.
+    """One sentence with lazily computed, cached word tokens and n-gram
+    profiles.
 
     ``lowercase`` controls both tokenization and the character stream used
     by character-level metrics, so a cased evaluation is consistent across
-    metrics.
+    metrics. Every metric that scores the same ``Sentence`` object shares
+    its profiles, each computed at most once per order.
     """
 
     raw: str
     lowercase: bool = True
+    _word_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _char_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.raw.strip():
@@ -117,6 +121,20 @@ class Sentence:
         """Whitespace-stripped character stream (chrF substrate)."""
         text = self.raw.lower() if self.lowercase else self.raw
         return "".join(text.split())
+
+    def word_profile(self, n: int) -> Counter:
+        """Counts of the word ``n``-grams of :attr:`tokens` (read-only)."""
+        profile = self._word_profiles.get(n)
+        if profile is None:
+            profile = self._word_profiles[n] = word_ngrams(self.tokens, n).counts
+        return profile
+
+    def char_profile(self, n: int) -> Counter:
+        """Counts of the ``n``-character windows of :attr:`chars` (read-only)."""
+        profile = self._char_profiles.get(n)
+        if profile is None:
+            profile = self._char_profiles[n] = char_ngrams(self.chars, n, strip_whitespace=False).counts
+        return profile
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -6,6 +6,11 @@ import os
 import pytest
 
 from multiscore.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from multiscore.corpus import load_jsonl
+from multiscore.metrics import BleuMetric, ChrfMetric
+from multiscore.multiscore import multi_score
+from multiscore.report import evaluate_all, render, round2
+from multiscore.text import Sentence
 
 
 @pytest.fixture
@@ -19,6 +24,19 @@ def toy_data(tmp_path):
          "outputs": ["a big sky above town", "big sky over town", "the sky over the town"]},
     ]
     p = tmp_path / "data.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return p
+
+
+@pytest.fixture
+def cased_data(tmp_path):
+    rows = [
+        {"id": "a", "references": ["The Cat sat on the Mat", "a cat sat on the mat", "The cat is on the mat"],
+         "outputs": ["the cat sat on the mat", "A Cat sat on the Mat", "the Cat Is on the mat"]},
+        {"id": "b", "references": ["A dog ran far away", "the Dog ran away", "a dog ran off"],
+         "outputs": ["The Dog ran away", "a dog Ran off", "A DOG ran far away"]},
+    ]
+    p = tmp_path / "cased.jsonl"
     p.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     return p
 
@@ -107,7 +125,47 @@ class TestMultiscore:
         assert rc == EXIT_VALIDATION
 
 
+class TestNoLowercase:
+    def test_evaluate_json(self, cased_data, capsys):
+        assert main(["evaluate", "--data", str(cased_data), "--format", "json"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(["evaluate", "--data", str(cased_data), "--format", "json", "--no-lowercase"]) == EXIT_OK
+        cased = capsys.readouterr().out
+        assert cased != default
+        expected = render(evaluate_all(load_jsonl(cased_data), lowercase=False), "json")
+        assert cased.encode("utf-8") == expected
+
+    @pytest.mark.parametrize("name,metric", [("bleu", BleuMetric()), ("chrf", ChrfMetric())])
+    def test_multiscore_per_instance_json(self, cased_data, capsys, name, metric):
+        argv = ["multiscore", "--data", str(cased_data), "--metric", name, "--per-instance", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--no-lowercase"]) == EXIT_OK
+        cased = json.loads(capsys.readouterr().out)
+        assert cased != default
+        scores = []
+        for inst, row in zip(load_jsonl(cased_data), cased["per_instance"]):
+            result = multi_score(
+                [Sentence(t, lowercase=False) for t in inst.outputs],
+                [Sentence(t, lowercase=False) for t in inst.references],
+                metric,
+            )
+            assert row["score"] == round2(result.score)
+            assert row["matrix"] == [[round2(x) for x in r] for r in result.matrix.weights]
+            scores.append(result.score)
+        assert cased["multi_score"] == round2(sum(scores) / len(scores))
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("strategy", ["beam3", "random", "ensemble"])
+    def test_max_len_zero_is_validation_error(self, toy_data, tmp_path, capsys, strategy):
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, "--max-len", "0", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "instance 'a'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".multiscore-")]
+
     def test_deterministic_outputs(self, toy_data, tmp_path):
         f1, f2 = tmp_path / "g1.jsonl", tmp_path / "g2.jsonl"
         for f in (f1, f2):
@@ -161,15 +219,3 @@ class TestEndToEndDeterminism:
                          "--format", "json", "--out", str(rep)]) == EXIT_OK
             reports.append(rep.read_bytes())
         assert reports[0] == reports[1]
-
-    def test_thread_env_does_not_change_bytes(self, toy_data, tmp_path, monkeypatch):
-        rep1, rep2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["evaluate", "--data", str(toy_data), "--format", "json", "--out", str(rep1)]) == EXIT_OK
-        monkeypatch.setenv("MULTISCORE_THREADS", "4")
-        assert main(["evaluate", "--data", str(toy_data), "--format", "json", "--out", str(rep2)]) == EXIT_OK
-        assert rep1.read_bytes() == rep2.read_bytes()
-
-    def test_bad_thread_env_is_validation_error(self, toy_data, monkeypatch, capsys):
-        monkeypatch.setenv("MULTISCORE_THREADS", "zero")
-        assert main(["evaluate", "--data", str(toy_data)]) == EXIT_VALIDATION
-        assert "MULTISCORE_THREADS" in capsys.readouterr().err

@@ -106,10 +106,28 @@ class TestEvaluateAll:
         with pytest.raises(ValueError, match="no outputs"):
             evaluate_all([inst])
 
-    def test_parallel_equals_sequential(self):
-        rng = np.random.default_rng(25)
-        instances = [make_instance(k, rng) for k in range(10)]
-        assert evaluate_all(instances, max_workers=4) == evaluate_all(instances)
+    def test_cased_and_lowercased_runs_do_not_mix(self):
+        rng = np.random.default_rng(27)
+        def cased(k):
+            inst = make_instance(k, rng)
+            refs = tuple(r.title() if i % 2 else r for i, r in enumerate(inst.references))
+            return EvalInstance(id=inst.id, references=refs, outputs=tuple(o.upper() for o in inst.outputs[:1]) + inst.outputs[1:])
+        instances = [cased(k) for k in range(4)]
+        def fresh():
+            return [EvalInstance(id=i.id, references=i.references, outputs=i.outputs) for i in instances]
+        lower = evaluate_all(instances)
+        upper = evaluate_all(instances, lowercase=False)
+        assert lower != upper
+        assert evaluate_all(instances) == lower == evaluate_all(fresh())
+        assert evaluate_all(instances, lowercase=False) == upper == evaluate_all(fresh(), lowercase=False)
+
+    def test_self_bleu_per_instance_not_per_id(self):
+        varied = EvalInstance(id="d", references=("a b c", "d e f"), outputs=("a b c", "d e f"))
+        repeated = EvalInstance(id="d", references=("a b c", "d e f"), outputs=("x y z", "x y z"))
+        report = evaluate_all([varied, repeated])
+        assert [s.self_bleu for s in report.per_instance] == [
+            self_bleu(varied.outputs), self_bleu(repeated.outputs)
+        ]
 
     def test_dataset_object_accepted(self):
         rng = np.random.default_rng(26)
