@@ -3,9 +3,15 @@ brute-force permutation oracle for verification.
 
 The solver runs shortest augmenting paths over dual potentials in O(n^3).
 Rectangular inputs are squared by zero-weight padding; padded edges never
-appear in results. Among equally optimal assignments the lexicographically
-smallest edge list (sorted by row, then column) is returned, so results are
-reproducible across runs and platforms.
+appear in results.
+
+Tie rule: an edge whose reduced cost is within 1e-9 of zero counts as
+tight, and among the assignments inside that tight subgraph the
+lexicographically smallest edge list (sorted by row, then column) is
+returned, so results are reproducible across runs and platforms. Each
+augmenting path ends at the first free column among those at minimum
+distance, and the tie-break is an iterative search, so tie-heavy input
+(all-equal or small-integer weights) costs about what random input does.
 """
 
 from __future__ import annotations
@@ -93,17 +99,29 @@ def _solve_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         j0 = n
         minv = np.full(n, np.inf)
         used = np.zeros(n + 1, dtype=bool)
+        free_cols = None  # built on the first tie check of this row
         while True:
             used[j0] = True
             i0 = row_of_col[j0]
             slack = cost[i0, :] - u[i0] - v[:n]
-            better = ~used[:n] & (slack < minv)
+            open_cols = ~used[:n]
+            better = open_cols & (slack < minv)
             minv[better] = slack[better]
             way[better] = j0
-            open_cols = ~used[:n]
             masked = np.where(open_cols, minv, np.inf)
             j1 = int(masked.argmin())
             delta = masked[j1]
+            if row_of_col[j1] >= 0:
+                # any column at the minimum is a valid Dijkstra step; ending
+                # at a free one keeps tie-heavy solves to O(n) steps instead
+                # of walking every tied assigned column first (Crouse 2016);
+                # free columns are all still open, since reaching one ends
+                # the search, so minv holds their distances
+                if free_cols is None:
+                    free_cols = np.flatnonzero(row_of_col[:n] < 0)
+                k = int(minv[free_cols].argmin())
+                if minv[free_cols[k]] == delta:
+                    j1 = int(free_cols[k])
             u[row_of_col[used]] += delta
             v[used] -= delta
             minv[open_cols] -= delta
@@ -122,55 +140,51 @@ def _lex_min_tight_matching(
     tight: np.ndarray,
     row_of_col: np.ndarray,
     n_real_rows: int,
-    n_real_cols: int,
 ) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight
     subgraph, starting from a known perfect matching.
 
     Rows are fixed in ascending order; each real row prefers real columns in
-    ascending order, then padded columns. A candidate column is accepted iff
-    the remaining graph still admits a perfect matching (checked with one
-    augmenting-path search).
+    ascending order, then padded columns. Row ``r`` on column ``c0`` can
+    take a tight open column ``c`` iff the owner of ``c`` has an alternating
+    path to ``c0`` through open columns. One backwards breadth-first search
+    from ``c0`` finds every such ``c`` at once, so each row costs O(n^2)
+    vectorised work and no recursion.
     """
     n = tight.shape[0]
     col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
-    fixed_rows = np.zeros(n, dtype=bool)
     fixed_cols = np.zeros(n, dtype=bool)
-
-    def rewire(row: int, col: int) -> bool:
-        """Try to re-route the current matching so that row-col becomes an
-        edge; mutates the matching only on success."""
-        free_row = row_of_col[col]
-        free_col = col_of_row[row]
-        visited = np.zeros(n, dtype=bool)
-        visited[col] = True
-
-        def augment(r: int) -> bool:
-            for j in np.flatnonzero(tight[r] & ~visited & ~fixed_cols):
-                visited[j] = True
-                if j == free_col or augment(row_of_col[j]):
-                    row_of_col[j] = r
-                    col_of_row[r] = j
-                    return True
-            return False
-
-        if augment(int(free_row)):
-            row_of_col[col] = row
-            col_of_row[row] = col
-            return True
-        return False
+    # next_col[c]: the column the owner of c moves to when c is taken
+    next_col = np.empty(n, dtype=np.intp)
 
     for row in range(n_real_rows):
-        # keeping the current column is always feasible, so only tight
+        # keeping the current column is always feasible, so only tight open
         # columns strictly below it are candidates (ascending index order is
         # the preference order: real columns come before padded ones)
         current = int(col_of_row[row])
-        for col in np.flatnonzero(tight[row, :current]):
-            col = int(col)
-            if not fixed_cols[col] and rewire(row, col):
-                break
-        fixed_rows[row] = True
+        candidates = np.flatnonzero(tight[row, :current])
+        if candidates.size:  # usually empty: skip the filter then
+            candidates = candidates[~fixed_cols[candidates]]
+        if candidates.size:
+            reached = fixed_cols.copy()
+            reached[current] = True
+            frontier = np.array([current])
+            while frontier.size and not reached[candidates[0]]:
+                open_cols = np.flatnonzero(~reached)
+                hits = tight[np.ix_(row_of_col[open_cols], frontier)]
+                found = hits.any(axis=1)
+                next_col[open_cols[found]] = frontier[hits[found].argmax(axis=1)]
+                frontier = open_cols[found]
+                reached[frontier] = True
+            reachable = candidates[reached[candidates]]
+            if reachable.size:
+                col, mover = int(reachable[0]), row
+                while col != current:
+                    displaced = int(row_of_col[col])
+                    row_of_col[col], col_of_row[mover] = mover, col
+                    col, mover = int(next_col[col]), displaced
+                row_of_col[current], col_of_row[mover] = mover, current
         fixed_cols[col_of_row[row]] = True
     return col_of_row
 
@@ -202,7 +216,7 @@ def max_weight_matching(matrix) -> Matching:
     tight = slack <= _TIE_TOL
     tight[row_of_col, np.arange(n)] = True
 
-    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, nc)
+    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr)
     edges = [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
     return Matching.from_edges(edges, w)
 

@@ -72,8 +72,8 @@ class NGramLM:
     def __init__(self, order: int, vocab: Sequence[str], counts: dict[tuple, dict[str, int]], add_k: float = 0.1):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if add_k < 0:
-            raise ValueError(f"add_k must be >= 0, got {add_k}")
+        if not (math.isfinite(add_k) and add_k >= 0):
+            raise ValueError(f"add_k must be finite and >= 0, got {add_k}")
         if EOS not in vocab:
             raise ValueError("vocabulary must include the end-of-sequence token")
         self.order = order
@@ -248,6 +248,13 @@ def _ranked(pool, alpha: float, finished: bool) -> list[BeamHypothesis]:
     return hyps
 
 
+def _check_beam_knobs(beam_width: int, min_width: int, alpha: float) -> None:
+    if beam_width < min_width:
+        raise ValueError(f"beam_width must be >= {min_width}, got {beam_width}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def beam_search(
     model: SequenceModel, beam_width: int, max_len: int, alpha: float = 0.6
 ) -> list[BeamHypothesis]:
@@ -263,8 +270,7 @@ def beam_search(
     is truncated, so finished sequences carry at most max_len - 1 tokens
     (the same budget convention the samplers use).
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    _check_beam_knobs(beam_width, 1, alpha)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     finished, _ = _beam_pools(model, beam_width, max_len, alpha)
@@ -323,8 +329,7 @@ def generate_top3_beam(
     """The three best finished beam hypotheses. If fewer than three finish
     within ``max_len``, the highest-scoring unfinished prefixes (and, as a
     last resort, repeats) fill the set, with flags recording the fill."""
-    if beam_width < SET_SIZE:
-        raise ValueError(f"beam_width must be >= {SET_SIZE}, got {beam_width}")
+    _check_beam_knobs(beam_width, SET_SIZE, alpha)
     finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
     flags: set[str] = set()
     # the empty hypothesis (immediate EOS) is a valid beam result but
@@ -422,6 +427,7 @@ def generate_ensemble(
     single best beam-search output."""
     if len(models) != SET_SIZE:
         raise ValueError(f"ensemble takes exactly {SET_SIZE} models, got {len(models)}")
+    _check_beam_knobs(beam_width, 1, alpha)
     sentences = []
     flags: set[str] = set()
     for model in models:

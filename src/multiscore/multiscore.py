@@ -78,6 +78,12 @@ def score_matrix(outputs: Sequence, references: Sequence, metric: SentenceMetric
     with reference j as its single reference."""
     if not len(outputs) or not len(references):
         raise ValueError("outputs and references must both be non-empty")
+    # one Sentence per distinct plain text, so its profiles are built once
+    # rather than once per cell; blank strings pass through (a blank output
+    # scores 0, a blank reference is rejected by the metric)
+    made = {t: Sentence(t) for t in (*outputs, *references) if isinstance(t, str) and t.strip()}
+    outputs = [made.get(t, t) for t in outputs]
+    references = [made.get(t, t) for t in references]
     weights = np.empty((len(outputs), len(references)))
     for i, out in enumerate(outputs):
         for j, ref in enumerate(references):

@@ -138,3 +138,8 @@ class Sentence:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __str__(self) -> str:
+        """The (stripped) text, so a metric may read ``str(hypothesis)``
+        whether it was handed a string or a :class:`Sentence`."""
+        return self.raw

@@ -1,10 +1,20 @@
 """Hungarian solver vs the brute-force oracle (and scipy as a third route)."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from multiscore.assignment import ScoreMatrix, brute_force_matching, max_weight_matching
+from multiscore.assignment import (
+    ScoreMatrix,
+    _lex_min_tight_matching,
+    brute_force_matching,
+    max_weight_matching,
+)
 
 
 def scipy_total(w):
@@ -184,3 +194,48 @@ def test_large_matrix_within_time_budget():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert m.total == pytest.approx(scipy_total(w), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [np.full((600, 600), 50.0), np.random.default_rng(10).integers(0, 3, (600, 600)).astype(float)],
+    ids=["all-equal", "integers-0-2"],
+)
+def test_tie_heavy_matrix_within_time_budget(w):
+    # the same budget as the random case: ties must not cost more
+    start = time.perf_counter()
+    m = max_weight_matching(w)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert m.total == scipy_total(w)
+
+
+def test_lex_min_tie_break_on_long_alternating_path():
+    # row i is tight on columns i and i+1 (mod n) and starts on i+1: taking
+    # column 0 for row 0 re-routes every other row along one n-long path
+    n = 2000
+    rows = np.arange(n)
+    tight = np.zeros((n, n), dtype=bool)
+    tight[rows, rows] = True
+    tight[rows, (rows + 1) % n] = True
+    row_of_col = np.empty(n, dtype=np.intp)
+    row_of_col[(rows + 1) % n] = rows
+    col_of_row = _lex_min_tight_matching(tight, row_of_col, n)
+    assert np.array_equal(col_of_row, rows)
+
+
+def _tie_heavy(max_side):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0])))
+
+
+@settings(deadline=None)
+@given(_tie_heavy(7))
+def test_tie_heavy_edges_match_brute_force(w):
+    assert max_weight_matching(w).edges == brute_force_matching(w).edges
+
+
+@settings(deadline=None)
+@given(_tie_heavy(40))
+def test_tie_heavy_totals_match_scipy(w):
+    assert max_weight_matching(w).total == scipy_total(w)

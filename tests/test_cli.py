@@ -166,6 +166,23 @@ class TestGenerate:
         assert not out.exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".multiscore-")]
 
+    @pytest.mark.parametrize(
+        "strategy, knob, value",
+        [
+            ("ensemble", "--beam-width", "0"),
+            ("beam3", "--alpha", "nan"),
+            ("ensemble", "--alpha", "nan"),
+            ("beam3", "--add-k", "nan"),
+            ("random", "--add-k", "inf"),
+        ],
+    )
+    def test_bad_generation_knob_is_validation_error(self, toy_data, tmp_path, capsys, strategy, knob, value):
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, knob, value, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert knob[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, toy_data, tmp_path):
         f1, f2 = tmp_path / "g1.jsonl", tmp_path / "g2.jsonl"
         for f in (f1, f2):

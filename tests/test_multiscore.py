@@ -10,6 +10,7 @@ import pytest
 from multiscore.assignment import brute_force_matching
 from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
 from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score, score_matrix
+from multiscore.text import Sentence
 
 
 class TableMetric(SentenceMetric):
@@ -54,6 +55,17 @@ class TestScoreMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             score_matrix([], ["x"], BleuMetric())
+
+    @pytest.mark.parametrize("metric", [BleuMetric(), ChrfMetric()], ids=lambda m: m.name)
+    def test_strings_score_as_sentences(self, metric):
+        rng = np.random.default_rng(3)
+        refs = random_sentences(rng, 5)
+        outs = random_sentences(rng, 6) + [refs[0], refs[0]]
+        as_text = score_matrix(outs, refs, metric)
+        as_sentences = score_matrix([Sentence(t) for t in outs], [Sentence(t) for t in refs], metric)
+        assert np.array_equal(as_text.weights, as_sentences.weights)
+        # a blank output is not a Sentence, and still scores 0
+        assert score_matrix(["  ", outs[0]], refs, metric).weights[0].tolist() == [0.0] * 5
 
 
 class TestMultiScore:
