@@ -44,7 +44,7 @@ from .metrics import (
 )
 from .multiscore import EvalInstance, MultiScoreResult, corpus_multi_score, multi_score, score_matrix
 from .report import EvaluationReport, evaluate_all, render
-from .text import NGramMultiset, Sentence, char_ngrams, tokenize_words, word_ngrams
+from .text import Sentence, char_ngrams, tokenize_words, word_ngrams
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "Matching",
     "MultiScoreResult",
     "NGramLM",
-    "NGramMultiset",
     "ScoreMatrix",
     "Sentence",
     "SentenceMetric",

@@ -26,7 +26,6 @@ __all__ = [
     "load_jsonl",
     "save_jsonl",
     "load_outputs_jsonl",
-    "save_outputs_jsonl",
     "load_parallel_text",
     "bind_outputs",
     "load_bundled",
@@ -96,28 +95,45 @@ def _parse_line(obj, line_no: int) -> EvalInstance:
         raise ValueError(f"line {line_no}: {exc}") from None
 
 
+def _read_jsonl(path):
+    """Yield ``(line_no, parsed JSON value)`` for each line of a JSON Lines
+    file. Each line is decoded on its own (UTF-8, with an optional byte
+    order mark on line 1) and split as universal newlines, so every error
+    names its line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"line {line_no}: not valid UTF-8") from None
+        if not line.strip():
+            raise ValueError(f"line {line_no}: empty line in JSONL file")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"line {line_no}: malformed JSON (nested too deep)") from None
+        yield line_no, obj
+
+
 def load_jsonl(path) -> Dataset:
     """Load a dataset from a JSON Lines file, preserving line order.
 
-    Raises ValueError naming the offending line for malformed JSON, schema
-    violations, or duplicate ids; I/O failures propagate as OSError.
+    Raises ValueError naming the offending line for invalid UTF-8,
+    malformed JSON, schema violations, or duplicate ids; I/O failures
+    propagate as OSError.
     """
     path = os.fspath(path)
     instances: list[EvalInstance] = []
     id_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"line {line_no}: empty line in JSONL file")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            inst = _parse_line(obj, line_no)
-            if inst.id in id_lines:
-                raise ValueError(f"duplicate id {inst.id!r} on lines {id_lines[inst.id]} and {line_no}")
-            id_lines[inst.id] = line_no
-            instances.append(inst)
+    for line_no, obj in _read_jsonl(path):
+        inst = _parse_line(obj, line_no)
+        if inst.id in id_lines:
+            raise ValueError(f"duplicate id {inst.id!r} on lines {id_lines[inst.id]} and {line_no}")
+        id_lines[inst.id] = line_no
+        instances.append(inst)
     if not instances:
         raise ValueError(f"{path}: dataset is empty")
     return Dataset(instances=tuple(instances), source_path=path)
@@ -148,34 +164,19 @@ def load_outputs_jsonl(path) -> dict[str, list[str]]:
     path = os.fspath(path)
     outputs: dict[str, list[str]] = {}
     id_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"line {line_no}: empty line in JSONL file")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
-                raise ValueError(f"line {line_no}: missing or non-string 'id'")
-            outs = obj.get("outputs")
-            if not isinstance(outs, list) or not outs or not all(isinstance(o, str) for o in outs):
-                raise ValueError(f"line {line_no}: 'outputs' must be a non-empty string array")
-            if obj["id"] in id_lines:
-                raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
-            id_lines[obj["id"]] = line_no
-            outputs[obj["id"]] = list(outs)
+    for line_no, obj in _read_jsonl(path):
+        if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
+            raise ValueError(f"line {line_no}: missing or non-string 'id'")
+        outs = obj.get("outputs")
+        if not isinstance(outs, list) or not outs or not all(isinstance(o, str) for o in outs):
+            raise ValueError(f"line {line_no}: 'outputs' must be a non-empty string array")
+        if obj["id"] in id_lines:
+            raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
+        id_lines[obj["id"]] = line_no
+        outputs[obj["id"]] = list(outs)
     if not outputs:
         raise ValueError(f"{path}: outputs file is empty")
     return outputs
-
-
-def save_outputs_jsonl(records: Sequence[dict], path) -> None:
-    """Write generation records (dicts with at least ``id`` and ``outputs``)
-    as JSON Lines."""
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 _REF_FILE = re.compile(r"^ref(\d+)\.txt$")

@@ -1,8 +1,11 @@
 """Sentence- and corpus-level quality metrics (BLEU, chrF++) plus Self-BLEU.
 
-All scores live on a 0-100 scale. Sentence-level scorers double as the
-pairwise metric consumed by the assignment-based set evaluation, via the
-:class:`SentenceMetric` adapters at the bottom of the module.
+All scores live on a 0-100 scale. Each metric extracts one segment's
+sufficient statistics (``_bleu_stats``, ``_chrf_stats``); a sentence score
+is computed from one segment's statistics, a corpus score from their sums.
+Sentence-level scorers double as the pairwise metric consumed by the
+assignment-based set evaluation, via the :class:`SentenceMetric` adapters
+at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .text import Sentence
+from .text import Sentence, overlap
 
 __all__ = [
     "BleuConfig",
@@ -78,50 +81,54 @@ _CORPUS_BLEU_DEFAULT = BleuConfig(smoothing=SMOOTH_NONE)
 _CHRF_DEFAULT = ChrfConfig()
 
 
-def _as_sentence(text: SentenceLike) -> Sentence:
-    return text if isinstance(text, Sentence) else Sentence(text)
+def _segment(
+    hypothesis: SentenceLike, references: Sequence[SentenceLike]
+) -> tuple[Sentence | None, list[Sentence]]:
+    """One segment's hypothesis and references as :class:`Sentence`s. A
+    blank string hypothesis becomes ``None``: it has no n-grams."""
+    if not references:
+        raise ValueError("references must be non-empty")
+    refs = []
+    for ref in references:
+        if not isinstance(ref, Sentence):
+            if not ref.strip():
+                raise ValueError("reference sentence must be non-empty")
+            ref = Sentence(ref)
+        refs.append(ref)
+    if isinstance(hypothesis, Sentence):
+        return hypothesis, refs
+    return (Sentence(hypothesis) if hypothesis.strip() else None), refs
 
 
-def _as_reference(text: SentenceLike) -> Sentence:
-    try:
-        return _as_sentence(text)
-    except ValueError:
-        raise ValueError("reference sentence must be non-empty") from None
+def _bleu_stats(hyp: Sentence | None, refs: Sequence[Sentence], max_order: int) -> list[int]:
+    """One segment's BLEU statistics: ``[hyp_len, ref_len, matched_1..N,
+    total_1..N]``. Matches are clipped against the per-gram maximum count
+    over the references; ``ref_len`` is the reference length closest to
+    ``hyp_len``, ties toward the shorter. A blank hypothesis has length 0
+    and no n-grams."""
+    hyp_len = len(hyp.tokens) if hyp is not None else 0
+    ref_len = min((len(r.tokens) for r in refs), key=lambda r: (abs(r - hyp_len), r))
+    matched, total = [0] * max_order, [0] * max_order
+    if hyp is not None:
+        for n in range(1, max_order + 1):
+            counts = hyp.word_profile(n)
+            cap: dict = {}  # shared n-gram -> its largest count in any one reference
+            for ref in refs:
+                profile = ref.word_profile(n)
+                for gram in counts.keys() & profile.keys():
+                    cap[gram] = max(cap.get(gram, 0), profile[gram])
+            matched[n - 1] = sum(min(counts[gram], count) for gram, count in cap.items())
+            total[n - 1] = sum(counts.values())
+    return [hyp_len, ref_len, *matched, *total]
 
 
-def _clipped_matches(hyp: Sentence, refs: Sequence[Sentence], n: int) -> tuple[int, int]:
-    """Matched (clipped against the per-gram maximum over references) and
-    total hypothesis n-gram counts for one order."""
-    hyp_counts = hyp.word_profile(n)
-    total = sum(hyp_counts.values())
-    if total == 0:
-        return 0, 0
-    cap: Counter = Counter()
-    for ref in refs:
-        for gram, count in ref.word_profile(n).items():
-            if gram in hyp_counts and count > cap[gram]:
-                cap[gram] = count
-    matched = sum(min(count, cap[gram]) for gram, count in hyp_counts.items() if gram in cap)
-    return matched, total
-
-
-def _closest_ref_len(hyp_len: int, ref_lens: Iterable[int]) -> int:
-    # closest reference length; ties resolved toward the shorter one
-    return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
-
-
-def _bleu_from_stats(
-    matched: Sequence[int],
-    total: Sequence[int],
-    hyp_len: int,
-    ref_len: int,
-    config: BleuConfig,
-) -> float:
+def _bleu_score(stats: Sequence[int], config: BleuConfig) -> float:
+    hyp_len, ref_len = stats[0], stats[1]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
     for i in range(config.max_order):
-        m, t = matched[i], total[i]
+        m, t = stats[2 + i], stats[2 + config.max_order + i]
         if config.smoothing == SMOOTH_ADD_ONE and i >= 1:
             m += 1
             t += 1
@@ -151,19 +158,7 @@ def sentence_bleu(
     :return: score in [0, 100].
     """
     config = config or _SENTENCE_BLEU_DEFAULT
-    if not references:
-        raise ValueError("references must be non-empty")
-    refs = [_as_reference(r) for r in references]
-    if isinstance(hypothesis, str) and not hypothesis.strip():
-        return 0.0
-    hyp = _as_sentence(hypothesis)
-    matched, total = [], []
-    for n in range(1, config.max_order + 1):
-        m, t = _clipped_matches(hyp, refs, n)
-        matched.append(m)
-        total.append(t)
-    ref_len = _closest_ref_len(len(hyp.tokens), [len(r.tokens) for r in refs])
-    return _bleu_from_stats(matched, total, len(hyp.tokens), ref_len, config)
+    return _bleu_score(_bleu_stats(*_segment(hypothesis, references), config.max_order), config)
 
 
 def corpus_bleu(
@@ -184,46 +179,43 @@ def corpus_bleu(
     config = config or _CORPUS_BLEU_DEFAULT
     if not pairs:
         raise ValueError("corpus must contain at least one segment")
-    matched = [0] * config.max_order
-    total = [0] * config.max_order
-    hyp_len_sum = 0
-    ref_len_sum = 0
+    totals = [0] * (2 + 2 * config.max_order)
     for hypothesis, references in pairs:
-        if not references:
-            raise ValueError("references must be non-empty")
-        refs = [_as_reference(r) for r in references]
-        hyp_len = 0
-        # an empty hypothesis adds no n-grams, only its reference length
-        if not isinstance(hypothesis, str) or hypothesis.strip():
-            hyp = _as_sentence(hypothesis)
-            hyp_len = len(hyp.tokens)
-            for n in range(1, config.max_order + 1):
-                m, t = _clipped_matches(hyp, refs, n)
-                matched[n - 1] += m
-                total[n - 1] += t
-        hyp_len_sum += hyp_len
-        ref_len_sum += _closest_ref_len(hyp_len, [len(r.tokens) for r in refs])
-    return _bleu_from_stats(matched, total, hyp_len_sum, ref_len_sum, config)
+        stats = _bleu_stats(*_segment(hypothesis, references), config.max_order)
+        totals = [a + b for a, b in zip(totals, stats)]
+    return _bleu_score(totals, config)
 
 
-def _chrf_segment_stats(hyp: Sentence, ref: Sentence, config: ChrfConfig) -> list[tuple[int, int, int]]:
-    """Per-order (matched, hyp_total, ref_total) triples: character orders
-    first, then word orders."""
-    stats = []
-    for n in range(1, config.char_order + 1):
-        hp = hyp.char_profile(n)
-        rp = ref.char_profile(n)
-        stats.append((sum((hp & rp).values()), sum(hp.values()), sum(rp.values())))
-    for n in range(1, config.word_order + 1):
-        hp = hyp.word_profile(n)
-        rp = ref.word_profile(n)
-        stats.append((sum((hp & rp).values()), sum(hp.values()), sum(rp.values())))
-    return stats
+def _chrf_profiles(sentence: Sentence, config: ChrfConfig) -> list[Counter]:
+    # character orders first, then word orders
+    return [sentence.char_profile(n) for n in range(1, config.char_order + 1)] + [
+        sentence.word_profile(n) for n in range(1, config.word_order + 1)
+    ]
 
 
-def _chrf_from_stats(stats: Sequence[tuple[int, int, int]], beta: float) -> float:
+def _chrf_stats(hyp: Sentence | None, refs: Sequence[Sentence], config: ChrfConfig) -> list[int]:
+    """One segment's chrF++ statistics: ``(matched, hyp_total, ref_total)``
+    for every order, flattened. With several references these are the
+    statistics of the best-scoring one, the first on ties. A blank
+    hypothesis contributes the shortest reference's totals only."""
+    if hyp is None:
+        shortest = min(refs, key=lambda r: len(r.chars))
+        return [x for rp in _chrf_profiles(shortest, config) for x in (0, 0, sum(rp.values()))]
+    hyp_profiles = _chrf_profiles(hyp, config)
+    candidates = []
+    for ref in refs:
+        stats = []
+        for hp, rp in zip(hyp_profiles, _chrf_profiles(ref, config)):
+            stats += (overlap(hp, rp), sum(hp.values()), sum(rp.values()))
+        candidates.append(stats)
+    if len(candidates) == 1:
+        return candidates[0]
+    return max(candidates, key=lambda stats: _chrf_score(stats, config.beta))
+
+
+def _chrf_score(stats: Sequence[int], beta: float) -> float:
     precisions, recalls = [], []
-    for matched, hyp_total, ref_total in stats:
+    for matched, hyp_total, ref_total in zip(stats[0::3], stats[1::3], stats[2::3]):
         if hyp_total == 0 and ref_total == 0:
             continue  # order carries no n-grams on either side
         precisions.append(matched / hyp_total if hyp_total else 0.0)
@@ -253,22 +245,7 @@ def sentence_chrfpp(
     :return: score in [0, 100].
     """
     config = config or _CHRF_DEFAULT
-    ref = _as_reference(reference)
-    if isinstance(hypothesis, str) and not hypothesis.strip():
-        return 0.0
-    hyp = _as_sentence(hypothesis)
-    return _chrf_from_stats(_chrf_segment_stats(hyp, ref, config), config.beta)
-
-
-def _best_reference(hyp: Sentence, refs: Sequence[Sentence], config: ChrfConfig) -> Sentence:
-    # multi-reference segments keep the statistics of the best-scoring
-    # reference; ties keep the first
-    best, best_score = refs[0], -1.0
-    for ref in refs:
-        score = _chrf_from_stats(_chrf_segment_stats(hyp, ref, config), config.beta)
-        if score > best_score:
-            best, best_score = ref, score
-    return best
+    return _chrf_score(_chrf_stats(*_segment(hypothesis, [reference]), config), config.beta)
 
 
 def corpus_chrfpp(
@@ -288,36 +265,12 @@ def corpus_chrfpp(
     config = config or _CHRF_DEFAULT
     if not pairs:
         raise ValueError("corpus must contain at least one segment")
-    n_orders = config.char_order + config.word_order
-    agg = [[0, 0, 0] for _ in range(n_orders)]
+    totals = [0] * (3 * (config.char_order + config.word_order))
     for hypothesis, reference in pairs:
-        if isinstance(reference, (str, Sentence)):
-            refs = [_as_reference(reference)]
-        else:
-            if not reference:
-                raise ValueError("references must be non-empty")
-            refs = [_as_reference(r) for r in reference]
-        if isinstance(hypothesis, str) and not hypothesis.strip():
-            hyp = None
-        else:
-            hyp = _as_sentence(hypothesis)
-        if hyp is None:
-            # empty hypothesis: contributes reference totals only
-            ref = refs[0] if len(refs) == 1 else min(refs, key=lambda r: len(r.chars))
-            for i, n in enumerate(_order_sizes(config)):
-                rp = ref.char_profile(n) if i < config.char_order else ref.word_profile(n)
-                agg[i][2] += sum(rp.values())
-            continue
-        ref = refs[0] if len(refs) == 1 else _best_reference(hyp, refs, config)
-        for i, stat in enumerate(_chrf_segment_stats(hyp, ref, config)):
-            agg[i][0] += stat[0]
-            agg[i][1] += stat[1]
-            agg[i][2] += stat[2]
-    return _chrf_from_stats([tuple(a) for a in agg], config.beta)
-
-
-def _order_sizes(config: ChrfConfig) -> list[int]:
-    return list(range(1, config.char_order + 1)) + list(range(1, config.word_order + 1))
+        references = [reference] if isinstance(reference, (str, Sentence)) else reference
+        stats = _chrf_stats(*_segment(hypothesis, references), config)
+        totals = [a + b for a, b in zip(totals, stats)]
+    return _chrf_score(totals, config.beta)
 
 
 def self_bleu(outputs: Sequence[SentenceLike], config: BleuConfig | None = None) -> float:

@@ -109,13 +109,20 @@ def evaluate_all(
     if mean_self is None:
         log.warning("no instance has 2+ outputs; Self-BLEU omitted from the report")
 
-    # quality: corpus scores per output slot against full reference sets
+    # quality: corpus scores per output slot against full reference sets.
+    # corpus chrF++ keeps each segment's best reference, the first on ties:
+    # that is the first maximum of the output's row in the MS-CHRF grid, so
+    # the grid picks it and no pair is scored twice
     n_slots = max(len(inst.outputs) for inst in instances)
     slot_bleu, slot_chrf = [], []
     for k in range(n_slots):
-        pairs = [(outputs[k], references) for outputs, references in sentences if len(outputs) > k]
-        slot_bleu.append(corpus_bleu(pairs, corpus_bleu_config))
-        slot_chrf.append(corpus_chrfpp(pairs, chrf_config))
+        bleu_pairs, chrf_pairs = [], []
+        for (outputs, references), chrf in zip(sentences, chrf_results):
+            if len(outputs) > k:
+                bleu_pairs.append((outputs[k], references))
+                chrf_pairs.append((outputs[k], references[chrf.matrix.weights[k].argmax()]))
+        slot_bleu.append(corpus_bleu(bleu_pairs, corpus_bleu_config))
+        slot_chrf.append(corpus_chrfpp(chrf_pairs, chrf_config))
 
     per_instance = tuple(
         InstanceSummary(id=inst.id, ms_bleu=bleu.score, ms_chrf=chrf.score, self_bleu=self_score)

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-__all__ = ["Sentence", "NGramMultiset", "tokenize_words", "word_ngrams", "char_ngrams"]
+__all__ = ["Sentence", "tokenize_words", "word_ngrams", "char_ngrams", "overlap"]
 
 
 @lru_cache(maxsize=4096)
@@ -42,42 +42,23 @@ def tokenize_words(raw: str, lowercase: bool = True) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class NGramMultiset:
-    """Multiset of fixed-order n-grams.
-
-    Keys are sequences of length ``order``: tuples of tokens for word
-    n-grams, plain strings for character n-grams. Callers must treat
-    ``counts`` as read-only.
-    """
-
-    order: int
-    counts: Counter
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def overlap(self, other: "NGramMultiset") -> int:
-        """Total count of n-grams shared with ``other`` (multiset intersection)."""
-        if self.order != other.order:
-            raise ValueError("cannot intersect n-gram multisets of different order")
-        small, big = self.counts, other.counts
-        if len(big) < len(small):
-            small, big = big, small
-        return sum(min(c, big[g]) for g, c in small.items() if g in big)
+def overlap(a: Counter, b: Counter) -> int:
+    """Total count of the n-grams two count tables share (the size of their
+    multiset intersection)."""
+    return sum(min(a[gram], b[gram]) for gram in a.keys() & b.keys())
 
 
-def word_ngrams(tokens, n: int) -> NGramMultiset:
-    """All contiguous ``n``-token windows of ``tokens`` as a multiset."""
+def word_ngrams(tokens, n: int) -> Counter:
+    """Counts of all contiguous ``n``-token windows of ``tokens`` (keys are
+    token tuples)."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     tokens = tuple(tokens)
-    grams = Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-    return NGramMultiset(n, grams)
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
-def char_ngrams(raw: str, n: int, strip_whitespace: bool = True) -> NGramMultiset:
-    """All contiguous ``n``-character windows of ``raw`` as a multiset.
+def char_ngrams(raw: str, n: int, strip_whitespace: bool = True) -> Counter:
+    """Counts of all contiguous ``n``-character windows of ``raw``.
 
     With ``strip_whitespace`` (the chrF convention, default) every Unicode
     whitespace character is removed before windowing. Windows are taken over
@@ -87,8 +68,7 @@ def char_ngrams(raw: str, n: int, strip_whitespace: bool = True) -> NGramMultise
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     if strip_whitespace:
         raw = "".join(raw.split())
-    grams = Counter(raw[i : i + n] for i in range(len(raw) - n + 1))
-    return NGramMultiset(n, grams)
+    return Counter(raw[i : i + n] for i in range(len(raw) - n + 1))
 
 
 @dataclass(frozen=True)
@@ -126,14 +106,14 @@ class Sentence:
         """Counts of the word ``n``-grams of :attr:`tokens` (read-only)."""
         profile = self._word_profiles.get(n)
         if profile is None:
-            profile = self._word_profiles[n] = word_ngrams(self.tokens, n).counts
+            profile = self._word_profiles[n] = word_ngrams(self.tokens, n)
         return profile
 
     def char_profile(self, n: int) -> Counter:
         """Counts of the ``n``-character windows of :attr:`chars` (read-only)."""
         profile = self._char_profiles.get(n)
         if profile is None:
-            profile = self._char_profiles[n] = char_ngrams(self.chars, n, strip_whitespace=False).counts
+            profile = self._char_profiles[n] = char_ngrams(self.chars, n, strip_whitespace=False)
         return profile
 
     def __len__(self) -> int:

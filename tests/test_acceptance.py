@@ -156,12 +156,14 @@ def test_criterion_5_self_bleu_extremes():
 
 
 # golden values measured on the bundled demo corpus before the build with
-# the pinned configuration below (seed 7, order 3, add-k 0.01, alpha 1.0)
+# the pinned configuration below (seed 7, order 3, add-k 0.01, alpha 1.0);
+# chrfpp, ms_bleu and ms_chrf were recorded before sentence and corpus
+# scores came to share one statistics layer
 DEMO_GOLDEN = {
-    "beam3": {"self_bleu": "57.80", "bleu": "48.29"},
-    "random": {"self_bleu": "25.23", "bleu": "26.55"},
-    "topk3": {"self_bleu": "41.57", "bleu": "40.19"},
-    "ensemble": {"self_bleu": "25.65"},
+    "beam3": {"self_bleu": "57.80", "bleu": "48.29", "chrfpp": "38.40", "ms_bleu": "20.82", "ms_chrf": "26.60"},
+    "random": {"self_bleu": "25.23", "bleu": "26.55", "chrfpp": "39.69", "ms_bleu": "22.24", "ms_chrf": "35.84"},
+    "topk3": {"self_bleu": "41.57", "bleu": "40.19", "chrfpp": "39.55", "ms_bleu": "23.39", "ms_chrf": "31.40"},
+    "ensemble": {"self_bleu": "25.65", "chrfpp": "55.14", "ms_bleu": "50.29", "ms_chrf": "55.44"},
 }
 
 
@@ -187,10 +189,7 @@ def test_criterion_6_decoding_behavioral_ordering(tmp_path):
             ])
             assert rc == 0
             payload = json.loads(rep.read_text())
-            measured[strategy] = {
-                "self_bleu": payload["diversity"]["self_bleu"],
-                "bleu": payload["quality"]["bleu"],
-            }
+            measured[strategy] = {**payload["quality"], **payload["diversity"]}
         assert measured["random"]["self_bleu"] < measured["topk3"]["self_bleu"] < measured["beam3"]["self_bleu"]
         assert measured["beam3"]["bleu"] > measured["random"]["bleu"]
         assert measured["ensemble"]["self_bleu"] <= measured["beam3"]["self_bleu"]

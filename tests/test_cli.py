@@ -65,6 +65,21 @@ class TestEvaluate:
         assert rc == EXIT_VALIDATION
         assert "zz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate --data", "evaluate --outputs", "generate --train"])
+    def test_deeply_nested_line_is_validation_error(self, toy_data, tmp_path, capsys, command):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_bytes(b"[" * 200_000 + b"]" * 200_000 + b"\n")
+        argv = {
+            "evaluate --data": ["evaluate", "--data", str(deep)],
+            "evaluate --outputs": ["evaluate", "--data", str(toy_data), "--outputs", str(deep)],
+            "generate --train": ["generate", "--train", str(deep), "--strategy", "beam3",
+                                 "--out", str(tmp_path / "gen.jsonl")],
+        }[command]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: line 1: malformed JSON (nested too deep)\n"
+        assert "Traceback" not in err
+
     def test_no_partial_output_on_error(self, toy_data, tmp_path):
         # unequal outputs trigger a validation error after the report file
         # path is known; nothing must be written

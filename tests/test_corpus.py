@@ -78,6 +78,36 @@ class TestLoadJsonl:
         assert load_jsonl(p).instances[0].references == ("Баку столица",)
 
 
+# a line nested far beyond the JSON decoder's recursion limit
+DEEP_LINE = b"[" * 200_000 + b"]" * 200_000 + b"\n"
+
+
+@pytest.mark.parametrize("loader, first_line", [
+    (load_jsonl, b'{"id":"a","references":["x"]}\n'),
+    (load_outputs_jsonl, b'{"id":"a","outputs":["x"]}\n'),
+], ids=["load_jsonl", "load_outputs_jsonl"])
+class TestLineErrors:
+    def test_nested_too_deep_names_line(self, tmp_path, loader, first_line):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + DEEP_LINE)
+        with pytest.raises(ValueError, match=r"^line 2: malformed JSON \(nested too deep\)$"):
+            loader(p)
+
+    def test_invalid_utf8_names_line(self, tmp_path, loader, first_line):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + first_line.replace(b'"a"', b'"caf\xe9"'))
+        with pytest.raises(ValueError, match=r"^line 2: not valid UTF-8$"):
+            loader(p)
+
+    def test_bom_only_allowed_on_first_line(self, tmp_path, loader, first_line):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b"\xef\xbb\xbf" + first_line)
+        assert len(loader(p)) == 1
+        p.write_bytes(first_line + b"\xef\xbb\xbf" + first_line.replace(b'"a"', b'"b"'))
+        with pytest.raises(ValueError, match="line 2: malformed JSON"):
+            loader(p)
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         instances = (

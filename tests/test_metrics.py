@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiscore.metrics import (
     SMOOTH_NONE,
@@ -17,6 +19,7 @@ from multiscore.metrics import (
     sentence_bleu,
     sentence_chrfpp,
 )
+from multiscore.multiscore import score_matrix
 from oracles import oracle_chrfpp, oracle_corpus_bleu, oracle_sentence_bleu
 
 UNSMOOTHED = BleuConfig(smoothing=SMOOTH_NONE)
@@ -245,3 +248,45 @@ class TestMetricContract:
         # BLEU and chrF++ are asymmetric; just record one witness of it
         a, b = "the cat sat on the mat", "the cat sat"
         assert sentence_bleu(a, [b]) != sentence_bleu(b, [a])
+
+
+# property tests of the statistics layer: a sentence score, a one-segment
+# corpus score and the MS-CHRF grid all read the same per-segment statistics.
+# A small vocabulary with case and punctuation variants makes equal texts,
+# and so tied references, common.
+_words = st.sampled_from(["the", "The", "cat", "sat", "mat", "a", "dog", ",", ".", "баку", "don't"])
+_texts = st.lists(_words, min_size=1, max_size=8).map(" ".join)
+_hypotheses = st.one_of(_texts, st.sampled_from(["", "  "]))
+_reference_lists = st.lists(_texts, min_size=1, max_size=4)
+_bleu_configs = st.builds(
+    BleuConfig, max_order=st.integers(1, 6), smoothing=st.sampled_from([SMOOTH_NONE, "add-one"])
+)
+_chrf_configs = st.builds(
+    ChrfConfig, char_order=st.integers(1, 7), word_order=st.integers(0, 3), beta=st.sampled_from([0.5, 1.0, 2.0, 3.0])
+)
+
+
+@settings(deadline=None)
+@given(_hypotheses, _reference_lists, _bleu_configs)
+def test_one_segment_corpus_bleu_equals_sentence_bleu(hyp, refs, config):
+    assert corpus_bleu([(hyp, refs)], config) == sentence_bleu(hyp, refs, config)
+
+
+@settings(deadline=None)
+@given(_hypotheses, _reference_lists, _chrf_configs)
+def test_one_segment_corpus_chrfpp_is_best_single_reference(hyp, refs, config):
+    assert corpus_chrfpp([(hyp, refs)], config) == max(sentence_chrfpp(hyp, r, config) for r in refs)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.lists(_texts, min_size=1, max_size=4), _reference_lists), min_size=1, max_size=4))
+def test_corpus_chrfpp_reference_is_first_row_maximum_of_grid(instances):
+    # what evaluate_all relies on to take each slot's chrF++ reference from
+    # the MS-CHRF grid; its outputs are never blank, so neither are these
+    full, picked = [], []
+    for outputs, refs in instances:
+        weights = score_matrix(outputs, refs, ChrfMetric()).weights
+        for out, row in zip(outputs, weights):
+            full.append((out, refs))
+            picked.append((out, refs[int(np.argmax(row))]))
+    assert corpus_chrfpp(full) == corpus_chrfpp(picked)

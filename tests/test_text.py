@@ -1,9 +1,13 @@
 """Tokenization and n-gram primitives."""
 
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from multiscore.text import Sentence, char_ngrams, tokenize_words, word_ngrams
+from multiscore.text import Sentence, char_ngrams, overlap, tokenize_words, word_ngrams
 
 
 class TestTokenizeWords:
@@ -32,17 +36,29 @@ class TestTokenizeWords:
         assert tokenize_words(text) == tokenize_words(text)
 
 
+_raw_texts = st.one_of(st.text(), st.text(alphabet=" \t\n\u00a0\u3000,.!?'-()«»abcXYZБжİß"))
+
+
+@given(_raw_texts)
+def test_tokenizer_invariants(raw):
+    tokens = tokenize_words(raw)
+    assert not any(ch.isspace() for token in tokens for ch in token)
+    # every punctuation character is a token of its own
+    assert all(len(token) == 1 for token in tokens if any(unicodedata.category(ch).startswith("P") for ch in token))
+    assert "".join(tokens) == "".join(raw.lower().split())
+
+
 class TestWordNgrams:
     def test_unigrams(self):
         grams = word_ngrams(["a", "b", "a"], 1)
-        assert grams.counts == {("a",): 2, ("b",): 1}
+        assert grams == {("a",): 2, ("b",): 1}
 
     def test_bigrams(self):
         grams = word_ngrams(["a", "b", "a"], 2)
-        assert grams.counts == {("a", "b"): 1, ("b", "a"): 1}
+        assert grams == {("a", "b"): 1, ("b", "a"): 1}
 
     def test_short_sequence(self):
-        assert word_ngrams(["a"], 2).counts == {}
+        assert word_ngrams(["a"], 2) == {}
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -58,14 +74,14 @@ class TestWordNgrams:
 
 class TestCharNgrams:
     def test_bigrams(self):
-        assert char_ngrams("abab", 2, strip_whitespace=False).counts == {"ab": 2, "ba": 1}
+        assert char_ngrams("abab", 2, strip_whitespace=False) == {"ab": 2, "ba": 1}
 
     def test_strip_whitespace_unigrams(self):
-        assert char_ngrams("a b", 1).counts == {"a": 1, "b": 1}
+        assert char_ngrams("a b", 1) == {"a": 1, "b": 1}
 
     def test_strip_whitespace_bigrams(self):
         # stripping joins across the space: the only bigram is "ab"
-        assert char_ngrams("a b", 2).counts == {"ab": 1}
+        assert char_ngrams("a b", 2) == {"ab": 1}
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(7)
@@ -80,9 +96,8 @@ class TestCharNgrams:
         a = char_ngrams("abab", 2, strip_whitespace=False)
         b = char_ngrams("abba", 2, strip_whitespace=False)
         # shared: ab x1 (min(2,1)), ba x1
-        assert a.overlap(b) == 2
-        with pytest.raises(ValueError):
-            a.overlap(char_ngrams("ab", 1, strip_whitespace=False))
+        assert overlap(a, b) == overlap(b, a) == 2
+        assert overlap(a, char_ngrams("", 2)) == 0
 
 
 class TestSentence:
