@@ -34,13 +34,15 @@ for gen in (beam, rand, topk, ens):
     for sentence in gen.sentences:
         print("  ", sentence)
 
-# evaluate every strategy corpus-wide
+# evaluate every strategy corpus-wide; the n-gram model never sees the
+# instance, so the beam and ensemble sets above serve every instance, while
+# the samplers draw a fresh set per instance from their own seed
 print(f"\n{'strategy':<14}{'BLEU':>8}{'CHRF++':>8}{'Self-B':>8}{'MS-B':>8}{'MS-C':>8}")
 for name, sets in (
-    ("beam_top3", lambda i, k: generate_top3_beam(model, 10, 64, 1.0, instance_id=i)),
+    ("beam_top3", lambda i, k: beam),
     ("total_random", lambda i, k: generate_random(model, seed=k, max_len=64, instance_id=i)),
     ("topk_random", lambda i, k: generate_topk_random(model, 3, seed=k, max_len=64, instance_id=i)),
-    ("ensemble", lambda i, k: generate_ensemble(ensemble, 10, 64, 1.0, instance_id=i)),
+    ("ensemble", lambda i, k: ens),
 ):
     outputs = {
         inst.id: list(sets(inst.id, idx).sentences) for idx, inst in enumerate(dataset)

@@ -172,27 +172,30 @@ def _cmd_generate(args) -> int:
         tokenize_words(ref, lowercase=lowercase) for inst in dataset for ref in inst.references
     ]
     strategy = _STRATEGIES[args.strategy]
+    first_id = dataset.instances[0].id
+    # the n-gram model never sees the instance, so a beam3 or ensemble set
+    # is the same for every instance: decode it once and label it per id
     if strategy == STRATEGY_ENSEMBLE:
         shards: list[list[list[str]]] = [[], [], []]
         for i, seq in enumerate(sequences):
             shards[i % 3].append(seq)
         models = [train_ngram(shard, order=args.order, add_k=args.add_k) for shard in shards]
-        model = None
+        shared = generate_ensemble(
+            models, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
+            instance_id=first_id, seed=args.seed,
+        )
     else:
         model = train_ngram(sequences, order=args.order, add_k=args.add_k)
-        models = None
+        shared = None
+        if strategy == STRATEGY_BEAM:
+            shared = generate_top3_beam(
+                model, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
+                instance_id=first_id, seed=args.seed,
+            )
     records = []
     for index, inst in enumerate(dataset):
-        if strategy == STRATEGY_BEAM:
-            gen = generate_top3_beam(
-                model, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
-                instance_id=inst.id, seed=args.seed,
-            )
-        elif strategy == STRATEGY_ENSEMBLE:
-            gen = generate_ensemble(
-                models, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
-                instance_id=inst.id, seed=args.seed,
-            )
+        if shared is not None:
+            gen = shared
         elif strategy == STRATEGY_RANDOM:
             gen = generate_random(
                 model, seed=_instance_seed(args.seed, index), max_len=args.max_len, instance_id=inst.id,

@@ -70,6 +70,17 @@ class Dataset:
         )
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _check_unicode(line_no: int, field: str, texts) -> None:
+    """Reject strings that cannot be written as UTF-8: a JSON escape such
+    as ``"\\ud800"`` decodes to an unpaired surrogate (paired escapes
+    decode to one code point, so any surrogate left is unpaired)."""
+    if any(_SURROGATE.search(text) for text in texts):
+        raise ValueError(f"line {line_no}: {field!r} is not valid Unicode (unpaired surrogate)")
+
+
 def _parse_line(obj, line_no: int) -> EvalInstance:
     if not isinstance(obj, dict):
         raise ValueError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
@@ -89,6 +100,10 @@ def _parse_line(obj, line_no: int) -> EvalInstance:
     category = obj.get("category")
     if category is not None and not isinstance(category, str):
         raise ValueError(f"line {line_no}: 'category' must be a string")
+    _check_unicode(line_no, "id", [obj["id"]])
+    _check_unicode(line_no, "category", [category or ""])
+    _check_unicode(line_no, "references", refs)
+    _check_unicode(line_no, "outputs", outs)
     try:
         return EvalInstance(id=obj["id"], references=tuple(refs), outputs=tuple(outs), category=category)
     except ValueError as exc:
@@ -115,6 +130,8 @@ def _read_jsonl(path):
             raise ValueError(f"line {line_no}: malformed JSON ({exc.msg})") from None
         except RecursionError:
             raise ValueError(f"line {line_no}: malformed JSON (nested too deep)") from None
+        except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+            raise ValueError(f"line {line_no}: malformed JSON ({exc})") from None
         yield line_no, obj
 
 
@@ -122,8 +139,8 @@ def load_jsonl(path) -> Dataset:
     """Load a dataset from a JSON Lines file, preserving line order.
 
     Raises ValueError naming the offending line for invalid UTF-8,
-    malformed JSON, schema violations, or duplicate ids; I/O failures
-    propagate as OSError.
+    malformed JSON, unpaired surrogates, schema violations, or duplicate
+    ids; I/O failures propagate as OSError.
     """
     path = os.fspath(path)
     instances: list[EvalInstance] = []
@@ -170,6 +187,8 @@ def load_outputs_jsonl(path) -> dict[str, list[str]]:
         outs = obj.get("outputs")
         if not isinstance(outs, list) or not outs or not all(isinstance(o, str) for o in outs):
             raise ValueError(f"line {line_no}: 'outputs' must be a non-empty string array")
+        _check_unicode(line_no, "id", [obj["id"]])
+        _check_unicode(line_no, "outputs", outs)
         if obj["id"] in id_lines:
             raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
         id_lines[obj["id"]] = line_no

@@ -328,7 +328,12 @@ def generate_top3_beam(
 ) -> GenerationSet:
     """The three best finished beam hypotheses. If fewer than three finish
     within ``max_len``, the highest-scoring unfinished prefixes (and, as a
-    last resort, repeats) fill the set, with flags recording the fill."""
+    last resort, repeats) fill the set, with flags recording the fill.
+
+    The set depends only on the model and the beam knobs: ``instance_id``
+    and ``seed`` just label it, so an unconditional model yields the same
+    set for every instance. A model conditioned on the instance must be
+    decoded once per instance instead."""
     _check_beam_knobs(beam_width, SET_SIZE, alpha)
     finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
     flags: set[str] = set()
@@ -424,7 +429,10 @@ def generate_ensemble(
     seed: int = 0,
 ) -> GenerationSet:
     """One sentence per model: each of the three models contributes its
-    single best beam-search output."""
+    single best beam-search output.
+
+    As with :func:`generate_top3_beam`, the set depends only on the models
+    and the beam knobs; ``instance_id`` and ``seed`` just label it."""
     if len(models) != SET_SIZE:
         raise ValueError(f"ensemble takes exactly {SET_SIZE} models, got {len(models)}")
     _check_beam_knobs(beam_width, 1, alpha)

@@ -1,12 +1,18 @@
 """CLI behavior: subcommands, exit codes, determinism, atomic writes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multiscore import decoding
 from multiscore.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from multiscore.corpus import load_jsonl
+from multiscore.corpus import load_jsonl, load_outputs_jsonl
 from multiscore.metrics import BleuMetric, ChrfMetric
 from multiscore.multiscore import multi_score
 from multiscore.report import evaluate_all, render, round2
@@ -79,6 +85,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == "error: line 1: malformed JSON (nested too deep)\n"
         assert "Traceback" not in err
+
+    def test_huge_integer_is_validation_error(self, toy_data, tmp_path, capsys):
+        data = tmp_path / "big.jsonl"
+        data.write_bytes(toy_data.read_bytes() + b'{"id":"d","references":[' + b"9" * 5000 + b"]}\n")
+        assert main(["evaluate", "--data", str(data)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: malformed JSON (Exceeds the limit (4300 digits)")
+        assert "Traceback" not in err
+
+    def test_unpaired_surrogate_is_validation_error(self, toy_data, tmp_path, capsys):
+        data = tmp_path / "sur.jsonl"
+        data.write_bytes(toy_data.read_bytes().replace(b"big sky over town", b"big \\ud800 sky"))
+        assert main(["evaluate", "--data", str(data)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: line 3: 'references' is not valid Unicode (unpaired surrogate)\n"
 
     def test_no_partial_output_on_error(self, toy_data, tmp_path):
         # unequal outputs trigger a validation error after the report file
@@ -181,6 +201,34 @@ class TestGenerate:
         assert not out.exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".multiscore-")]
 
+    def test_unpaired_surrogate_in_train_file(self, toy_data, tmp_path, capsys):
+        data = tmp_path / "sur.jsonl"
+        data.write_bytes(toy_data.read_bytes().replace(b"a dog ran off", b"a dog \\udfff off"))
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(data), "--strategy", "random", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: line 2: 'references' is not valid Unicode (unpaired surrogate)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy, models", [("beam3", 1), ("ensemble", 3)])
+    def test_beam_set_decoded_once_per_run(self, toy_data, tmp_path, monkeypatch, strategy, models):
+        # the n-gram model is unconditional, so one beam run per model
+        # serves every instance
+        calls = []
+        beam_pools = decoding._beam_pools
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return beam_pools(*args, **kwargs)
+
+        monkeypatch.setattr(decoding, "_beam_pools", counted)
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--train", str(toy_data), "--strategy", strategy, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == models
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["id"] for row in rows] == ["a", "b", "c"]
+        assert all(row["outputs"] == rows[0]["outputs"] for row in rows)
+
     @pytest.mark.parametrize(
         "strategy, knob, value",
         [
@@ -251,3 +299,74 @@ class TestEndToEndDeterminism:
                          "--format", "json", "--out", str(rep)]) == EXIT_OK
             reports.append(rep.read_bytes())
         assert reports[0] == reports[1]
+
+
+# JSON-ish input for the CLI: a few instance lines, mostly valid so that
+# evaluation and decoding run to the end, plus at most one bad line (an odd
+# sentence, an arbitrary recursive JSON value, an integer literal past the
+# digit limit, or raw bytes)
+_WORD = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", ".", ",", "Ещё", "İ", "ß", "x1"])
+_SENTENCE = st.lists(_WORD, min_size=1, max_size=6).map(" ".join) | st.text(min_size=1, max_size=12)
+_ODD_SENTENCE = st.sampled_from(["", " ", "<s> cat", "the </s>", "cat \ud800", "\x00", "\u2028"])
+
+
+def _instance(sentence, outputs):
+    return st.lists(sentence, min_size=1, max_size=4).flatmap(
+        lambda refs: st.fixed_dictionaries(
+            {"references": st.just(refs), "outputs": outputs(refs)},
+            optional={"category": st.none() | sentence},
+        )
+    )
+
+
+_VALID = _instance(_SENTENCE, lambda refs: st.lists(_SENTENCE, min_size=len(refs), max_size=len(refs)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _SENTENCE | _ODD_SENTENCE,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "references", "outputs", "category", "x"]), inner, max_size=4),
+    max_leaves=8,
+)
+_BAD_LINE = (
+    st.one_of(
+        _instance(_SENTENCE | _ODD_SENTENCE, lambda refs: st.lists(_SENTENCE | _ODD_SENTENCE))
+        .map(lambda obj: {"id": "odd", **obj}),
+        _JSON,
+    ).flatmap(
+        lambda obj: st.sampled_from([
+            json.dumps(obj).encode(),
+            json.dumps(obj, ensure_ascii=False).encode("utf-8", "surrogatepass"),
+        ])
+    )
+    | st.just(b"9" * 5000)
+    | st.binary(max_size=16)
+)
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        instances=st.lists(_VALID, max_size=4),
+        bad=st.none() | st.tuples(st.integers(0, 4), _BAD_LINE),
+        strategy=st.sampled_from(["beam3", "random", "topk3", "ensemble"]),
+        max_len=st.integers(0, 8),
+    )
+    def test_any_input_ends_in_an_exit_code(self, instances, bad, strategy, max_len):
+        lines = [json.dumps({"id": f"i{k}", **obj}).encode() for k, obj in enumerate(instances)]
+        if bad is not None:
+            lines.insert(bad[0], bad[1])
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.jsonl")
+            gen = os.path.join(tmp, "gen.jsonl")
+            with open(data, "wb") as fh:
+                fh.write(b"\n".join(lines))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                evaluated = main(["evaluate", "--data", data, "--format", "json", "--out", os.path.join(tmp, "r")])
+                generated = main(["generate", "--train", data, "--strategy", strategy,
+                                  "--max-len", str(max_len), "--beam-width", "3", "--out", gen])
+            assert evaluated in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+            assert generated in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+            assert "Traceback" not in err.getvalue()
+            if generated == EXIT_OK:
+                # anything generate writes, evaluate accepts
+                assert set(load_outputs_jsonl(gen)) == {inst.id for inst in load_jsonl(data)}

@@ -72,6 +72,14 @@ class TestLoadJsonl:
         p.write_bytes(b'\xef\xbb\xbf{"id":"a","references":["x"]}\n')
         assert load_jsonl(p).instances[0].id == "a"
 
+    @pytest.mark.parametrize("field, value", [("category", "\ud800"), ("outputs", ["ok", "\udfff"])],
+                             ids=["category", "outputs"])
+    def test_unpaired_surrogate_in_optional_field(self, tmp_path, field, value):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [json.dumps({"id": "a", "references": ["x", "y"], field: value})])
+        with pytest.raises(ValueError, match=rf"^line 1: '{field}' is not valid Unicode"):
+            load_jsonl(p)
+
     def test_utf8_text_preserved(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [json.dumps({"id": "r1", "references": ["Баку столица"]}, ensure_ascii=False)])
@@ -98,6 +106,28 @@ class TestLineErrors:
         p.write_bytes(first_line + first_line.replace(b'"a"', b'"caf\xe9"'))
         with pytest.raises(ValueError, match=r"^line 2: not valid UTF-8$"):
             loader(p)
+
+    def test_huge_integer_names_line(self, tmp_path, loader, first_line):
+        # int() refuses literals beyond the digit limit with a plain ValueError
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + b"9" * 5000 + b"\n")
+        with pytest.raises(ValueError, match=r"^line 2: malformed JSON \(Exceeds the limit \(4300 digits\)"):
+            loader(p)
+
+    @pytest.mark.parametrize("old, new, field", [
+        (b'"x"', b'"x \\ud800 y"', "(references|outputs)"),
+        (b'"b"', b'"\\udc80"', "id"),
+    ], ids=["sentence", "id"])
+    def test_unpaired_surrogate_names_line(self, tmp_path, loader, first_line, old, new, field):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + first_line.replace(b'"a"', b'"b"').replace(old, new))
+        with pytest.raises(ValueError, match=rf"^line 2: '{field}' is not valid Unicode \(unpaired surrogate\)$"):
+            loader(p)
+
+    def test_paired_surrogates_accepted(self, tmp_path, loader, first_line):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line.replace(b'"x"', b'"x \\ud83d\\ude00"'))
+        assert len(loader(p)) == 1
 
     def test_bom_only_allowed_on_first_line(self, tmp_path, loader, first_line):
         p = tmp_path / "d.jsonl"
