@@ -10,20 +10,10 @@ package.
 """
 
 from .assignment import Matching, ScoreMatrix, brute_force_matching, max_weight_matching
-from .corpus import (
-    Dataset,
-    bind_outputs,
-    load_jsonl,
-    load_outputs_jsonl,
-    load_parallel_text,
-    save_jsonl,
-)
+from .corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl, load_parallel_text
 from .decoding import (
-    BOS,
-    EOS,
     GenerationSet,
     NGramLM,
-    beam_search,
     generate_ensemble,
     generate_random,
     generate_top3_beam,
@@ -44,13 +34,13 @@ from .metrics import (
 )
 from .multiscore import EvalInstance, MultiScoreResult, corpus_multi_score, multi_score, score_matrix
 from .report import EvaluationReport, evaluate_all, render
-from .text import Sentence, char_ngrams, tokenize_words, word_ngrams
+from .text import Sentence, tokenize_words
 
 __version__ = "0.1.0"
 
+# the one list of public names; README.md's "Public API" section names the
+# same set, and tests/test_packaging.py keeps the two equal
 __all__ = [
-    "BOS",
-    "EOS",
     "BleuConfig",
     "BleuMetric",
     "ChrfConfig",
@@ -65,10 +55,8 @@ __all__ = [
     "ScoreMatrix",
     "Sentence",
     "SentenceMetric",
-    "beam_search",
     "bind_outputs",
     "brute_force_matching",
-    "char_ngrams",
     "corpus_bleu",
     "corpus_chrfpp",
     "corpus_multi_score",
@@ -83,12 +71,10 @@ __all__ = [
     "max_weight_matching",
     "multi_score",
     "render",
-    "save_jsonl",
     "score_matrix",
     "self_bleu",
     "sentence_bleu",
     "sentence_chrfpp",
     "tokenize_words",
     "train_ngram",
-    "word_ngrams",
 ]

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScoreMatrix", "Matching", "max_weight_matching", "brute_force_matching"]
-
 # slack below this counts as a tie when selecting among optimal assignments
 _TIE_TOL = 1e-9
 

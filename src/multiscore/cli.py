@@ -182,7 +182,7 @@ def _cmd_generate(args) -> int:
         models = [train_ngram(shard, order=args.order, add_k=args.add_k) for shard in shards]
         shared = generate_ensemble(
             models, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
-            instance_id=first_id, seed=args.seed,
+            instance_id=first_id,
         )
     else:
         model = train_ngram(sequences, order=args.order, add_k=args.add_k)
@@ -190,7 +190,7 @@ def _cmd_generate(args) -> int:
         if strategy == STRATEGY_BEAM:
             shared = generate_top3_beam(
                 model, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
-                instance_id=first_id, seed=args.seed,
+                instance_id=first_id,
             )
     records = []
     for index, inst in enumerate(dataset):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,32 +19,12 @@ from typing import Mapping, Sequence
 
 from .multiscore import EvalInstance
 
-__all__ = [
-    "Dataset",
-    "DatasetStats",
-    "load_jsonl",
-    "save_jsonl",
-    "load_outputs_jsonl",
-    "load_parallel_text",
-    "bind_outputs",
-    "load_bundled",
-    "bundled_json",
-]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    instances: int
-    references_histogram: dict[int, int]
-    outputs_histogram: dict[int, int]
-
 
 @dataclass(frozen=True)
 class Dataset:
     """An ordered, immutable collection of evaluation instances."""
 
     instances: tuple[EvalInstance, ...]
-    source_path: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
@@ -60,14 +39,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.instances)
-
-    @property
-    def stats(self) -> DatasetStats:
-        return DatasetStats(
-            instances=len(self.instances),
-            references_histogram=dict(sorted(Counter(len(i.references) for i in self.instances).items())),
-            outputs_histogram=dict(sorted(Counter(len(i.outputs) for i in self.instances).items())),
-        )
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -110,11 +81,12 @@ def _parse_line(obj, line_no: int) -> EvalInstance:
         raise ValueError(f"line {line_no}: {exc}") from None
 
 
-def _read_jsonl(path):
-    """Yield ``(line_no, parsed JSON value)`` for each line of a JSON Lines
-    file. Each line is decoded on its own (UTF-8, with an optional byte
-    order mark on line 1) and split as universal newlines, so every error
-    names its line."""
+def _read_lines(path):
+    """Yield ``(line_no, text)`` for each line of a UTF-8 file, with an
+    optional byte order mark on line 1. Lines split on the bytes at LF, CR
+    and CRLF only, so a U+2028 or form feed inside a sentence stays in its
+    line; each line is decoded on its own, so a decode error names its
+    line."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -122,6 +94,13 @@ def _read_jsonl(path):
             line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"line {line_no}: not valid UTF-8") from None
+        yield line_no, line
+
+
+def _read_jsonl(path):
+    """Yield ``(line_no, parsed JSON value)`` for each line of a JSON Lines
+    file, so every error names its line."""
+    for line_no, line in _read_lines(path):
         if not line.strip():
             raise ValueError(f"line {line_no}: empty line in JSONL file")
         try:
@@ -153,25 +132,7 @@ def load_jsonl(path) -> Dataset:
         instances.append(inst)
     if not instances:
         raise ValueError(f"{path}: dataset is empty")
-    return Dataset(instances=tuple(instances), source_path=path)
-
-
-def _instance_to_obj(inst: EvalInstance) -> dict:
-    obj: dict = {"id": inst.id}
-    if inst.category is not None:
-        obj["category"] = inst.category
-    obj["references"] = list(inst.references)
-    if inst.outputs:
-        obj["outputs"] = list(inst.outputs)
-    return obj
-
-
-def save_jsonl(dataset: Dataset, path) -> None:
-    """Write a dataset back to JSON Lines (UTF-8, LF endings); loading the
-    result yields an equal dataset."""
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-        for inst in dataset:
-            fh.write(json.dumps(_instance_to_obj(inst), ensure_ascii=False) + "\n")
+    return Dataset(instances=tuple(instances))
 
 
 def load_outputs_jsonl(path) -> dict[str, list[str]]:
@@ -211,7 +172,10 @@ def _read_columns(directory, pattern) -> list[list[str]]:
         raise ValueError(f"{directory}: no files matching the parallel-text layout")
     columns = []
     for _, p in files:
-        columns.append(p.read_text(encoding="utf-8-sig").splitlines())
+        try:
+            columns.append([line for _, line in _read_lines(p)])
+        except ValueError as exc:
+            raise ValueError(f"{p.name}: {exc}") from None
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
         names = ", ".join(f"{p.name}={len(c)}" for (_, p), c in zip(files, columns))
@@ -244,7 +208,7 @@ def load_parallel_text(refs_dir, outputs_dir=None) -> Dataset:
             raise ValueError(f"instance {k}: all reference slots are empty")
         outs = tuple(col[k].strip() for col in out_cols if col[k].strip())
         instances.append(EvalInstance(id=str(k), references=refs, outputs=outs))
-    return Dataset(instances=tuple(instances), source_path=os.fspath(refs_dir))
+    return Dataset(instances=tuple(instances))
 
 
 def load_bundled(name: str = "demo_corpus.jsonl") -> Dataset:
@@ -278,4 +242,4 @@ def bind_outputs(dataset: Dataset, outputs: Mapping[str, Sequence[str]]) -> Data
         rebound.append(
             EvalInstance(id=inst.id, references=inst.references, outputs=outs, category=inst.category)
         )
-    return Dataset(instances=tuple(rebound), source_path=dataset.source_path)
+    return Dataset(instances=tuple(rebound))

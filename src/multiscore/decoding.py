@@ -10,32 +10,11 @@ Random strategies draw from per-sample substreams seeded by
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
-
-__all__ = [
-    "EOS",
-    "BOS",
-    "SequenceModel",
-    "NGramLM",
-    "GenerationSet",
-    "train_ngram",
-    "beam_search",
-    "BeamHypothesis",
-    "generate_top3_beam",
-    "generate_random",
-    "generate_topk_random",
-    "generate_ensemble",
-    "STRATEGY_BEAM",
-    "STRATEGY_RANDOM",
-    "STRATEGY_TOPK",
-    "STRATEGY_ENSEMBLE",
-]
 
 EOS = "</s>"  # end-of-sequence, part of every vocabulary, never emitted in text
 BOS = "<s>"  # context padding only, not in the vocabulary
@@ -46,18 +25,6 @@ STRATEGY_TOPK = "topk_random"
 STRATEGY_ENSEMBLE = "ensemble"
 
 SET_SIZE = 3  # one output set holds three sentences, matching reference sets
-
-_FORMAT_NAME = "multiscore-ngram-lm"
-_FORMAT_VERSION = 1
-
-
-class SequenceModel(Protocol):
-    """Anything exposing an ordered vocabulary (with EOS) and a conditional
-    next-token distribution."""
-
-    vocabulary: tuple[str, ...]
-
-    def next_distribution(self, context: Sequence[str]) -> np.ndarray: ...
 
 
 class NGramLM:
@@ -111,34 +78,6 @@ class NGramLM:
         self._dist_cache[key] = probs
         return probs
 
-    def save(self, path) -> None:
-        """Serialize to a versioned JSON file; round-trips exactly."""
-        payload = {
-            "format": _FORMAT_NAME,
-            "version": _FORMAT_VERSION,
-            "order": self.order,
-            "add_k": self.add_k,
-            "vocab": list(self.vocabulary),
-            "contexts": [
-                {"context": list(ctx), "counts": dict(sorted(table.items()))}
-                for ctx, table in sorted(self.counts.items())
-            ],
-        }
-        with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=None, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "NGramLM":
-        with open(os.fspath(path), encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != _FORMAT_NAME:
-            raise ValueError(f"not a {_FORMAT_NAME} file: {path}")
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {payload.get('version')!r}")
-        counts = {tuple(entry["context"]): entry["counts"] for entry in payload["contexts"]}
-        return cls(order=payload["order"], vocab=payload["vocab"], counts=counts, add_k=payload["add_k"])
-
 
 def train_ngram(corpus: Sequence[Sequence[str]], order: int, add_k: float = 0.1) -> NGramLM:
     """Train an n-gram model on tokenized sentences.
@@ -190,7 +129,7 @@ def _penalized(logp: float, length: int, alpha: float) -> float:
 
 
 def _beam_pools(
-    model: SequenceModel, beam_width: int, max_len: int, alpha: float
+    model: NGramLM, beam_width: int, max_len: int, alpha: float
 ) -> tuple[list[BeamHypothesis], list[BeamHypothesis]]:
     """Run the beam and return (finished, unfinished) hypothesis pools, each
     ranked by penalized score with lexicographic token-order tie-breaks.
@@ -256,7 +195,7 @@ def _check_beam_knobs(beam_width: int, min_width: int, alpha: float) -> None:
 
 
 def beam_search(
-    model: SequenceModel, beam_width: int, max_len: int, alpha: float = 0.6
+    model: NGramLM, beam_width: int, max_len: int, alpha: float = 0.6
 ) -> list[BeamHypothesis]:
     """Beam search with length-penalized final ranking.
 
@@ -297,14 +236,13 @@ def _fill_set(sentences: list[str], pool: list[BeamHypothesis], flags: set[str])
 
 @dataclass(frozen=True)
 class GenerationSet:
-    """Three sentences generated for one instance by one strategy, plus the
-    seed and any degeneracy flags ('filled_from_unfinished',
-    'filled_by_repetition', 'truncated')."""
+    """Three sentences generated for one instance by one strategy, plus any
+    degeneracy flags ('filled_from_unfinished', 'filled_by_repetition',
+    'truncated')."""
 
     instance_id: str
     strategy: str
     sentences: tuple[str, ...]
-    seed: int
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -319,20 +257,19 @@ class GenerationSet:
 
 
 def generate_top3_beam(
-    model: SequenceModel,
+    model: NGramLM,
     beam_width: int = 10,
     max_len: int = 64,
     alpha: float = 0.6,
     instance_id: str = "",
-    seed: int = 0,
 ) -> GenerationSet:
     """The three best finished beam hypotheses. If fewer than three finish
     within ``max_len``, the highest-scoring unfinished prefixes (and, as a
     last resort, repeats) fill the set, with flags recording the fill.
 
     The set depends only on the model and the beam knobs: ``instance_id``
-    and ``seed`` just label it, so an unconditional model yields the same
-    set for every instance. A model conditioned on the instance must be
+    just labels it (and names the instance in errors), so an unconditional
+    model yields the same set for every instance. A model conditioned on the instance must be
     decoded once per instance instead."""
     _check_beam_knobs(beam_width, SET_SIZE, alpha)
     finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
@@ -346,12 +283,11 @@ def generate_top3_beam(
         instance_id=instance_id,
         strategy=STRATEGY_BEAM,
         sentences=tuple(sentences),
-        seed=seed,
         flags=tuple(sorted(flags)),
     )
 
 
-def _sample_tokens(model: SequenceModel, rng: np.random.Generator, max_len: int, top_k: int | None) -> tuple[list[str], bool]:
+def _sample_tokens(model: NGramLM, rng: np.random.Generator, max_len: int, top_k: int | None) -> tuple[list[str], bool]:
     """One ancestral sample; returns (tokens, hit_max_len)."""
     vocab = model.vocabulary
     eos_idx = vocab.index(EOS)
@@ -399,19 +335,18 @@ def _sampling_set(model, seed: int, max_len: int, top_k: int | None, strategy: s
         instance_id=instance_id,
         strategy=strategy,
         sentences=tuple(sentences),
-        seed=seed,
         flags=tuple(sorted(flags)),
     )
 
 
-def generate_random(model: SequenceModel, seed: int, max_len: int = 64, instance_id: str = "") -> GenerationSet:
+def generate_random(model: NGramLM, seed: int, max_len: int = 64, instance_id: str = "") -> GenerationSet:
     """Three independent ancestral samples from the full next-token
     distribution, stopping at EOS (or at ``max_len``, flagged 'truncated')."""
     return _sampling_set(model, seed, max_len, None, STRATEGY_RANDOM, instance_id)
 
 
 def generate_topk_random(
-    model: SequenceModel, k: int = 3, seed: int = 0, max_len: int = 64, instance_id: str = ""
+    model: NGramLM, k: int = 3, seed: int = 0, max_len: int = 64, instance_id: str = ""
 ) -> GenerationSet:
     """Like :func:`generate_random` but each step samples from the ``k``
     most probable tokens, renormalized."""
@@ -421,18 +356,17 @@ def generate_topk_random(
 
 
 def generate_ensemble(
-    models: Sequence[SequenceModel],
+    models: Sequence[NGramLM],
     beam_width: int = 10,
     max_len: int = 64,
     alpha: float = 0.6,
     instance_id: str = "",
-    seed: int = 0,
 ) -> GenerationSet:
     """One sentence per model: each of the three models contributes its
     single best beam-search output.
 
     As with :func:`generate_top3_beam`, the set depends only on the models
-    and the beam knobs; ``instance_id`` and ``seed`` just label it."""
+    and the beam knobs; ``instance_id`` just labels it."""
     if len(models) != SET_SIZE:
         raise ValueError(f"ensemble takes exactly {SET_SIZE} models, got {len(models)}")
     _check_beam_knobs(beam_width, 1, alpha)
@@ -452,6 +386,5 @@ def generate_ensemble(
         instance_id=instance_id,
         strategy=STRATEGY_ENSEMBLE,
         sentences=tuple(sentences),
-        seed=seed,
         flags=tuple(sorted(flags)),
     )

@@ -17,21 +17,6 @@ from typing import Sequence, Union
 
 from .text import Sentence, overlap
 
-__all__ = [
-    "BleuConfig",
-    "ChrfConfig",
-    "sentence_bleu",
-    "corpus_bleu",
-    "sentence_chrfpp",
-    "corpus_chrfpp",
-    "self_bleu",
-    "SentenceMetric",
-    "BleuMetric",
-    "ChrfMetric",
-    "SMOOTH_NONE",
-    "SMOOTH_ADD_ONE",
-]
-
 SentenceLike = Union[str, Sentence]
 
 SMOOTH_NONE = "none"
@@ -72,8 +57,9 @@ class ChrfConfig:
             raise ValueError(f"char_order must be >= 1, got {self.char_order}")
         if self.word_order < 0:
             raise ValueError(f"word_order must be >= 0, got {self.word_order}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        # beta * beta must be finite too, or the F-score reads inf / inf
+        if not (self.beta > 0 and math.isfinite(self.beta * self.beta)):
+            raise ValueError(f"beta must be > 0 with a finite square, got {self.beta}")
 
 
 _SENTENCE_BLEU_DEFAULT = BleuConfig()

@@ -15,8 +15,6 @@ from .assignment import Matching, ScoreMatrix, max_weight_matching
 from .metrics import SentenceMetric
 from .text import Sentence
 
-__all__ = ["EvalInstance", "MultiScoreResult", "score_matrix", "multi_score", "corpus_multi_score"]
-
 log = logging.getLogger(__name__)
 
 

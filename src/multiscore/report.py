@@ -28,8 +28,6 @@ from .metrics import (
 )
 from .multiscore import EvalInstance, corpus_multi_score
 
-__all__ = ["EvaluationReport", "InstanceSummary", "evaluate_all", "render", "RENDER_FORMATS"]
-
 log = logging.getLogger(__name__)
 
 RENDER_FORMATS = ("json", "tsv", "table")

@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-__all__ = ["Sentence", "tokenize_words", "word_ngrams", "char_ngrams", "overlap"]
-
 
 @lru_cache(maxsize=4096)
 def _is_punct(ch: str) -> bool:

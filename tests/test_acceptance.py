@@ -6,13 +6,14 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from multiscore.assignment import ScoreMatrix, brute_force_matching, max_weight_matching
 from multiscore.cli import main as cli_main
-from multiscore.corpus import bundled_json, load_bundled
+from multiscore.corpus import bundled_json
 from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric, self_bleu, sentence_bleu, sentence_chrfpp
 from multiscore.multiscore import EvalInstance, multi_score
 from multiscore.report import evaluate_all, round2
@@ -31,6 +32,10 @@ def criterion(number, description):
         raise
     elapsed = time.perf_counter() - start
     print(f"[criterion {number}] PASS  {description} ({elapsed:.2f}s)", flush=True)
+
+
+def copy_demo_corpus(path):
+    path.write_bytes(resources.files("multiscore").joinpath("data").joinpath("demo_corpus.jsonl").read_bytes())
 
 
 def random_sentence(rng, lo=3, hi=10):
@@ -171,9 +176,7 @@ def test_criterion_6_decoding_behavioral_ordering(tmp_path):
     with criterion(6, "Self-BLEU(random) < Self-BLEU(topk3) < Self-BLEU(beam3); quality(beam3) > quality(random)"):
         start = time.perf_counter()
         data = tmp_path / "demo.jsonl"
-        from multiscore.corpus import save_jsonl
-
-        save_jsonl(load_bundled(), data)
+        copy_demo_corpus(data)
         measured = {}
         for strategy in ("beam3", "random", "topk3", "ensemble"):
             gen = tmp_path / f"{strategy}.jsonl"
@@ -261,10 +264,8 @@ def test_criterion_8_performance_sanity():
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with criterion(9, "generate(seed 7) -> evaluate twice: byte-identical reports"):
-        from multiscore.corpus import save_jsonl
-
         data = tmp_path / "demo.jsonl"
-        save_jsonl(load_bundled(), data)
+        copy_demo_corpus(data)
         blobs = []
         for run in (1, 2):
             gen = tmp_path / f"gen{run}.jsonl"

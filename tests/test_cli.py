@@ -125,6 +125,17 @@ class TestEvaluate:
         assert rc == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["evaluate", "multiscore"])
+@pytest.mark.parametrize("beta", ["inf", "1e200"])
+def test_chrf_beta_with_infinite_square_is_validation_error(toy_data, tmp_path, capsys, command, beta):
+    target = tmp_path / "report"
+    rc = main([command, "--data", str(toy_data), "--chrf-beta", beta, "--out", str(target)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta must be > 0 with a finite square") and "Traceback" not in err
+    assert not target.exists()
+
+
 class TestMultiscore:
     def test_identity_chrf_is_100(self, toy_data, capsys):
         rc = main(["multiscore", "--data", str(toy_data), "--metric", "chrf"])

@@ -1,17 +1,15 @@
 """Dataset ingestion, validation and round-tripping."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from multiscore.corpus import (
-    Dataset,
-    bind_outputs,
-    load_jsonl,
-    load_outputs_jsonl,
-    load_parallel_text,
-    save_jsonl,
-)
+from multiscore.cli import EXIT_OK, main
+from multiscore.corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl, load_parallel_text
 from multiscore.multiscore import EvalInstance
 
 
@@ -138,25 +136,59 @@ class TestLineErrors:
             loader(p)
 
 
-class TestRoundTrip:
-    def test_save_load_identity(self, tmp_path):
-        instances = (
-            EvalInstance(id="a", references=("x y", "z"), outputs=("x y",), category="cat"),
-            EvalInstance(id="b", references=("Ещё одно предложение",)),
-        )
-        ds = Dataset(instances=instances)
-        p = tmp_path / "out.jsonl"
-        save_jsonl(ds, p)
-        loaded = load_jsonl(p)
-        assert loaded.instances == ds.instances
+# any code point but a surrogate, with the astral plane and Cyrillic drawn often
+TEXT_CHARS = st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from("Баку столица ёщ"),
+)
+SENTENCES = st.text(TEXT_CHARS, min_size=1, max_size=12).filter(str.strip)
 
-    def test_order_preserved(self, tmp_path):
-        instances = tuple(
-            EvalInstance(id=f"i{k}", references=(f"ref {k}",)) for k in range(20)
+
+@st.composite
+def instances(draw):
+    ids = draw(st.lists(st.text(TEXT_CHARS, min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    return [
+        EvalInstance(
+            id=i,
+            references=tuple(draw(st.lists(SENTENCES, min_size=1, max_size=3))),
+            outputs=tuple(draw(st.lists(SENTENCES, max_size=3))),
+            category=draw(st.none() | st.text(TEXT_CHARS, max_size=6)),
         )
-        p = tmp_path / "d.jsonl"
-        save_jsonl(Dataset(instances=instances), p)
-        assert [i.id for i in load_jsonl(p)] == [f"i{k}" for k in range(20)]
+        for i in ids
+    ]
+
+
+def write_dataset(path, insts, bom, ensure_ascii, newline):
+    """The interchange format as another tool might write it: optional
+    fields left out when empty, any escaping, LF or CRLF."""
+    lines = []
+    for inst in insts:
+        obj = {"id": inst.id, "references": list(inst.references)}
+        if inst.category is not None:
+            obj["category"] = inst.category
+        if inst.outputs:
+            obj["outputs"] = list(inst.outputs)
+        lines.append(json.dumps(obj, ensure_ascii=ensure_ascii))
+    data = "".join(line + newline for line in lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" * bom + data)
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(insts=instances(), bom=st.booleans(), ensure_ascii=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
+           strategy=st.sampled_from(["beam3", "random", "topk3", "ensemble"]))
+    def test_load_and_generate_preserve_instances_in_order(self, insts, bom, ensure_ascii, newline, strategy):
+        # the ensemble trains one model per round-robin shard of references
+        assume(strategy != "ensemble" or sum(len(inst.references) for inst in insts) >= 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            data, gen = os.path.join(tmp, "data.jsonl"), os.path.join(tmp, "gen.jsonl")
+            write_dataset(data, insts, bom, ensure_ascii, newline)
+            assert load_jsonl(data).instances == tuple(insts)
+            rc = main(["generate", "--train", data, "--strategy", strategy, "--max-len", "8", "--out", gen])
+            assert rc == EXIT_OK
+            assert list(load_outputs_jsonl(gen)) == [inst.id for inst in insts]
 
 
 class TestDataset:
@@ -164,16 +196,6 @@ class TestDataset:
         a = EvalInstance(id="a", references=("x",))
         with pytest.raises(ValueError, match="duplicate"):
             Dataset(instances=(a, a))
-
-    def test_stats(self):
-        ds = Dataset(instances=(
-            EvalInstance(id="a", references=("x", "y", "z"), outputs=("u", "v", "w")),
-            EvalInstance(id="b", references=("x", "y")),
-        ))
-        stats = ds.stats
-        assert stats.instances == 2
-        assert stats.references_histogram == {2: 1, 3: 1}
-        assert stats.outputs_histogram == {0: 1, 3: 1}
 
 
 class TestParallelText:
@@ -206,6 +228,31 @@ class TestParallelText:
         write_lines(outs / "out0.txt", ["x", "y"])
         with pytest.raises(ValueError, match="lines"):
             load_parallel_text(refs, outs)
+
+    def test_unicode_line_separators_stay_inside_their_line(self, tmp_path):
+        # U+2028, NEL, form feed and the information separators are line
+        # breaks to str.splitlines, not to a text file of sentences
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        odd = "a\u2028b\x85c\x0cd\x1ce"
+        (refs / "ref0.txt").write_text(f"{odd}\nsecond\n", encoding="utf-8")
+        write_lines(refs / "ref1.txt", ["x", "y"])
+        ds = load_parallel_text(refs)
+        assert [inst.references for inst in ds] == [(odd, "x"), ("second", "y")]
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_lines(refs / "ref0.txt", ["a", "b"])
+        (refs / "ref1.txt").write_bytes(b"c\ncaf\xe9\n")
+        with pytest.raises(ValueError, match=r"^ref1\.txt: line 2: not valid UTF-8$"):
+            load_parallel_text(refs)
+
+    def test_bom_stripped_from_first_line(self, tmp_path):
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        (refs / "ref0.txt").write_bytes(b"\xef\xbb\xbfa\r\nb\r\n")
+        assert [inst.references for inst in load_parallel_text(refs)] == [("a",), ("b",)]
 
     def test_mismatch_within_refs_rejected(self, tmp_path):
         refs = tmp_path / "refs"

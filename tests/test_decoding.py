@@ -7,7 +7,6 @@ import pytest
 
 from multiscore.decoding import (
     EOS,
-    NGramLM,
     beam_search,
     generate_ensemble,
     generate_random,
@@ -74,24 +73,6 @@ class TestTrainNgram:
         lm2 = fixed_model(["a b"], order=3, add_k=0.5)
         d2 = lm2.next_distribution(("b", "a"))
         assert np.allclose(d2, np.full(len(lm2.vocabulary), 1 / len(lm2.vocabulary)))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        lm = fixed_model(["a b c", "a c"], order=3, add_k=0.25)
-        path = tmp_path / "model.json"
-        lm.save(path)
-        loaded = NGramLM.load(path)
-        assert loaded.order == lm.order
-        assert loaded.add_k == lm.add_k
-        assert loaded.vocabulary == lm.vocabulary
-        assert loaded.counts == lm.counts
-        ctx = ("a",)
-        assert np.array_equal(loaded.next_distribution(ctx), lm.next_distribution(ctx))
-
-    def test_load_rejects_other_files(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            NGramLM.load(p)
 
 
 class TestBeamSearch:

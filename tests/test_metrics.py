@@ -139,6 +139,15 @@ class TestSentenceChrfpp:
             oracle_chrfpp("abc", "abd", word_order=0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("beta", [math.inf, 1e200, math.nan, 0.0, -1.0])
+    def test_beta_needs_a_finite_positive_square(self, beta):
+        # inf and 1e200 used to make every chrF++ score nan
+        with pytest.raises(ValueError, match=r"^beta must be > 0 with a finite square"):
+            ChrfConfig(beta=beta)
+
+    def test_largest_accepted_beta_stays_in_range(self):
+        assert 0.0 <= sentence_chrfpp("a b c", "a b d", ChrfConfig(beta=1e154)) <= 100.0
+
 
 class TestCorpusChrfpp:
     def test_single_pair_equals_sentence(self):

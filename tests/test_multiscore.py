@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiscore.assignment import brute_force_matching
 from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
@@ -139,6 +141,21 @@ class TestMultiScoreProperties:
             base = multi_score(outs, refs, metric).score
             for perm in itertools.permutations(outs):
                 assert multi_score(list(perm), refs, metric).score == base
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), metric=st.sampled_from([BleuMetric(), ChrfMetric()]))
+    def test_permutation_invariance_exact_on_tie_heavy_sets(self, data, metric):
+        # a pool of one to six sentences over four words, drawn with
+        # replacement: small pools give sets full of duplicates and ties
+        pool = data.draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(" ".join),
+                                  min_size=1, max_size=6))
+        outs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        refs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        base = multi_score(outs, refs, metric, allow_unequal=True).score
+        shuffled_outs = data.draw(st.permutations(outs))
+        shuffled_refs = data.draw(st.permutations(refs))
+        assert multi_score(shuffled_outs, refs, metric, allow_unequal=True).score == base
+        assert multi_score(outs, shuffled_refs, metric, allow_unequal=True).score == base
 
     def test_optimality_lower_bound_via_enumeration(self):
         rng = np.random.default_rng(6)

@@ -1,8 +1,14 @@
-"""A built install carries every bundled data file."""
+"""A built install carries every bundled data file and exports exactly the
+public names README documents."""
 
 import fnmatch
+import importlib
+import pkgutil
+import re
 import tomllib
 from pathlib import Path
+
+import multiscore
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,3 +21,25 @@ def test_every_data_file_is_package_data():
     assert files
     missed = [f for f in files if not any(fnmatch.fnmatchcase(f, g) for g in globs)]
     assert not missed, f"not in package-data {globs}: {missed}"
+
+
+def readme_public_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
+    return [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
+
+
+def test_all_is_exactly_the_readme_public_api():
+    documented = readme_public_names()
+    assert len(documented) == len(set(documented)), "README names an export twice"
+    assert sorted(multiscore.__all__) == sorted(documented)
+    assert len(multiscore.__all__) == len(set(multiscore.__all__))
+    for name in multiscore.__all__:
+        assert hasattr(multiscore, name), name
+
+
+def test_only_the_package_declares_public_names():
+    for info in pkgutil.iter_modules(multiscore.__path__):
+        module = importlib.import_module(f"multiscore.{info.name}")
+        assert not hasattr(module, "__all__"), f"multiscore.{info.name} defines __all__"
