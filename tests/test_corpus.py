@@ -176,6 +176,23 @@ def write_dataset(path, insts, bom, ensure_ascii, newline):
 
 
 class TestRoundTrip:
+    def test_save_load_identity(self, tmp_path):
+        instances = (
+            EvalInstance(id="a", references=("x y", "z"), outputs=("x y",), category="cat"),
+            EvalInstance(id="b", references=("Ещё одно предложение",)),
+        )
+        p = tmp_path / "out.jsonl"
+        write_dataset(p, instances, bom=False, ensure_ascii=False, newline="\n")
+        assert load_jsonl(p).instances == instances
+
+    def test_order_preserved(self, tmp_path):
+        instances = tuple(
+            EvalInstance(id=f"i{k}", references=(f"ref {k}",)) for k in range(20)
+        )
+        p = tmp_path / "d.jsonl"
+        write_dataset(p, instances, bom=False, ensure_ascii=False, newline="\n")
+        assert [i.id for i in load_jsonl(p)] == [f"i{k}" for k in range(20)]
+
     @settings(max_examples=60, deadline=None)
     @given(insts=instances(), bom=st.booleans(), ensure_ascii=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
            strategy=st.sampled_from(["beam3", "random", "topk3", "ensemble"]))
