@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl
 from .decoding import (
+    SET_SIZE,
     STRATEGY_BEAM,
     STRATEGY_ENSEMBLE,
     STRATEGY_RANDOM,
@@ -29,7 +30,7 @@ from .decoding import (
     train_ngram,
 )
 from .metrics import SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
-from .multiscore import corpus_multi_score
+from .multiscore import corpus_multi_score, warn_unequal
 from .report import evaluate_all, render, round2
 from .text import tokenize_words
 
@@ -84,16 +85,18 @@ def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lowercase", action="store_true", help="evaluate case-sensitively")
 
 
-def _bleu_configs(args) -> tuple[BleuConfig, BleuConfig]:
-    sent = BleuConfig(max_order=args.bleu_max_order)
-    corp = BleuConfig(max_order=args.bleu_max_order, smoothing=SMOOTH_NONE)
-    return sent, corp
+def _metric_configs(args) -> tuple[BleuConfig, BleuConfig, ChrfConfig]:
+    """(sentence BLEU, corpus BLEU, chrF++) configs from the metric flags."""
+    return (
+        BleuConfig(max_order=args.bleu_max_order),
+        BleuConfig(max_order=args.bleu_max_order, smoothing=SMOOTH_NONE),
+        ChrfConfig(char_order=args.chrf_char_order, word_order=args.chrf_word_order, beta=args.chrf_beta),
+    )
 
 
 def _cmd_evaluate(args) -> int:
     dataset = _load_bound_dataset(args.data, args.outputs)
-    sent_cfg, corp_cfg = _bleu_configs(args)
-    chrf_cfg = ChrfConfig(char_order=args.chrf_char_order, word_order=args.chrf_word_order, beta=args.chrf_beta)
+    sent_cfg, corp_cfg, chrf_cfg = _metric_configs(args)
     report = evaluate_all(
         dataset,
         sentence_bleu_config=sent_cfg,
@@ -120,12 +123,14 @@ def _matrix_lines(result) -> list[str]:
 
 def _cmd_multiscore(args) -> int:
     dataset = _load_bound_dataset(args.data, args.outputs)
-    sent_cfg, _ = _bleu_configs(args)
-    chrf_cfg = ChrfConfig(char_order=args.chrf_char_order, word_order=args.chrf_word_order, beta=args.chrf_beta)
+    sent_cfg, _, chrf_cfg = _metric_configs(args)
     if args.metric == "bleu":
         metric = BleuMetric(sent_cfg)
     else:
         metric = ChrfMetric(chrf_cfg)
+    if args.allow_unequal:
+        for inst in dataset:
+            warn_unequal(inst)
     mean, results = corpus_multi_score(
         dataset.instances, metric, allow_unequal=args.allow_unequal, lowercase=not args.no_lowercase
     )
@@ -176,10 +181,15 @@ def _cmd_generate(args) -> int:
     # the n-gram model never sees the instance, so a beam3 or ensemble set
     # is the same for every instance: decode it once and label it per id
     if strategy == STRATEGY_ENSEMBLE:
-        shards: list[list[list[str]]] = [[], [], []]
-        for i, seq in enumerate(sequences):
-            shards[i % 3].append(seq)
-        models = [train_ngram(shard, order=args.order, add_k=args.add_k) for shard in shards]
+        if len(sequences) < SET_SIZE:
+            raise ValueError(
+                f"ensemble needs at least {SET_SIZE} training references (one per shard), "
+                f"got {len(sequences)}"
+            )
+        # round-robin shards, one model each
+        models = [
+            train_ngram(sequences[k::SET_SIZE], order=args.order, add_k=args.add_k) for k in range(SET_SIZE)
+        ]
         shared = generate_ensemble(
             models, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
             instance_id=first_id,

@@ -112,20 +112,11 @@ def train_ngram(corpus: Sequence[Sequence[str]], order: int, add_k: float = 0.1)
 class BeamHypothesis:
     tokens: tuple[str, ...]
     logp: float
-    score: float  # logp / lp(len), the length-penalized ranking key
-    finished: bool
+    score: float  # logp / ((5 + len) / 6)^alpha, the length-penalized ranking key
 
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-
-def _length_penalty(length: int, alpha: float) -> float:
-    return ((5.0 + length) / 6.0) ** alpha
-
-
-def _penalized(logp: float, length: int, alpha: float) -> float:
-    return logp / _length_penalty(length, alpha)
 
 
 def _beam_pools(
@@ -175,14 +166,11 @@ def _beam_pools(
             else:
                 active.append((tokens, logp))
 
-    return _ranked(finished, alpha, True), _ranked(truncated + active, alpha, False)
+    return _ranked(finished, alpha), _ranked(truncated + active, alpha)
 
 
-def _ranked(pool, alpha: float, finished: bool) -> list[BeamHypothesis]:
-    hyps = [
-        BeamHypothesis(tokens, logp, _penalized(logp, len(tokens), alpha), finished)
-        for tokens, logp in pool
-    ]
+def _ranked(pool, alpha: float) -> list[BeamHypothesis]:
+    hyps = [BeamHypothesis(tokens, logp, logp / ((5.0 + len(tokens)) / 6.0) ** alpha) for tokens, logp in pool]
     hyps.sort(key=lambda h: (-h.score, h.tokens))
     return hyps
 
@@ -216,22 +204,24 @@ def beam_search(
     return finished[:beam_width]
 
 
-def _fill_set(sentences: list[str], pool: list[BeamHypothesis], flags: set[str]) -> list[str]:
-    """Top up a generation set to SET_SIZE: unfinished prefixes first, then
-    repetition of what exists."""
-    for hyp in pool:
-        if len(sentences) >= SET_SIZE:
-            break
+def _beam_set(
+    model: NGramLM, size: int, beam_width: int, max_len: int, alpha: float, flags: set[str]
+) -> list[str]:
+    """The ``size`` best non-empty finished beam hypotheses. A shortfall is
+    filled with the best unfinished prefixes, then by repeating what exists;
+    ``flags`` records either fill."""
+    finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
+    # the empty hypothesis (immediate EOS) is a valid beam result but
+    # useless in an output set, so it never occupies a slot here
+    sentences = [h.text for h in finished if h.tokens][:size]
+    for hyp in unfinished[: size - len(sentences)]:
         sentences.append(hyp.text)
         flags.add("filled_from_unfinished")
     if not sentences:
         raise RuntimeError("beam search produced no hypotheses at all")
-    base, i = len(sentences), 0
-    while len(sentences) < SET_SIZE:
-        sentences.append(sentences[i % base])
-        i += 1
+    if len(sentences) < size:
         flags.add("filled_by_repetition")
-    return sentences
+    return [sentences[i % len(sentences)] for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -272,13 +262,8 @@ def generate_top3_beam(
     model yields the same set for every instance. A model conditioned on the instance must be
     decoded once per instance instead."""
     _check_beam_knobs(beam_width, SET_SIZE, alpha)
-    finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
     flags: set[str] = set()
-    # the empty hypothesis (immediate EOS) is a valid beam result but
-    # useless in an output set, so it never occupies a slot here
-    sentences = [h.text for h in finished if h.tokens][:SET_SIZE]
-    if len(sentences) < SET_SIZE:
-        sentences = _fill_set(sentences, unfinished, flags)
+    sentences = _beam_set(model, SET_SIZE, beam_width, max_len, alpha, flags)
     return GenerationSet(
         instance_id=instance_id,
         strategy=STRATEGY_BEAM,
@@ -363,25 +348,16 @@ def generate_ensemble(
     instance_id: str = "",
 ) -> GenerationSet:
     """One sentence per model: each of the three models contributes its
-    single best beam-search output.
+    best non-empty finished beam hypothesis, or its best unfinished prefix
+    (flagged) if none finishes.
 
     As with :func:`generate_top3_beam`, the set depends only on the models
     and the beam knobs; ``instance_id`` just labels it."""
     if len(models) != SET_SIZE:
         raise ValueError(f"ensemble takes exactly {SET_SIZE} models, got {len(models)}")
     _check_beam_knobs(beam_width, 1, alpha)
-    sentences = []
     flags: set[str] = set()
-    for model in models:
-        finished, unfinished = _beam_pools(model, beam_width, max_len, alpha)
-        finished = [h for h in finished if h.tokens]
-        if finished:
-            sentences.append(finished[0].text)
-        elif unfinished:
-            sentences.append(unfinished[0].text)
-            flags.add("filled_from_unfinished")
-        else:
-            raise RuntimeError("beam search produced no hypotheses at all")
+    sentences = [text for model in models for text in _beam_set(model, 1, beam_width, max_len, alpha, flags)]
     return GenerationSet(
         instance_id=instance_id,
         strategy=STRATEGY_ENSEMBLE,

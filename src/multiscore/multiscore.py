@@ -101,25 +101,32 @@ def multi_score(
     Builds the pairwise score matrix, solves the maximum-weight matching,
     and returns the average matched edge weight. Output and reference sets
     must be the same size unless ``allow_unequal`` is set, in which case the
-    matching covers the smaller side and the mismatch is logged.
+    matching covers the smaller side. Nothing is logged here: a caller that
+    permits the mismatch reports it once per instance with
+    :func:`warn_unequal`.
 
     :return: a :class:`MultiScoreResult`; ``score`` lies in [0, 100].
     """
-    if len(outputs) != len(references):
-        if not allow_unequal:
-            raise ValueError(
-                f"{len(outputs)} outputs vs {len(references)} references"
-                f"{' for instance ' + repr(instance_id) if instance_id else ''}; "
-                "pass allow_unequal to match the smaller side"
-            )
-        log.warning(
-            "instance %r: matching %d outputs against %d references (averaging over the smaller side)",
-            instance_id, len(outputs), len(references),
+    if len(outputs) != len(references) and not allow_unequal:
+        raise ValueError(
+            f"{len(outputs)} outputs vs {len(references)} references"
+            f"{' for instance ' + repr(instance_id) if instance_id else ''}; "
+            "pass allow_unequal to match the smaller side"
         )
     matrix = score_matrix(outputs, references, metric)
     matching = max_weight_matching(matrix)
     score = matching.total / len(matching.edges)
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
+
+
+def warn_unequal(instance: EvalInstance) -> None:
+    """Log that ``instance`` is matched over the smaller side, if its output
+    and reference sets differ in size."""
+    if len(instance.outputs) != len(instance.references):
+        log.warning(
+            "instance %r: matching %d outputs against %d references (averaging over the smaller side)",
+            instance.id, len(instance.outputs), len(instance.references),
+        )
 
 
 def _instance_result(

@@ -26,7 +26,7 @@ from .metrics import (
     corpus_chrfpp,
     self_bleu,
 )
-from .multiscore import EvalInstance, corpus_multi_score
+from .multiscore import EvalInstance, corpus_multi_score, warn_unequal
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,8 @@ def evaluate_all(
     :param corpus_bleu_config: config for quality BLEU (default: unsmoothed
         order-4).
     :param allow_unequal: permit output sets whose size differs from the
-        reference set (matched over the smaller side).
+        reference set (matched over the smaller side, logged once per
+        instance).
     :param lowercase: evaluate case-insensitively (the default). Every
         metric reads the same ``inst.sentences(lowercase)``, so each text is
         tokenized and profiled once per casing.
@@ -84,6 +85,7 @@ def evaluate_all(
                 f"instance {inst.id!r}: {len(inst.outputs)} outputs vs "
                 f"{len(inst.references)} references (pass allow_unequal to permit)"
             )
+        warn_unequal(inst)
     sentence_bleu_config = sentence_bleu_config or BleuConfig()
     corpus_bleu_config = corpus_bleu_config or BleuConfig(smoothing=SMOOTH_NONE)
     chrf_config = chrf_config or ChrfConfig()
@@ -149,29 +151,15 @@ def round2(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _json_value(value):
+def _canonical_json(value) -> str:
+    """JSON text with sorted keys and every float rendered by :func:`round2`."""
     if isinstance(value, float):
-        return _RawNumber(round2(value))
+        return round2(value)
     if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
-
-
-class _RawNumber:
-    def __init__(self, text: str):
-        self.text = text
-
-
-def _dump_canonical(value) -> str:
-    if isinstance(value, _RawNumber):
-        return value.text
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_dump_canonical(v)}" for k, v in sorted(value.items()))
+        items = ", ".join(f"{json.dumps(k)}: {_canonical_json(v)}" for k, v in sorted(value.items()))
         return "{" + items + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(_dump_canonical(v) for v in value) + "]"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_canonical_json(v) for v in value) + "]"
     return json.dumps(value, ensure_ascii=False)
 
 
@@ -200,7 +188,7 @@ def render(report: EvaluationReport, format: str = "table") -> bytes:
             "per_instance": [asdict(s) for s in report.per_instance],
             "config": report.config,
         }
-        return (_dump_canonical(_json_value(payload)) + "\n").encode("utf-8")
+        return (_canonical_json(payload) + "\n").encode("utf-8")
     lines = ["metric    score", "------    -----"]
     for name in _TSV_COLUMNS:
         shown = "-" if values[name] is None else round2(values[name])

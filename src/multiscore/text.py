@@ -5,12 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-
-
-@lru_cache(maxsize=4096)
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+from functools import cached_property
 
 
 def tokenize_words(raw: str, lowercase: bool = True) -> list[str]:
@@ -28,7 +23,7 @@ def tokenize_words(raw: str, lowercase: bool = True) -> list[str]:
     for chunk in raw.split():
         buf: list[str] = []
         for ch in chunk:
-            if _is_punct(ch):
+            if unicodedata.category(ch)[0] == "P":
                 if buf:
                     tokens.append("".join(buf))
                     buf = []
@@ -55,17 +50,13 @@ def word_ngrams(tokens, n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
-def char_ngrams(raw: str, n: int, strip_whitespace: bool = True) -> Counter:
-    """Counts of all contiguous ``n``-character windows of ``raw``.
-
-    With ``strip_whitespace`` (the chrF convention, default) every Unicode
-    whitespace character is removed before windowing. Windows are taken over
-    Unicode code points, never bytes.
+def char_ngrams(raw: str, n: int) -> Counter:
+    """Counts of all contiguous ``n``-character windows of ``raw``, taken
+    over Unicode code points, never bytes. Whitespace is kept: the chrF rule
+    that drops it lives in :attr:`Sentence.chars`.
     """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    if strip_whitespace:
-        raw = "".join(raw.split())
     return Counter(raw[i : i + n] for i in range(len(raw) - n + 1))
 
 
@@ -111,7 +102,7 @@ class Sentence:
         """Counts of the ``n``-character windows of :attr:`chars` (read-only)."""
         profile = self._char_profiles.get(n)
         if profile is None:
-            profile = self._char_profiles[n] = char_ngrams(self.chars, n, strip_whitespace=False)
+            profile = self._char_profiles[n] = char_ngrams(self.chars, n)
         return profile
 
     def __len__(self) -> int:

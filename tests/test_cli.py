@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import tempfile
 
@@ -170,6 +171,23 @@ class TestMultiscore:
         rc = main(["multiscore", "--data", str(toy_data), "--outputs", str(outs)])
         assert rc == EXIT_VALIDATION
 
+    def test_unequal_instances_warned_once_each(self, toy_data, tmp_path, caplog):
+        outs = tmp_path / "o.jsonl"
+        outs.write_text(
+            '{"id":"a","outputs":["the cat sat on the mat","a cat sat"]}\n'
+            '{"id":"b","outputs":["the dog ran away","a dog ran off","a dog ran far away"]}\n'
+            '{"id":"c","outputs":["big sky over town"]}\n',
+            encoding="utf-8",
+        )
+        caplog.set_level(logging.WARNING)
+        rc = main(["multiscore", "--data", str(toy_data), "--outputs", str(outs), "--allow-unequal",
+                   "--out", str(tmp_path / "r.txt")])
+        assert rc == EXIT_OK
+        assert [r.getMessage() for r in caplog.records] == [
+            "instance 'a': matching 2 outputs against 3 references (averaging over the smaller side)",
+            "instance 'c': matching 1 outputs against 3 references (averaging over the smaller side)",
+        ]
+
 
 class TestNoLowercase:
     def test_evaluate_json(self, cased_data, capsys):
@@ -287,6 +305,18 @@ class TestGenerate:
         assert rc == EXIT_OK
         row = json.loads(out.read_text())
         assert len(row["outputs"]) == 3
+
+    @pytest.mark.parametrize("references", [["x y"], ["x y", "y z"]])
+    def test_ensemble_needs_three_references(self, tmp_path, capsys, references):
+        data = tmp_path / "few.jsonl"
+        data.write_text(json.dumps({"id": "a", "references": references}) + "\n", encoding="utf-8")
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(data), "--strategy", "ensemble", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: ensemble needs at least 3 training references (one per shard), got {len(references)}\n"
+        )
+        assert not out.exists()
 
     def test_generated_outputs_bind_and_evaluate(self, toy_data, tmp_path):
         gen = tmp_path / "gen.jsonl"

@@ -1,14 +1,16 @@
 """Dataset ingestion, validation and round-tripping."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiscore.cli import EXIT_OK, main
+from multiscore.cli import EXIT_OK, EXIT_VALIDATION, main
 from multiscore.corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl, load_parallel_text
 from multiscore.multiscore import EvalInstance
 
@@ -197,13 +199,22 @@ class TestRoundTrip:
     @given(insts=instances(), bom=st.booleans(), ensure_ascii=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
            strategy=st.sampled_from(["beam3", "random", "topk3", "ensemble"]))
     def test_load_and_generate_preserve_instances_in_order(self, insts, bom, ensure_ascii, newline, strategy):
-        # the ensemble trains one model per round-robin shard of references
-        assume(strategy != "ensemble" or sum(len(inst.references) for inst in insts) >= 3)
+        n_refs = sum(len(inst.references) for inst in insts)
         with tempfile.TemporaryDirectory() as tmp:
             data, gen = os.path.join(tmp, "data.jsonl"), os.path.join(tmp, "gen.jsonl")
             write_dataset(data, insts, bom, ensure_ascii, newline)
             assert load_jsonl(data).instances == tuple(insts)
-            rc = main(["generate", "--train", data, "--strategy", strategy, "--max-len", "8", "--out", gen])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["generate", "--train", data, "--strategy", strategy, "--max-len", "8", "--out", gen])
+            if strategy == "ensemble" and n_refs < 3:
+                # the ensemble trains one model per round-robin shard of references
+                assert rc == EXIT_VALIDATION
+                assert err.getvalue() == (
+                    f"error: ensemble needs at least 3 training references (one per shard), got {n_refs}\n"
+                )
+                assert not os.path.exists(gen)
+                return
             assert rc == EXIT_OK
             assert list(load_outputs_jsonl(gen)) == [inst.id for inst in insts]
 

@@ -161,6 +161,14 @@ class TestGenerateTop3Beam:
         assert g.sentences == ("a b", "a b", "a b")
         assert "filled_by_repetition" in g.flags
 
+    def test_nothing_finishes_fills_from_unfinished_then_repeats(self):
+        # the only sentence is longer than max_len, so one truncated prefix
+        # survives and is repeated
+        lm = fixed_model(["a b c d e"], order=2, add_k=0.0)
+        g = generate_top3_beam(lm, beam_width=4, max_len=3)
+        assert g.sentences == ("a b c",) * 3
+        assert g.flags == ("filled_by_repetition", "filled_from_unfinished")
+
     def test_width_below_three_rejected(self):
         lm = fixed_model(["a b"])
         with pytest.raises(ValueError):
@@ -280,6 +288,12 @@ class TestGenerateEnsemble:
         for model, sent in zip(models, g.sentences):
             solo = beam_search(model, beam_width=4, max_len=5)[0]
             assert sent == solo.text
+
+    def test_nothing_finishes_fills_from_unfinished(self):
+        lm = fixed_model(["a b c d e"], order=2, add_k=0.0)
+        g = generate_ensemble([lm, lm, lm], beam_width=4, max_len=3)
+        assert g.sentences == ("a b c",) * 3
+        assert g.flags == ("filled_from_unfinished",)
 
     def test_wrong_model_count_rejected(self):
         lm = fixed_model(["a"])

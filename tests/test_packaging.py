@@ -1,6 +1,7 @@
 """A built install carries every bundled data file and exports exactly the
-public names README documents."""
+public names README documents, and no module keeps a process-global memo."""
 
+import ast
 import fnmatch
 import importlib
 import pkgutil
@@ -43,3 +44,23 @@ def test_only_the_package_declares_public_names():
     for info in pkgutil.iter_modules(multiscore.__path__):
         module = importlib.import_module(f"multiscore.{info.name}")
         assert not hasattr(module, "__all__"), f"multiscore.{info.name} defines __all__"
+
+
+def test_no_module_memoizes_with_functools():
+    # process-global memos outlive an evaluation; caches belong to the
+    # objects of one run
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in sorted((ROOT / "src" / "multiscore").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {"functools"} | {
+            a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names if a.name == "functools" and a.asname
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"functools memo in {found}"

@@ -1,6 +1,7 @@
 """The full evaluation battery and its renderings."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ class TestEvaluateAll:
             evaluate_all([inst])
         report = evaluate_all([inst], allow_unequal=True)
         assert 0.0 <= report.diversity["ms_bleu"] <= 100.0
+
+    def test_unequal_sizes_warned_once_per_instance(self, caplog):
+        rng = np.random.default_rng(25)
+        instances = [
+            make_instance(0, rng, n_refs=3, n_outs=2),
+            make_instance(1, rng),
+            make_instance(2, rng, n_refs=4, n_outs=3),
+        ]
+        caplog.set_level(logging.WARNING)
+        evaluate_all(instances, allow_unequal=True)
+        assert [r.getMessage() for r in caplog.records] == [
+            "instance 'i0': matching 2 outputs against 3 references (averaging over the smaller side)",
+            "instance 'i2': matching 3 outputs against 4 references (averaging over the smaller side)",
+        ]
 
     def test_missing_outputs_rejected(self):
         inst = EvalInstance(id="a", references=("x y",))

@@ -74,14 +74,14 @@ class TestWordNgrams:
 
 class TestCharNgrams:
     def test_bigrams(self):
-        assert char_ngrams("abab", 2, strip_whitespace=False) == {"ab": 2, "ba": 1}
+        assert char_ngrams("abab", 2) == {"ab": 2, "ba": 1}
 
     def test_strip_whitespace_unigrams(self):
-        assert char_ngrams("a b", 1) == {"a": 1, "b": 1}
+        assert Sentence("a b").char_profile(1) == {"a": 1, "b": 1}
 
     def test_strip_whitespace_bigrams(self):
         # stripping joins across the space: the only bigram is "ab"
-        assert char_ngrams("a b", 2) == {"ab": 1}
+        assert Sentence("a b").char_profile(2) == {"ab": 1}
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(7)
@@ -89,12 +89,12 @@ class TestCharNgrams:
         for _ in range(100):
             s = "".join(chars[i] for i in rng.integers(0, len(chars), size=rng.integers(0, 20)))
             n = int(rng.integers(1, 5))
-            total = char_ngrams(s, n, strip_whitespace=False).total()
+            total = char_ngrams(s, n).total()
             assert total == max(0, len(s) - n + 1)
 
     def test_overlap(self):
-        a = char_ngrams("abab", 2, strip_whitespace=False)
-        b = char_ngrams("abba", 2, strip_whitespace=False)
+        a = char_ngrams("abab", 2)
+        b = char_ngrams("abba", 2)
         # shared: ab x1 (min(2,1)), ba x1
         assert overlap(a, b) == overlap(b, a) == 2
         assert overlap(a, char_ngrams("", 2)) == 0
