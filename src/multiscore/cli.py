@@ -109,15 +109,32 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _matrix_lines(result) -> list[str]:
+def _round2_table():
+    """:func:`round2` for one report, formatting each distinct value once
+    (an n-best grid holds few distinct scores in many cells)."""
+    table: dict = {}
+
+    def fmt(value) -> str:
+        # 0.0 and -0.0 are one dict key but two strings ("0.00", "-0.00"),
+        # so a zero is keyed on its repr
+        key = value if value else repr(value)
+        text = table.get(key)
+        if text is None:
+            text = table[key] = round2(value)
+        return text
+
+    return fmt
+
+
+def _matrix_lines(result, fmt) -> list[str]:
     lines = ["  matrix (outputs x references):"]
-    for row in result.matrix.weights:
-        lines.append("    " + " ".join(f"{round2(x):>7}" for x in row))
+    for row in result.matrix.weights.tolist():
+        lines.append("    " + " ".join(f"{fmt(x):>7}" for x in row))
     pairs = " ".join(
-        f"{r}->{c} ({round2(w)})" for (r, c), w in zip(result.matching.edges, result.matching.edge_weights)
+        f"{r}->{c} ({fmt(w)})" for (r, c), w in zip(result.matching.edges, result.matching.edge_weights)
     )
     lines.append(f"  matching: {pairs}")
-    lines.append(f"  score: {round2(result.score)}")
+    lines.append(f"  score: {fmt(result.score)}")
     return lines
 
 
@@ -134,17 +151,18 @@ def _cmd_multiscore(args) -> int:
     mean, results = corpus_multi_score(
         dataset.instances, metric, allow_unequal=args.allow_unequal, lowercase=not args.no_lowercase
     )
+    fmt = _round2_table()
     if args.format == "json":
         payload = {
             "metric": metric.name,
-            "multi_score": round2(mean),
+            "multi_score": fmt(mean),
             "per_instance": [
                 {
                     "id": r.instance_id,
-                    "score": round2(r.score),
-                    "matrix": [[round2(x) for x in row] for row in r.matrix.weights],
+                    "score": fmt(r.score),
+                    "matrix": [[fmt(x) for x in row] for row in r.matrix.weights.tolist()],
                     "matching": [
-                        {"output": e[0], "reference": e[1], "weight": round2(w)}
+                        {"output": e[0], "reference": e[1], "weight": fmt(w)}
                         for e, w in zip(r.matching.edges, r.matching.edge_weights)
                     ],
                 }
@@ -155,11 +173,11 @@ def _cmd_multiscore(args) -> int:
         }
         text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
     else:
-        lines = [f"MS-{metric.name.upper()}: {round2(mean)}"]
+        lines = [f"MS-{metric.name.upper()}: {fmt(mean)}"]
         if args.per_instance:
             for r in results:
                 lines.append(f"instance {r.instance_id}")
-                lines.extend(_matrix_lines(r))
+                lines.extend(_matrix_lines(r, fmt))
         text = "\n".join(lines) + "\n"
     _write_atomic(args.out, text.encode("utf-8"))
     return EXIT_OK

@@ -137,19 +137,25 @@ def load_jsonl(path) -> Dataset:
 
 def load_outputs_jsonl(path) -> dict[str, list[str]]:
     """Load a system-outputs file: one object per line with ``id`` and a
-    non-empty ``outputs`` string array (generation metadata fields
-    ``strategy``, ``seed`` and ``flags`` are tolerated and ignored)."""
+    non-empty ``outputs`` array of non-blank strings. The generation
+    metadata fields ``strategy``, ``seed`` and ``flags`` are tolerated and
+    ignored; any other field is rejected."""
     path = os.fspath(path)
     outputs: dict[str, list[str]] = {}
     id_lines: dict[str, int] = {}
     for line_no, obj in _read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
             raise ValueError(f"line {line_no}: missing or non-string 'id'")
+        unknown = set(obj) - {"id", "outputs", "strategy", "seed", "flags"}
+        if unknown:
+            raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
         outs = obj.get("outputs")
         if not isinstance(outs, list) or not outs or not all(isinstance(o, str) for o in outs):
             raise ValueError(f"line {line_no}: 'outputs' must be a non-empty string array")
         _check_unicode(line_no, "id", [obj["id"]])
         _check_unicode(line_no, "outputs", outs)
+        if not all(o.strip() for o in outs):
+            raise ValueError(f"line {line_no}: instance {obj['id']!r}: empty output sentence")
         if obj["id"] in id_lines:
             raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
         id_lines[obj["id"]] = line_no

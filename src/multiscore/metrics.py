@@ -278,7 +278,13 @@ def self_bleu(outputs: Sequence[SentenceLike], config: BleuConfig | None = None)
 
 class SentenceMetric:
     """Contract for a pairwise scorer mapping (hypothesis, references) to a
-    deterministic value in [0, 100], with identity scoring 100."""
+    deterministic value in [0, 100], with identity scoring 100.
+
+    ``score`` must be a pure function of its texts (and casing): it may not
+    keep state between calls or depend on which equal object it is handed.
+    :func:`~multiscore.score_matrix` relies on this and calls it once per
+    distinct (output, reference) pair, copying the score to every cell that
+    pair occupies."""
 
     name = "metric"
 

@@ -73,20 +73,31 @@ class MultiScoreResult:
 
 def score_matrix(outputs: Sequence, references: Sequence, metric: SentenceMetric) -> ScoreMatrix:
     """Pairwise score grid: entry (i, j) is ``metric`` applied to output i
-    with reference j as its single reference."""
+    with reference j as its single reference.
+
+    ``metric.score`` is called once per distinct (output, reference) pair;
+    repeated texts, such as an n-best list's, copy that score to every cell
+    they occupy.
+    """
     if not len(outputs) or not len(references):
         raise ValueError("outputs and references must both be non-empty")
     # one Sentence per distinct plain text, so its profiles are built once
     # rather than once per cell; blank strings pass through (a blank output
     # scores 0, a blank reference is rejected by the metric)
     made = {t: Sentence(t) for t in (*outputs, *references) if isinstance(t, str) and t.strip()}
-    outputs = [made.get(t, t) for t in outputs]
-    references = [made.get(t, t) for t in references]
-    weights = np.empty((len(outputs), len(references)))
-    for i, out in enumerate(outputs):
-        for j, ref in enumerate(references):
-            weights[i, j] = metric.score(out, [ref])
-    return ScoreMatrix(weights)
+    # dense index per distinct Sentence (equal raw text and casing) or
+    # blank string, in first-seen order
+    out_index: dict = {}
+    ref_index: dict = {}
+    rows = [out_index.setdefault(made.get(t, t), len(out_index)) for t in outputs]
+    cols = [ref_index.setdefault(made.get(t, t), len(ref_index)) for t in references]
+    block = np.empty((len(out_index), len(ref_index)))
+    for i, out in enumerate(out_index):
+        for j, ref in enumerate(ref_index):
+            block[i, j] = metric.score(out, [ref])
+    if len(out_index) < len(rows) or len(ref_index) < len(cols):
+        block = block[np.ix_(rows, cols)]
+    return ScoreMatrix(block)
 
 
 def multi_score(

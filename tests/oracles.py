@@ -108,6 +108,11 @@ def oracle_chrfpp(hyp, ref, char_order=6, word_order=2, beta=2.0):
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
 
 
+def oracle_score_matrix(outputs, references, metric):
+    """The pairwise grid by definition: ``metric`` called on every cell."""
+    return [[metric.score(out, [ref]) for ref in references] for out in outputs]
+
+
 def oracle_best_assignment(weights):
     """Exhaustive square-matrix assignment: (best total, row->col tuple)."""
     n = len(weights)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiscore import decoding
-from multiscore.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from multiscore.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _round2_table, main
 from multiscore.corpus import load_jsonl, load_outputs_jsonl
 from multiscore.metrics import BleuMetric, ChrfMetric
 from multiscore.multiscore import multi_score
@@ -124,6 +124,46 @@ class TestEvaluate:
         rc = main(["evaluate", "--data", str(toy_data), "--outputs", str(bad),
                    "--allow-unequal", "--format", "tsv", "--out", str(tmp_path / "r.tsv")])
         assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["evaluate", "multiscore"])
+@pytest.mark.parametrize("line,message", [
+    ('{"id":"b","outputs":["the dog ran away","  ","a dog ran off"]}',
+     "error: line 2: instance 'b': empty output sentence\n"),
+    ('{"id":"b","outputs":["the dog ran away"],"strategy":"beam_top3","score":1}',
+     "error: line 2: unknown fields ['score']\n"),
+], ids=["blank_output", "unknown_field"])
+def test_outputs_file_error_names_the_line(toy_data, tmp_path, capsys, command, line, message):
+    outs = tmp_path / "outs.jsonl"
+    outs.write_text('{"id":"a","outputs":["x y","y z","z w"]}\n' + line + "\n"
+                    '{"id":"c","outputs":["x y","y z","z w"]}\n', encoding="utf-8")
+    target = tmp_path / "report.txt"
+    assert main([command, "--data", str(toy_data), "--outputs", str(outs), "--out", str(target)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+    assert not target.exists()
+
+
+@given(st.lists(st.one_of(st.floats(-1000.0, 1000.0), st.sampled_from([0.0, -0.0])), max_size=20))
+def test_round2_table_is_round2(values):
+    # each value twice, so the second lookup is served from the table
+    fmt = _round2_table()
+    for value in values + values:
+        assert fmt(value) == round2(value)
+
+
+NBEST_GOLDEN = os.path.join(os.path.dirname(__file__), "nbest_golden")
+
+
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("table", "txt")])
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+def test_nbest_per_instance_matches_golden(capsysbinary, metric, fmt, ext):
+    # two instances of 12 references, each output set 3 distinct texts
+    # repeated to 12 (one repeat padded with spaces, one capitalized)
+    data = os.path.join(NBEST_GOLDEN, "nbest.jsonl")
+    argv = ["multiscore", "--data", data, "--metric", metric, "--per-instance", "--format", fmt]
+    assert main(argv) == EXIT_OK
+    with open(os.path.join(NBEST_GOLDEN, f"multiscore_{metric}.{ext}"), "rb") as fh:
+        assert capsysbinary.readouterr().out == fh.read()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "multiscore"])

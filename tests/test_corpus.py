@@ -337,6 +337,12 @@ class TestOutputsJsonl:
         with pytest.raises(ValueError, match="line 1"):
             load_outputs_jsonl(p)
 
+    def test_unknown_field_rejected(self, tmp_path):
+        p = tmp_path / "o.jsonl"
+        write_lines(p, ['{"id":"a","outputs":["x"],"flags":[],"seed":1}', '{"id":"b","outputs":["y"],"refs":[]}'])
+        with pytest.raises(ValueError, match=r"^line 2: unknown fields \['refs'\]$"):
+            load_outputs_jsonl(p)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "o.jsonl"
         write_lines(p, ['{"id":"a","outputs":["x"]}', '{"id":"a","outputs":["y"]}'])

@@ -14,6 +14,8 @@ from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
 from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score, score_matrix
 from multiscore.text import Sentence
 
+from oracles import oracle_score_matrix
+
 
 class TableMetric(SentenceMetric):
     """Deterministic lookup metric for matrix-level fixtures."""
@@ -25,6 +27,20 @@ class TableMetric(SentenceMetric):
 
     def score(self, hypothesis, references):
         return max(self.table[str(hypothesis), str(r)] for r in references)
+
+
+class CountingMetric(SentenceMetric):
+    """Wraps a metric and records every (hypothesis, references) call."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def score(self, hypothesis, references):
+        self.calls.append((hypothesis, tuple(references)))
+        return self.inner.score(hypothesis, references)
 
 
 def random_sentences(rng, k, vocab=("aa", "bb", "cc", "dd", "ee", "ff", "gg"), lo=3, hi=9):
@@ -68,6 +84,79 @@ class TestScoreMatrix:
         assert np.array_equal(as_text.weights, as_sentences.weights)
         # a blank output is not a Sentence, and still scores 0
         assert score_matrix(["  ", outs[0]], refs, metric).weights[0].tolist() == [0.0] * 5
+
+
+class TestScoreMatrixDedup:
+    """``score`` runs once per distinct (output, reference) pair, where
+    distinct means distinct :class:`Sentence` (stripped text and casing) or
+    distinct blank string; the grid equals the per-cell definition."""
+
+    @pytest.mark.parametrize("outs,refs,n_out,n_ref", [
+        # repeated strings
+        (["aa bb", "cc dd", "aa bb", "aa bb"], ["aa bb", "ee ff", "ee ff"], 2, 2),
+        # surrounding whitespace is stripped, inner whitespace is not
+        (["aa bb", " aa bb ", "aa bb\t", "aa  bb"], ["\tcc dd", "cc dd "], 2, 1),
+        # blank outputs are each their own key and score 0
+        (["  ", "", "  ", "aa bb"], ["aa bb", "aa bb"], 3, 1),
+        # nothing repeats
+        (["aa bb", "cc dd", "ee ff"], ["aa cc", "bb dd", "ee gg"], 3, 3),
+    ], ids=["repeats", "whitespace", "blank", "distinct"])
+    def test_calls_per_distinct_pair(self, outs, refs, n_out, n_ref):
+        metric = CountingMetric(BleuMetric())
+        m = score_matrix(outs, refs, metric)
+        assert len(metric.calls) == n_out * n_ref
+        assert len(set(metric.calls)) == n_out * n_ref
+        assert m.weights.shape == (len(outs), len(refs))
+        assert m.weights.tolist() == oracle_score_matrix(outs, refs, BleuMetric())
+
+    def test_sentence_input(self):
+        # equal Sentences share a key whatever object they are; casing is
+        # part of the key, and a plain string keys as its lowercased
+        # Sentence. The key is the text as written: "aa BB" is its own key
+        # even when it is scored lowercased.
+        outs = [Sentence("aa bb"), Sentence(" aa bb"), Sentence("Aa bb", lowercase=False),
+                Sentence("aa bb", lowercase=False), "aa bb", Sentence("Aa bb", lowercase=False)]
+        refs = [Sentence("Aa bb", lowercase=False), " aa bb", Sentence("aa bb"), "aa BB"]
+        metric = CountingMetric(BleuMetric())
+        m = score_matrix(outs, refs, metric)
+        assert len(metric.calls) == 3 * 3
+        assert m.weights.tolist() == oracle_score_matrix(outs, refs, BleuMetric())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["bleu", "chrf", "table"]), lowercase=st.booleans())
+    def test_equals_per_cell_oracle(self, data, kind, lowercase):
+        # pools of one to four texts over cased words with optional
+        # surrounding whitespace, drawn with replacement
+        text = st.tuples(
+            st.sampled_from(["", " ", "\t"]),
+            st.lists(st.sampled_from(["aa", "Aa", "bb", "cc"]), min_size=1, max_size=4).map(" ".join),
+            st.sampled_from(["", " "]),
+        ).map("".join)
+        pool = data.draw(st.lists(text, min_size=1, max_size=4))
+        out_pool = pool + data.draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
+        outs = data.draw(st.lists(st.sampled_from(out_pool), min_size=1, max_size=7))
+        refs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+        if kind == "table":
+            # one value per stripped pair, looked up as written or stripped,
+            # so a text and its padded copy agree
+            by_text = {}
+            table = {}
+            for o, r in itertools.product(out_pool, pool):
+                key = (o.strip(), r.strip())
+                if key not in by_text:
+                    by_text[key] = data.draw(st.sampled_from([0.0, 12.5, 50.0, 100.0]))
+                for a, b in itertools.product({o, key[0]}, {r, key[1]}):
+                    table[a, b] = by_text[key]
+            metric = TableMetric(table)
+        else:
+            metric = BleuMetric() if kind == "bleu" else ChrfMetric()
+        if not lowercase:
+            outs = [Sentence(t, lowercase=False) if t.strip() else t for t in outs]
+            refs = [Sentence(t, lowercase=False) for t in refs]
+        m = score_matrix(outs, refs, metric)
+        expected = np.array(oracle_score_matrix(outs, refs, metric))
+        assert m.weights.shape == expected.shape
+        assert m.weights.tobytes() == expected.tobytes()
 
 
 class TestMultiScore:
