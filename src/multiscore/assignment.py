@@ -1,15 +1,34 @@
-"""Maximum-weight bipartite matching (Hungarian algorithm) with a
-brute-force permutation oracle for verification.
+"""Maximum-weight bipartite matching with a brute-force permutation
+oracle for verification.
 
-The solver runs shortest augmenting paths over dual potentials in O(n^3).
-Rectangular inputs are squared by zero-weight padding; padded edges never
-appear in results.
+Two paths, chosen by the number of injective assignments of the smaller
+side into the larger, ``math.perm(max side, min side)``:
 
-Tie rule: an edge whose reduced cost is within 1e-9 of zero counts as
-tight, and among the assignments inside that tight subgraph the
-lexicographically smallest edge list (sorted by row, then column) is
-returned, so results are reproducible across runs and platforms. Each
-augmenting path ends at the first free column among those at minimum
+* at most ``_ENUMERATE_LIMIT`` = 120 (every shape up to 5x5, 4x5, 3x6, 2x11
+  and 1x120, either way round): every assignment is scored with one numpy
+  gather-and-sum;
+* more: shortest augmenting paths over dual potentials, O(n^3) (the
+  Hungarian method in the form of Jonker & Volgenant 1987 and Crouse
+  2016). Rectangular inputs are squared by zero-weight padding; padded
+  edges never appear in results.
+
+The rule counts assignments, not the smaller side: a 3x2000 input has
+8e9 of them and goes to the solver.
+
+Tie rule: among the tied assignments, the lexicographically smallest edge
+list (sorted by row, then column) is returned, so results are
+reproducible across runs and platforms. Enumeration ties every
+assignment whose total is within 1e-9 of the best. The solver ties every
+assignment inside its tight subgraph, the edges whose reduced cost under
+its optimal duals is within 1e-9 of zero; an assignment's reduced costs
+sum to its distance below the optimum. So, with n the larger side:
+
+* an assignment within 1e-9 of the optimum total is tied on both paths;
+* one more than n * 1e-9 below it is tied on neither;
+* in between, the solver's answer depends on its duals, and the two paths
+  may disagree.
+
+Each augmenting path ends at the first free column among those at minimum
 distance, and the tie-break is an iterative search, so tie-heavy input
 (all-equal or small-integer weights) costs about what random input does.
 """
@@ -24,6 +43,11 @@ import numpy as np
 
 # slack below this counts as a tie when selecting among optimal assignments
 _TIE_TOL = 1e-9
+
+# enumerate every assignment when there are at most this many: a call takes
+# 20-65 us up to 120 assignments, 2-5x less than through the solver; the
+# two are close at 360 (4x6) and the solver wins at 720 (5x6, 6x6)
+_ENUMERATE_LIMIT = 120
 
 _BRUTE_FORCE_LIMIT = 8
 
@@ -79,59 +103,120 @@ def _coerce(matrix) -> ScoreMatrix:
     return matrix if isinstance(matrix, ScoreMatrix) else ScoreMatrix(np.asarray(matrix))
 
 
-def _solve_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _enumerated_edges(w: np.ndarray) -> list[tuple[int, int]]:
+    """Best assignment of a tiny matrix by trying every one of them.
+
+    Every injective assignment of the smaller side into the larger is
+    scored with one gather-and-sum; among those whose total is within
+    ``_TIE_TOL`` of the best, the lexicographically smallest edge list
+    wins.
+    """
+    nr, nc = w.shape
+    k, m = min(nr, nc), max(nr, nc)
+    count = math.perm(m, k)
+    # perms[a, s]: the larger side's index on slot s of the smaller side,
+    # rows in lexicographic order
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(m), k)), dtype=np.intp, count=count * k
+    ).reshape(count, k)
+    slots = np.arange(k)
+    # at most _ENUMERATE_LIMIT totals: plain Python selects among them faster
+    if nr <= nc:
+        totals = w[slots, perms].sum(axis=1).tolist()
+        floor = max(totals) - _TIE_TOL
+        # permutation order is the edge-list order: the first tie wins
+        best = next(a for a, total in enumerate(totals) if total >= floor)
+        return list(enumerate(perms[best].tolist()))
+    totals = w[perms, slots].sum(axis=1).tolist()
+    floor = max(totals) - _TIE_TOL
+    tied = [rows for rows, total in zip(perms.tolist(), totals) if total >= floor]
+    return min(sorted(zip(rows, range(nc))) for rows in tied)
+
+
+def _solve_min_cost(cost: np.ndarray, warm_start: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square min-cost assignment via shortest augmenting paths.
 
     Returns (row_of_col, u, v) where row_of_col[j] is the row matched to
     column j and u, v are feasible dual potentials with
     u[i] + v[j] <= cost[i, j], tight on matched edges.
+
+    With ``warm_start``, column reduction and then row reduction with a
+    greedy match on zero-reduced-cost edges (Jonker & Volgenant 1987)
+    match most rows before any search; it pays off on square inputs only,
+    since a padded input's zero rows leave most rows free after it. Each
+    search keeps its distances relative to its start and moves the duals
+    once, when it reaches a free column (Crouse 2016).
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    row_of_col = np.full(n + 1, -1, dtype=np.intp)  # index n is the virtual column
-    way = np.zeros(n, dtype=np.intp)
+    u = np.zeros(n)
+    v = np.zeros(n)
+    row_of_col = np.full(n, -1, dtype=np.intp)
+    col_of_row = np.full(n, -1, dtype=np.intp)
+    if warm_start:
+        v = cost.min(axis=0)
+        free = np.ones(n, dtype=bool)
+        # row by row, so that no n x n temporary is made
+        for i in range(n):
+            reduced = cost[i] - v
+            u[i] = reduced.min()
+            hit = reduced == u[i]
+            hit &= free
+            j = int(hit.argmax())
+            if hit[j]:
+                row_of_col[j], col_of_row[i] = i, j
+                free[j] = False
 
-    for i in range(n):
-        row_of_col[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        free_cols = None  # built on the first tie check of this row
+    dist = np.empty(n)
+    way = np.empty(n, dtype=np.intp)  # way[j]: the row that last relaxed column j
+    for start in np.flatnonzero(col_of_row < 0).tolist():
+        dist.fill(np.inf)
+        # a settled column's v becomes -inf here, so it never relaxes again
+        v_open = v.copy()
+        free_cols = None  # built on the first tie check of this search
+        settled, settled_dist = [], []
+        i, base = start, 0.0
         while True:
-            used[j0] = True
-            i0 = row_of_col[j0]
-            slack = cost[i0, :] - u[i0] - v[:n]
-            open_cols = ~used[:n]
-            better = open_cols & (slack < minv)
-            minv[better] = slack[better]
-            way[better] = j0
-            masked = np.where(open_cols, minv, np.inf)
-            j1 = int(masked.argmin())
-            delta = masked[j1]
-            if row_of_col[j1] >= 0:
+            slack = cost[i] - v_open
+            slack += base - u[i]
+            better = slack < dist
+            np.copyto(way, i, where=better)
+            np.minimum(dist, slack, out=dist)
+            j = int(dist.argmin())
+            base = float(dist[j])
+            if row_of_col[j] >= 0:
                 # any column at the minimum is a valid Dijkstra step; ending
                 # at a free one keeps tie-heavy solves to O(n) steps instead
                 # of walking every tied assigned column first (Crouse 2016);
-                # free columns are all still open, since reaching one ends
-                # the search, so minv holds their distances
+                # free columns are never settled, since reaching one ends
+                # the search, so dist holds their distances
                 if free_cols is None:
-                    free_cols = np.flatnonzero(row_of_col[:n] < 0)
-                k = int(minv[free_cols].argmin())
-                if minv[free_cols[k]] == delta:
-                    j1 = int(free_cols[k])
-            u[row_of_col[used]] += delta
-            v[used] -= delta
-            minv[open_cols] -= delta
-            j0 = j1
-            if row_of_col[j0] < 0:
+                    free_cols = np.flatnonzero(row_of_col < 0)
+                k = int(dist[free_cols].argmin())
+                if dist[free_cols[k]] == base:
+                    j = int(free_cols[k])
+            if row_of_col[j] < 0:
                 break
+            settled.append(j)
+            settled_dist.append(base)
+            dist[j] = np.inf
+            v_open[j] = -np.inf
+            i = int(row_of_col[j])
+        # dual update for the whole search: every settled column and its row
+        # move by how much closer than the free column they were
+        u[start] += base
+        if settled:
+            cols = np.array(settled)
+            shift = base - np.array(settled_dist)
+            u[row_of_col[cols]] += shift
+            v[cols] -= shift
         # augment along the alternating path
-        while j0 != n:
-            j1 = int(way[j0])
-            row_of_col[j0] = row_of_col[j1]
-            j0 = j1
-    return row_of_col[:n], u[:n], v[:n]
+        while True:
+            i = int(way[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, int(col_of_row[i])
+            if i == start:
+                break
+    return row_of_col, u, v
 
 
 def _lex_min_tight_matching(
@@ -187,13 +272,36 @@ def _lex_min_tight_matching(
     return col_of_row
 
 
+def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
+    """Best assignment by the augmenting-path solver and the tie-break
+    inside its tight subgraph."""
+    nr, nc = w.shape
+    n = max(nr, nc)
+    # maximize by minimizing the negated, zero-padded weights
+    cost = np.zeros((n, n))
+    cost[:nr, :nc] = w
+    np.negative(cost, out=cost)
+    row_of_col, u, v = _solve_min_cost(cost, warm_start=nr == nc)
+
+    # optimal assignments live inside the tight subgraph (complementary
+    # slackness); matched edges are included regardless of rounding. Row
+    # by row, so that no n x n float temporary is made
+    tight = np.empty((n, n), dtype=bool)
+    for i in range(n):
+        np.less_equal(cost[i] - u[i] - v, _TIE_TOL, out=tight[i])
+    tight[row_of_col, np.arange(n)] = True
+
+    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr)
+    return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
+
+
 def max_weight_matching(matrix) -> Matching:
     """Maximum-weight one-to-one assignment of rows to columns.
 
-    The matching has size min(n_rows, n_cols); rectangular matrices are
-    padded internally with zero-weight cells which are dropped from the
-    result. Ties between equally optimal assignments (detected within
-    1e-9 slack) resolve to the lexicographically smallest edge list.
+    The matching has size min(n_rows, n_cols). Matrices with at most
+    ``_ENUMERATE_LIMIT`` injective assignments are solved by enumerating
+    them, larger ones by the augmenting-path solver; ties resolve to the
+    lexicographically smallest edge list as the module docstring states.
 
     :param matrix: a :class:`ScoreMatrix` or anything convertible to one.
     :return: the optimal :class:`Matching`.
@@ -202,20 +310,12 @@ def max_weight_matching(matrix) -> Matching:
     w = matrix.weights
     nr, nc = w.shape
     n = max(nr, nc)
-    padded = np.zeros((n, n))
-    padded[:nr, :nc] = w
-
-    # maximize by minimizing the negated weights
-    row_of_col, u, v = _solve_min_cost(-padded)
-
-    # optimal assignments live inside the tight subgraph (complementary
-    # slackness); matched edges are included regardless of rounding
-    slack = -padded - u[:, None] - v[None, :]
-    tight = slack <= _TIE_TOL
-    tight[row_of_col, np.arange(n)] = True
-
-    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr)
-    edges = [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
+    # math.perm(n, k) >= n for k >= 1, so testing n first is exact and keeps
+    # a large matrix from computing a huge count
+    if n <= _ENUMERATE_LIMIT and math.perm(n, min(nr, nc)) <= _ENUMERATE_LIMIT:
+        edges = _enumerated_edges(w)
+    else:
+        edges = _solved_edges(w)
     return Matching.from_edges(edges, w)
 
 

@@ -1,17 +1,25 @@
-"""Hungarian solver vs the brute-force oracle (and scipy as a third route)."""
+"""The matcher (enumeration and augmenting-path solver) vs the brute-force
+oracle, each other, scipy and recorded edges."""
 
+import hashlib
+import json
+import math
+import os
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from multiscore.assignment import (
     ScoreMatrix,
+    _enumerated_edges,
     _lex_min_tight_matching,
+    _solve_min_cost,
+    _solved_edges,
     brute_force_matching,
     max_weight_matching,
 )
@@ -239,3 +247,108 @@ def test_tie_heavy_edges_match_brute_force(w):
 @given(_tie_heavy(40))
 def test_tie_heavy_totals_match_scipy(w):
     assert max_weight_matching(w).total == scipy_total(w)
+
+
+def _seeded_matrix(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(0, 100, shape)
+    if kind == "integers-0-2":
+        return rng.integers(0, 3, shape).astype(float)
+    if kind == "all-equal":
+        return np.full(shape, 50.0)
+    # a scaled permutation matrix: the greedy start matches every row
+    w = np.zeros(shape)
+    k = min(shape)
+    w[rng.permutation(shape[0])[:k], rng.permutation(shape[1])[:k]] = 100.0
+    return w
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["uniform", "integers-0-2", "all-equal", "permutation"]),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example("all-equal", (12, 12), 0, True)
+@example("permutation", (12, 12), 0, True)
+@example("uniform", (10, 30), 0, False)
+def test_solver_duals_certify_optimality(kind, shape, seed, warm_start):
+    # the returned duals must prove the matching optimal: feasible, tight on
+    # every matched edge, and summing to the matching's cost
+    w = _seeded_matrix(kind, shape, seed)
+    n = max(shape)
+    cost = np.zeros((n, n))
+    cost[: shape[0], : shape[1]] = -w
+    row_of_col, u, v = _solve_min_cost(cost, warm_start=warm_start)
+    assert sorted(row_of_col.tolist()) == list(range(n))
+    cols = np.arange(n)
+    assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+    assert np.abs(cost[row_of_col, cols] - u[row_of_col] - v).max() <= 1e-9
+    assert abs(u.sum() + v.sum() - cost[row_of_col, cols].sum()) <= n * 1e-9
+
+
+# weights whose distinct sums differ by rounding only: the 1e-9 tie band
+# must absorb the rounding on both paths
+_ROUNDING_POOLS = [
+    (0.1, 0.2, 0.3, 0.7),
+    tuple(k * 100 / 3 for k in range(4)) + tuple(k * 100 / 6 for k in range(7)),
+    (33.33333333333333, 33.333333333333336, 100 / 3, 16.666666666666668, 66.66666666666667, 50.0),
+]
+
+
+def _small_matrices():
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    integers = shapes.flatmap(lambda s: arrays(np.float64, s, elements=st.sampled_from([0.0, 1.0, 2.0])))
+    pooled = st.tuples(shapes, st.sampled_from(_ROUNDING_POOLS)).flatmap(
+        lambda sp: arrays(np.float64, sp[0], elements=st.sampled_from(sp[1]))
+    )
+    uniform = st.tuples(shapes, st.integers(0, 2**32 - 1)).map(
+        lambda ss: np.random.default_rng(ss[1]).uniform(0, 100, ss[0])
+    )
+    return st.one_of(integers, pooled, uniform)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_small_matrices())
+def test_enumeration_and_solver_pick_the_same_edges(w):
+    # max_weight_matching enumerates these shapes, so the solver is checked
+    # on them here, against the enumeration and in both orientations
+    assert _enumerated_edges(w) == _solved_edges(w)
+    assert _enumerated_edges(w.T) == _solved_edges(w.T)
+
+
+MATCHING_GOLDEN = os.path.join(os.path.dirname(__file__), "matching_golden", "edges.json")
+
+_GOLDEN_MATRICES = {
+    "random-300x300": lambda: np.random.default_rng(300).uniform(0, 100, (300, 300)),
+    "integers-0-2-300x300": lambda: np.random.default_rng(302).integers(0, 3, (300, 300)).astype(float),
+    "all-equal-200x200": lambda: np.full((200, 200), 50.0),
+    "random-60x180": lambda: np.random.default_rng(60).uniform(0, 100, (60, 180)),
+    "random-180x60": lambda: np.random.default_rng(180).uniform(0, 100, (180, 60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_MATRICES))
+def test_large_matrix_edges_match_golden(name):
+    # recorded with the cold-start solver that eagerly updated its duals at
+    # every step: any solver must keep these edges, ties included
+    with open(MATCHING_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    m = max_weight_matching(_GOLDEN_MATRICES[name]())
+    digest = hashlib.sha256(json.dumps([list(e) for e in m.edges]).encode()).hexdigest()
+    assert digest == golden["edges_sha256"]
+    assert m.total == golden["total"]
+
+
+@pytest.mark.parametrize("shape", [(3, 2000), (2000, 3), (4, 300), (1, 5000)], ids=lambda s: "%dx%d" % s)
+def test_long_thin_matrix_takes_the_solver_within_time_budget(shape):
+    # a small side does not make a small input: 3x2000 has 8e9 assignments
+    w = np.random.default_rng(11).uniform(0, 100, shape)
+    start = time.perf_counter()
+    m = max_weight_matching(w)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    assert m.total == math.fsum(w[rows, cols])
