@@ -6,7 +6,7 @@ maximum-weight matching, and average the matched edge weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +23,14 @@ class EvalInstance:
     """One input's reference set plus (optionally) one system's output set.
 
     ``outputs`` may be empty for reference-only data; evaluation requires it
-    to be populated, e.g. via :func:`multiscore.corpus.bind_outputs`.
+    to be populated, e.g. via :func:`multiscore.corpus.bind_outputs`. It holds
+    only texts; each evaluation builds and drops its own ``Sentence`` objects.
     """
 
     id: str
     references: tuple[str, ...]
     outputs: tuple[str, ...] = ()
     category: str | None = None
-    _sentences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "references", tuple(self.references))
@@ -46,18 +46,15 @@ class EvalInstance:
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"instance {self.id!r}: empty output sentence")
 
-    def sentences(self, lowercase: bool = True) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
-        """(outputs, references) as :class:`Sentence` tuples under one
-        casing, built once per casing and shared by every metric. Equal
-        texts share one :class:`Sentence`, and so one set of profiles."""
-        pair = self._sentences.get(lowercase)
-        if pair is None:
-            made = {t: Sentence(t, lowercase=lowercase) for t in (*self.outputs, *self.references)}
-            pair = self._sentences[lowercase] = (
-                tuple(made[o] for o in self.outputs),
-                tuple(made[r] for r in self.references),
-            )
-        return pair
+
+def _instance_sentences(instance: EvalInstance, lowercase: bool) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
+    """(outputs, references) of ``instance`` as :class:`Sentence` tuples
+    under one casing, one per distinct text, so equal texts share one set of
+    profiles. Nothing keeps them: they live as long as the caller holds them."""
+    if not instance.outputs:
+        raise ValueError(f"instance {instance.id!r} has no outputs to evaluate")
+    made = {t: Sentence(t, lowercase=lowercase) for t in (*instance.outputs, *instance.references)}
+    return tuple(made[o] for o in instance.outputs), tuple(made[r] for r in instance.references)
 
 
 @dataclass(frozen=True)
@@ -140,15 +137,6 @@ def warn_unequal(instance: EvalInstance) -> None:
         )
 
 
-def _instance_result(
-    instance: EvalInstance, metric: SentenceMetric, allow_unequal: bool, lowercase: bool
-) -> MultiScoreResult:
-    if not instance.outputs:
-        raise ValueError(f"instance {instance.id!r} has no outputs to evaluate")
-    outputs, references = instance.sentences(lowercase)
-    return multi_score(outputs, references, metric, allow_unequal=allow_unequal, instance_id=instance.id)
-
-
 def corpus_multi_score(
     instances: Sequence[EvalInstance],
     metric: SentenceMetric,
@@ -159,12 +147,16 @@ def corpus_multi_score(
 
     :param allow_unequal: permit output sets whose size differs from the
         reference set (matched over the smaller side).
-    :param lowercase: score case-insensitively (the default); each instance
-        scores the :class:`Sentence` objects of ``instance.sentences(lowercase)``.
+    :param lowercase: score case-insensitively (the default). Each instance's
+        texts become :class:`Sentence` objects under that casing, one per
+        distinct text, which are dropped once the instance is scored.
     :return: (mean score, per-instance results in corpus order).
     """
     if not instances:
         raise ValueError("corpus must contain at least one instance")
-    results = [_instance_result(inst, metric, allow_unequal, lowercase) for inst in instances]
+    results = [
+        multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=allow_unequal, instance_id=inst.id)
+        for inst in instances
+    ]
     mean = sum(r.score for r in results) / len(results)
     return mean, results

@@ -22,11 +22,16 @@ from .metrics import (
     ChrfConfig,
     ChrfMetric,
     SMOOTH_NONE,
-    corpus_bleu,
-    corpus_chrfpp,
-    self_bleu,
+    _bleu_score,
+    _bleu_stats,
+    _chrf_score,
+    _chrf_stats,
+    corpus_bleu,  # unused here: bench/tracer.py patches this binding
+    corpus_chrfpp,  # unused here: bench/tracer.py patches this binding
+    self_bleu,  # bench/tracer.py patches this binding
 )
-from .multiscore import EvalInstance, corpus_multi_score, warn_unequal
+from .multiscore import EvalInstance, _instance_sentences, multi_score, warn_unequal
+from .multiscore import corpus_multi_score  # unused here: bench/tracer.py patches this binding
 
 log = logging.getLogger(__name__)
 
@@ -60,19 +65,24 @@ def evaluate_all(
     allow_unequal: bool = False,
     lowercase: bool = True,
 ) -> EvaluationReport:
-    """Compute the full evaluation battery for a dataset with outputs.
+    """Compute the full evaluation battery for a dataset with outputs in one
+    pass: each instance's sentences give its MS-BLEU, MS-CHRF and Self-BLEU
+    and add to its slots' corpus BLEU / chrF++ totals, then are dropped.
 
     :param dataset: instances, each carrying both references and outputs.
     :param sentence_bleu_config: config for the pairwise BLEU behind MS-BLEU
         and Self-BLEU (default: smoothed order-4).
     :param corpus_bleu_config: config for quality BLEU (default: unsmoothed
         order-4).
+    :param chrf_config: config for chrF++, both the pairwise scores behind
+        MS-CHRF and quality chrF++ (default: character order 6, word order
+        2, beta 2).
     :param allow_unequal: permit output sets whose size differs from the
         reference set (matched over the smaller side, logged once per
         instance).
     :param lowercase: evaluate case-insensitively (the default). Every
-        metric reads the same ``inst.sentences(lowercase)``, so each text is
-        tokenized and profiled once per casing.
+        metric of an instance reads the same :class:`Sentence` objects, so
+        each distinct text is tokenized and profiled once.
     """
     instances = tuple(dataset)
     if not instances:
@@ -89,45 +99,36 @@ def evaluate_all(
     sentence_bleu_config = sentence_bleu_config or BleuConfig()
     corpus_bleu_config = corpus_bleu_config or BleuConfig(smoothing=SMOOTH_NONE)
     chrf_config = chrf_config or ChrfConfig()
+    bleu_metric, chrf_metric = BleuMetric(sentence_bleu_config), ChrfMetric(chrf_config)
 
-    sentences = [inst.sentences(lowercase) for inst in instances]
-
-    # diversity: assignment-based set scores, macro-averaged
-    ms_bleu, bleu_results = corpus_multi_score(instances, BleuMetric(sentence_bleu_config), allow_unequal, lowercase)
-    ms_chrf, chrf_results = corpus_multi_score(instances, ChrfMetric(chrf_config), allow_unequal, lowercase)
-
-    # diversity: Self-BLEU per instance (needs at least two outputs)
-    self_scores: list[float | None] = []
-    for inst, (outputs, _) in zip(instances, sentences):
-        if len(outputs) >= 2:
-            self_scores.append(self_bleu(outputs, sentence_bleu_config))
-        else:
-            self_scores.append(None)
+    # quality: corpus statistics per output slot, each output against its
+    # instance's full reference set. Corpus chrF++ keeps each segment's best
+    # reference, the first on ties: the first maximum of the output's row in
+    # the MS-CHRF grid, so the grid picks it and no pair is scored twice
+    n_slots = max(len(inst.outputs) for inst in instances)
+    slot_bleu = [[0] * (2 + 2 * corpus_bleu_config.max_order) for _ in range(n_slots)]
+    slot_chrf = [[0] * (3 * (chrf_config.char_order + chrf_config.word_order)) for _ in range(n_slots)]
+    per_instance = []
+    for inst in instances:
+        outputs, references = _instance_sentences(inst, lowercase)
+        # diversity: assignment-based set scores
+        ms_bleu = multi_score(outputs, references, bleu_metric, allow_unequal, inst.id)
+        ms_chrf = multi_score(outputs, references, chrf_metric, allow_unequal, inst.id)
+        # diversity: Self-BLEU (needs at least two outputs)
+        self_score = self_bleu(outputs, sentence_bleu_config) if len(outputs) >= 2 else None
+        if self_score is None:
             log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
-    usable = [s for s in self_scores if s is not None]
+        for k, out in enumerate(outputs):
+            bleu = _bleu_stats(out, references, corpus_bleu_config.max_order)
+            chrf = _chrf_stats(out, [references[ms_chrf.matrix.weights[k].argmax()]], chrf_config)
+            slot_bleu[k] = [a + b for a, b in zip(slot_bleu[k], bleu)]
+            slot_chrf[k] = [a + b for a, b in zip(slot_chrf[k], chrf)]
+        per_instance.append(InstanceSummary(inst.id, ms_bleu.score, ms_chrf.score, self_score))
+
+    usable = [s.self_bleu for s in per_instance if s.self_bleu is not None]
     mean_self = sum(usable) / len(usable) if usable else None
     if mean_self is None:
         log.warning("no instance has 2+ outputs; Self-BLEU omitted from the report")
-
-    # quality: corpus scores per output slot against full reference sets.
-    # corpus chrF++ keeps each segment's best reference, the first on ties:
-    # that is the first maximum of the output's row in the MS-CHRF grid, so
-    # the grid picks it and no pair is scored twice
-    n_slots = max(len(inst.outputs) for inst in instances)
-    slot_bleu, slot_chrf = [], []
-    for k in range(n_slots):
-        bleu_pairs, chrf_pairs = [], []
-        for (outputs, references), chrf in zip(sentences, chrf_results):
-            if len(outputs) > k:
-                bleu_pairs.append((outputs[k], references))
-                chrf_pairs.append((outputs[k], references[chrf.matrix.weights[k].argmax()]))
-        slot_bleu.append(corpus_bleu(bleu_pairs, corpus_bleu_config))
-        slot_chrf.append(corpus_chrfpp(chrf_pairs, chrf_config))
-
-    per_instance = tuple(
-        InstanceSummary(id=inst.id, ms_bleu=bleu.score, ms_chrf=chrf.score, self_bleu=self_score)
-        for inst, bleu, chrf, self_score in zip(instances, bleu_results, chrf_results, self_scores)
-    )
     config = {
         "sentence_bleu": asdict(sentence_bleu_config),
         "corpus_bleu": asdict(corpus_bleu_config),
@@ -137,11 +138,15 @@ def evaluate_all(
     }
     return EvaluationReport(
         quality={
-            "bleu": sum(slot_bleu) / n_slots,
-            "chrfpp": sum(slot_chrf) / n_slots,
+            "bleu": sum(_bleu_score(stats, corpus_bleu_config) for stats in slot_bleu) / n_slots,
+            "chrfpp": sum(_chrf_score(stats, chrf_config.beta) for stats in slot_chrf) / n_slots,
         },
-        diversity={"self_bleu": mean_self, "ms_bleu": ms_bleu, "ms_chrf": ms_chrf},
-        per_instance=per_instance,
+        diversity={
+            "self_bleu": mean_self,
+            "ms_bleu": sum(s.ms_bleu for s in per_instance) / len(per_instance),
+            "ms_chrf": sum(s.ms_chrf for s in per_instance) / len(per_instance),
+        },
+        per_instance=tuple(per_instance),
         config=config,
     )
 

@@ -166,6 +166,23 @@ def test_nbest_per_instance_matches_golden(capsysbinary, metric, fmt, ext):
         assert capsysbinary.readouterr().out == fh.read()
 
 
+EVALUATE_GOLDEN = os.path.join(os.path.dirname(__file__), "evaluate_golden")
+
+
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("tsv", "tsv"), ("table", "txt")])
+@pytest.mark.parametrize("cased", [False, True], ids=["lowercase", "cased"])
+def test_evaluate_matches_golden(capsysbinary, fmt, ext, cased):
+    # 2 and 4 references against 3 outputs, ragged output counts 1-4 (so the
+    # slots hold different instances and one skips Self-BLEU), a repeated
+    # output, two identical references, title-cased and Cyrillic text
+    data = os.path.join(EVALUATE_GOLDEN, "evaluate.jsonl")
+    argv = ["evaluate", "--data", data, "--allow-unequal", "--format", fmt] + (["--no-lowercase"] if cased else [])
+    assert main(argv) == EXIT_OK
+    name = f"evaluate_cased.{ext}" if cased else f"evaluate.{ext}"
+    with open(os.path.join(EVALUATE_GOLDEN, name), "rb") as fh:
+        assert capsysbinary.readouterr().out == fh.read()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "multiscore"])
 @pytest.mark.parametrize("beta", ["inf", "1e200"])
 def test_chrf_beta_with_infinite_square_is_validation_error(toy_data, tmp_path, capsys, command, beta):

@@ -2,6 +2,7 @@
 defining properties (identity maximality, duplication penalty, degenerate
 quality, permutation invariance)."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from multiscore.assignment import brute_force_matching
 from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
-from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score, score_matrix
+from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score, score_matrix
 from multiscore.text import Sentence
 
 from oracles import oracle_score_matrix
@@ -305,19 +306,12 @@ class TestEvalInstance:
         inst = EvalInstance(id="x", references=("a b",))
         assert inst.outputs == ()
 
-    def test_sentences_cached(self):
-        inst = EvalInstance(id="x", references=("A b",), outputs=("C d",))
-        lower = inst.sentences()
-        assert inst.sentences(True) is lower
-        cased = inst.sentences(False)
-        assert inst.sentences(False) is cased
-        assert all(a is not b for a, b in zip(lower[0] + lower[1], cased[0] + cased[1]))
-        assert lower[1][0].tokens == ("a", "b") and lower[0][0].tokens == ("c", "d")
-        assert cased[1][0].tokens == ("A", "b") and cased[0][0].tokens == ("C", "d")
+    def test_fields_are_texts_only(self):
+        assert [f.name for f in dataclasses.fields(EvalInstance)] == ["id", "references", "outputs", "category"]
 
     def test_equal_texts_share_a_sentence(self):
         inst = EvalInstance(id="x", references=("a b", "c d"), outputs=("c d", "c d"))
-        outputs, references = inst.sentences()
+        outputs, references = _instance_sentences(inst, True)
         assert outputs[0] is outputs[1] is references[1]
 
 

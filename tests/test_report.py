@@ -1,5 +1,6 @@
 """The full evaluation battery and its renderings."""
 
+import gc
 import json
 import logging
 
@@ -8,8 +9,9 @@ import pytest
 
 from multiscore.corpus import Dataset
 from multiscore.metrics import BleuConfig, BleuMetric, ChrfConfig, ChrfMetric, SMOOTH_NONE, corpus_bleu, corpus_chrfpp, self_bleu
-from multiscore.multiscore import EvalInstance, multi_score
+from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score
 from multiscore.report import evaluate_all, render, round2
+from multiscore.text import Sentence
 
 
 def make_instance(k, rng, n_refs=3, n_outs=3):
@@ -143,6 +145,19 @@ class TestEvaluateAll:
         assert [s.self_bleu for s in report.per_instance] == [
             self_bleu(varied.outputs), self_bleu(repeated.outputs)
         ]
+
+    def test_no_sentence_outlives_an_evaluation(self):
+        rng = np.random.default_rng(28)
+        ds = Dataset(instances=tuple(make_instance(k, rng) for k in range(4)))
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, Sentence)]  # held, so no id is reused
+        seen = {id(o) for o in before}
+        evaluate_all(ds)
+        evaluate_all(ds, lowercase=False)
+        corpus_multi_score(ds.instances, ChrfMetric())
+        gc.collect()
+        # ds is still alive, so a Sentence it held would be listed here
+        assert [o for o in gc.get_objects() if isinstance(o, Sentence) and id(o) not in seen] == []
 
     def test_dataset_object_accepted(self):
         rng = np.random.default_rng(26)
