@@ -30,7 +30,7 @@ from .decoding import (
     train_ngram,
 )
 from .metrics import SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
-from .multiscore import corpus_multi_score, warn_unequal
+from .multiscore import corpus_multi_score
 from .report import evaluate_all, render, round2
 from .text import tokenize_words
 
@@ -145,9 +145,6 @@ def _cmd_multiscore(args) -> int:
         metric = BleuMetric(sent_cfg)
     else:
         metric = ChrfMetric(chrf_cfg)
-    if args.allow_unequal:
-        for inst in dataset:
-            warn_unequal(inst)
     mean, results = corpus_multi_score(
         dataset.instances, metric, allow_unequal=args.allow_unequal, lowercase=not args.no_lowercase
     )

@@ -52,35 +52,6 @@ def _check_unicode(line_no: int, field: str, texts) -> None:
         raise ValueError(f"line {line_no}: {field!r} is not valid Unicode (unpaired surrogate)")
 
 
-def _parse_line(obj, line_no: int) -> EvalInstance:
-    if not isinstance(obj, dict):
-        raise ValueError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - {"id", "category", "references", "outputs"}
-    if unknown:
-        raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
-    if "id" not in obj or not isinstance(obj["id"], str):
-        raise ValueError(f"line {line_no}: missing or non-string 'id'")
-    if "references" not in obj:
-        raise ValueError(f"line {line_no}: missing 'references'")
-    refs = obj["references"]
-    if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
-        raise ValueError(f"line {line_no}: 'references' must be a non-empty string array")
-    outs = obj.get("outputs", [])
-    if not isinstance(outs, list) or not all(isinstance(o, str) for o in outs):
-        raise ValueError(f"line {line_no}: 'outputs' must be a string array")
-    category = obj.get("category")
-    if category is not None and not isinstance(category, str):
-        raise ValueError(f"line {line_no}: 'category' must be a string")
-    _check_unicode(line_no, "id", [obj["id"]])
-    _check_unicode(line_no, "category", [category or ""])
-    _check_unicode(line_no, "references", refs)
-    _check_unicode(line_no, "outputs", outs)
-    try:
-        return EvalInstance(id=obj["id"], references=tuple(refs), outputs=tuple(outs), category=category)
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: {exc}") from None
-
-
 def _read_lines(path):
     """Yield ``(line_no, text)`` for each line of a UTF-8 file, with an
     optional byte order mark on line 1. Lines split on the bytes at LF, CR
@@ -88,13 +59,13 @@ def _read_lines(path):
     line; each line is decoded on its own, so a decode error names its
     line."""
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"line {line_no}: not valid UTF-8") from None
-        yield line_no, line
+        # streamed in LF-ended chunks, each split again at a lone CR
+        for line_no, raw in enumerate((raw for chunk in fh for raw in chunk.splitlines()), start=1):
+            try:
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"line {line_no}: not valid UTF-8") from None
+            yield line_no, line
 
 
 def _read_jsonl(path):
@@ -114,6 +85,46 @@ def _read_jsonl(path):
         yield line_no, obj
 
 
+def _records(path, fields, what):
+    """Yield ``(line_no, object)`` for each record of a JSON Lines file:
+    a JSON object with no field outside ``fields`` and a string ``id``
+    that no earlier line holds. An empty file is an error, named ``what``."""
+    id_lines: dict[str, int] = {}
+    for line_no, obj in _read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - fields
+        if unknown:
+            raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
+        if not isinstance(obj.get("id"), str):
+            raise ValueError(f"line {line_no}: missing or non-string 'id'")
+        _check_unicode(line_no, "id", [obj["id"]])
+        if obj["id"] in id_lines:
+            raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
+        id_lines[obj["id"]] = line_no
+        yield line_no, obj
+    if not id_lines:
+        raise ValueError(f"{os.fspath(path)}: {what} is empty")
+
+
+def _sentences(line_no: int, obj: dict, field: str, required: bool) -> tuple[str, ...]:
+    """The sentence array ``obj[field]``: strings that are valid Unicode and
+    not blank. A required array must be present and non-empty; an optional
+    one reads as empty when absent."""
+    if field not in obj:
+        if required:
+            raise ValueError(f"line {line_no}: missing {field!r}")
+        return ()
+    texts = obj[field]
+    if not isinstance(texts, list) or (required and not texts) or not all(isinstance(t, str) for t in texts):
+        kind = "non-empty string array" if required else "string array"
+        raise ValueError(f"line {line_no}: {field!r} must be a {kind}")
+    _check_unicode(line_no, field, texts)
+    if not all(t.strip() for t in texts):
+        raise ValueError(f"line {line_no}: instance {obj['id']!r}: empty {field[:-1]} sentence")
+    return tuple(texts)
+
+
 def load_jsonl(path) -> Dataset:
     """Load a dataset from a JSON Lines file, preserving line order.
 
@@ -121,17 +132,18 @@ def load_jsonl(path) -> Dataset:
     malformed JSON, unpaired surrogates, schema violations, or duplicate
     ids; I/O failures propagate as OSError.
     """
-    path = os.fspath(path)
     instances: list[EvalInstance] = []
-    id_lines: dict[str, int] = {}
-    for line_no, obj in _read_jsonl(path):
-        inst = _parse_line(obj, line_no)
-        if inst.id in id_lines:
-            raise ValueError(f"duplicate id {inst.id!r} on lines {id_lines[inst.id]} and {line_no}")
-        id_lines[inst.id] = line_no
-        instances.append(inst)
-    if not instances:
-        raise ValueError(f"{path}: dataset is empty")
+    for line_no, obj in _records(path, {"id", "category", "references", "outputs"}, "dataset"):
+        references = _sentences(line_no, obj, "references", required=True)
+        outputs = _sentences(line_no, obj, "outputs", required=False)
+        category = obj.get("category")
+        if category is not None and not isinstance(category, str):
+            raise ValueError(f"line {line_no}: 'category' must be a string")
+        _check_unicode(line_no, "category", [category or ""])
+        try:
+            instances.append(EvalInstance(id=obj["id"], references=references, outputs=outputs, category=category))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return Dataset(instances=tuple(instances))
 
 
@@ -139,30 +151,12 @@ def load_outputs_jsonl(path) -> dict[str, list[str]]:
     """Load a system-outputs file: one object per line with ``id`` and a
     non-empty ``outputs`` array of non-blank strings. The generation
     metadata fields ``strategy``, ``seed`` and ``flags`` are tolerated and
-    ignored; any other field is rejected."""
-    path = os.fspath(path)
-    outputs: dict[str, list[str]] = {}
-    id_lines: dict[str, int] = {}
-    for line_no, obj in _read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], str):
-            raise ValueError(f"line {line_no}: missing or non-string 'id'")
-        unknown = set(obj) - {"id", "outputs", "strategy", "seed", "flags"}
-        if unknown:
-            raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
-        outs = obj.get("outputs")
-        if not isinstance(outs, list) or not outs or not all(isinstance(o, str) for o in outs):
-            raise ValueError(f"line {line_no}: 'outputs' must be a non-empty string array")
-        _check_unicode(line_no, "id", [obj["id"]])
-        _check_unicode(line_no, "outputs", outs)
-        if not all(o.strip() for o in outs):
-            raise ValueError(f"line {line_no}: instance {obj['id']!r}: empty output sentence")
-        if obj["id"] in id_lines:
-            raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
-        id_lines[obj["id"]] = line_no
-        outputs[obj["id"]] = list(outs)
-    if not outputs:
-        raise ValueError(f"{path}: outputs file is empty")
-    return outputs
+    ignored; any other field is rejected. The record rules are those of
+    :func:`load_jsonl`."""
+    return {
+        obj["id"]: list(_sentences(line_no, obj, "outputs", required=True))
+        for line_no, obj in _records(path, {"id", "outputs", "strategy", "seed", "flags"}, "outputs file")
+    }
 
 
 _REF_FILE = re.compile(r"^ref(\d+)\.txt$")

@@ -91,7 +91,8 @@ def _bleu_stats(hyp: Sentence | None, refs: Sequence[Sentence], max_order: int) 
     total_1..N]``. Matches are clipped against the per-gram maximum count
     over the references; ``ref_len`` is the reference length closest to
     ``hyp_len``, ties toward the shorter. A blank hypothesis has length 0
-    and no n-grams."""
+    and no n-grams. Each distinct reference is read once: a repeat changes neither."""
+    refs = dict.fromkeys(refs)
     hyp_len = len(hyp.tokens) if hyp is not None else 0
     ref_len = min((len(r.tokens) for r in refs), key=lambda r: (abs(r - hyp_len), r))
     matched, total = [0] * max_order, [0] * max_order
@@ -269,11 +270,15 @@ def self_bleu(outputs: Sequence[SentenceLike], config: BleuConfig | None = None)
     if len(outputs) < 2:
         raise ValueError("self-BLEU needs at least 2 outputs")
     config = config or _SENTENCE_BLEU_DEFAULT
-    scores = []
+    # one Sentence per distinct plain text; blank strings pass through
+    made = {o: Sentence(o) for o in dict.fromkeys(outputs) if isinstance(o, str) and o.strip()}
+    outputs = [made.get(o, o) for o in outputs]
+    # an output's "others" are the set less one copy of it: one score per text
+    scores: dict = {}
     for i, out in enumerate(outputs):
-        rest = [o for j, o in enumerate(outputs) if j != i]
-        scores.append(sentence_bleu(out, rest, config))
-    return sum(scores) / len(scores)
+        if out not in scores:
+            scores[out] = sentence_bleu(out, outputs[:i] + outputs[i + 1 :], config)
+    return sum(scores[out] for out in outputs) / len(outputs)
 
 
 class SentenceMetric:

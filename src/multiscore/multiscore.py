@@ -47,13 +47,34 @@ class EvalInstance:
                 raise ValueError(f"instance {self.id!r}: empty output sentence")
 
 
+def _sizes_differ(n_outputs: int, n_references: int, allow_unequal: bool, instance_id: str = "") -> bool:
+    """Whether the two set sizes differ; an error if so without ``allow_unequal``."""
+    if n_outputs != n_references and not allow_unequal:
+        where = f"instance {instance_id!r}: " if instance_id else ""
+        raise ValueError(f"{where}{n_outputs} outputs vs {n_references} references (pass allow_unequal to permit)")
+    return n_outputs != n_references
+
+
+def _admit(instances: Sequence[EvalInstance], allow_unequal: bool) -> None:
+    """Check a corpus before anything is scored: at least one instance, each
+    with outputs, of its references' size unless ``allow_unequal`` (then logged)."""
+    if not instances:
+        raise ValueError("corpus must contain at least one instance")
+    for inst in instances:
+        if not inst.outputs:
+            raise ValueError(f"instance {inst.id!r} has no outputs to evaluate")
+        if _sizes_differ(len(inst.outputs), len(inst.references), allow_unequal, inst.id):
+            log.warning(
+                "instance %r: matching %d outputs against %d references (averaging over the smaller side)",
+                inst.id, len(inst.outputs), len(inst.references),
+            )
+
+
 def _instance_sentences(instance: EvalInstance, lowercase: bool) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
     """(outputs, references) of ``instance`` as :class:`Sentence` tuples
     under one casing, one per distinct text, so equal texts share one set of
     profiles. Nothing keeps them: they live as long as the caller holds them."""
-    if not instance.outputs:
-        raise ValueError(f"instance {instance.id!r} has no outputs to evaluate")
-    made = {t: Sentence(t, lowercase=lowercase) for t in (*instance.outputs, *instance.references)}
+    made = {t: Sentence(t, lowercase=lowercase) for t in dict.fromkeys((*instance.outputs, *instance.references))}
     return tuple(made[o] for o in instance.outputs), tuple(made[r] for r in instance.references)
 
 
@@ -81,7 +102,7 @@ def score_matrix(outputs: Sequence, references: Sequence, metric: SentenceMetric
     # one Sentence per distinct plain text, so its profiles are built once
     # rather than once per cell; blank strings pass through (a blank output
     # scores 0, a blank reference is rejected by the metric)
-    made = {t: Sentence(t) for t in (*outputs, *references) if isinstance(t, str) and t.strip()}
+    made = {t: Sentence(t) for t in dict.fromkeys((*outputs, *references)) if isinstance(t, str) and t.strip()}
     # dense index per distinct Sentence (equal raw text and casing) or
     # blank string, in first-seen order
     out_index: dict = {}
@@ -109,32 +130,17 @@ def multi_score(
     Builds the pairwise score matrix, solves the maximum-weight matching,
     and returns the average matched edge weight. Output and reference sets
     must be the same size unless ``allow_unequal`` is set, in which case the
-    matching covers the smaller side. Nothing is logged here: a caller that
-    permits the mismatch reports it once per instance with
-    :func:`warn_unequal`.
+    matching covers the smaller side. Nothing is logged here:
+    :func:`corpus_multi_score` and :func:`~multiscore.evaluate_all` report
+    a permitted mismatch once per instance before scoring.
 
     :return: a :class:`MultiScoreResult`; ``score`` lies in [0, 100].
     """
-    if len(outputs) != len(references) and not allow_unequal:
-        raise ValueError(
-            f"{len(outputs)} outputs vs {len(references)} references"
-            f"{' for instance ' + repr(instance_id) if instance_id else ''}; "
-            "pass allow_unequal to match the smaller side"
-        )
+    _sizes_differ(len(outputs), len(references), allow_unequal, instance_id)
     matrix = score_matrix(outputs, references, metric)
     matching = max_weight_matching(matrix)
     score = matching.total / len(matching.edges)
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
-
-
-def warn_unequal(instance: EvalInstance) -> None:
-    """Log that ``instance`` is matched over the smaller side, if its output
-    and reference sets differ in size."""
-    if len(instance.outputs) != len(instance.references):
-        log.warning(
-            "instance %r: matching %d outputs against %d references (averaging over the smaller side)",
-            instance.id, len(instance.outputs), len(instance.references),
-        )
 
 
 def corpus_multi_score(
@@ -146,14 +152,15 @@ def corpus_multi_score(
     """Macro-averaged score over a corpus of instances.
 
     :param allow_unequal: permit output sets whose size differs from the
-        reference set (matched over the smaller side).
+        reference set (matched over the smaller side). Every instance is
+        checked, and each unequal one logged, before any scoring, by the
+        same rule as :func:`~multiscore.evaluate_all`.
     :param lowercase: score case-insensitively (the default). Each instance's
         texts become :class:`Sentence` objects under that casing, one per
         distinct text, which are dropped once the instance is scored.
     :return: (mean score, per-instance results in corpus order).
     """
-    if not instances:
-        raise ValueError("corpus must contain at least one instance")
+    _admit(instances, allow_unequal)
     results = [
         multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=allow_unequal, instance_id=inst.id)
         for inst in instances

@@ -30,7 +30,7 @@ from .metrics import (
     corpus_chrfpp,  # unused here: bench/tracer.py patches this binding
     self_bleu,  # bench/tracer.py patches this binding
 )
-from .multiscore import EvalInstance, _instance_sentences, multi_score, warn_unequal
+from .multiscore import EvalInstance, _admit, _instance_sentences, multi_score
 from .multiscore import corpus_multi_score  # unused here: bench/tracer.py patches this binding
 
 log = logging.getLogger(__name__)
@@ -78,24 +78,15 @@ def evaluate_all(
         MS-CHRF and quality chrF++ (default: character order 6, word order
         2, beta 2).
     :param allow_unequal: permit output sets whose size differs from the
-        reference set (matched over the smaller side, logged once per
-        instance).
+        reference set (matched over the smaller side). Every instance is
+        checked, and each unequal one logged, before any scoring, by the
+        same rule as :func:`~multiscore.corpus_multi_score`.
     :param lowercase: evaluate case-insensitively (the default). Every
         metric of an instance reads the same :class:`Sentence` objects, so
         each distinct text is tokenized and profiled once.
     """
     instances = tuple(dataset)
-    if not instances:
-        raise ValueError("cannot evaluate an empty dataset")
-    for inst in instances:
-        if not inst.outputs:
-            raise ValueError(f"instance {inst.id!r} has no outputs to evaluate")
-        if len(inst.outputs) != len(inst.references) and not allow_unequal:
-            raise ValueError(
-                f"instance {inst.id!r}: {len(inst.outputs)} outputs vs "
-                f"{len(inst.references)} references (pass allow_unequal to permit)"
-            )
-        warn_unequal(inst)
+    _admit(instances, allow_unequal)
     sentence_bleu_config = sentence_bleu_config or BleuConfig()
     corpus_bleu_config = corpus_bleu_config or BleuConfig(smoothing=SMOOTH_NONE)
     chrf_config = chrf_config or ChrfConfig()
@@ -118,9 +109,13 @@ def evaluate_all(
         self_score = self_bleu(outputs, sentence_bleu_config) if len(outputs) >= 2 else None
         if self_score is None:
             log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
+        seen: dict = {}  # equal outputs are one Sentence with one grid row: statistics once
         for k, out in enumerate(outputs):
-            bleu = _bleu_stats(out, references, corpus_bleu_config.max_order)
-            chrf = _chrf_stats(out, [references[ms_chrf.matrix.weights[k].argmax()]], chrf_config)
+            if out not in seen:
+                best = references[ms_chrf.matrix.weights[k].argmax()]
+                seen[out] = (_bleu_stats(out, references, corpus_bleu_config.max_order),
+                             _chrf_stats(out, [best], chrf_config))
+            bleu, chrf = seen[out]
             slot_bleu[k] = [a + b for a, b in zip(slot_bleu[k], bleu)]
             slot_chrf[k] = [a + b for a, b in zip(slot_chrf[k], chrf)]
         per_instance.append(InstanceSummary(inst.id, ms_bleu.score, ms_chrf.score, self_score))

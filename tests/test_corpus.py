@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -90,10 +91,13 @@ class TestLoadJsonl:
 DEEP_LINE = b"[" * 200_000 + b"]" * 200_000 + b"\n"
 
 
-@pytest.mark.parametrize("loader, first_line", [
+both_loaders = pytest.mark.parametrize("loader, first_line", [
     (load_jsonl, b'{"id":"a","references":["x"]}\n'),
     (load_outputs_jsonl, b'{"id":"a","outputs":["x"]}\n'),
 ], ids=["load_jsonl", "load_outputs_jsonl"])
+
+
+@both_loaders
 class TestLineErrors:
     def test_nested_too_deep_names_line(self, tmp_path, loader, first_line):
         p = tmp_path / "d.jsonl"
@@ -135,6 +139,30 @@ class TestLineErrors:
         assert len(loader(p)) == 1
         p.write_bytes(first_line + b"\xef\xbb\xbf" + first_line.replace(b'"a"', b'"b"'))
         with pytest.raises(ValueError, match="line 2: malformed JSON"):
+            loader(p)
+
+
+@both_loaders
+class TestRecordRules:
+    """Both files follow one set of record rules, with one message each."""
+
+    @pytest.mark.parametrize("second_line, message", [
+        (lambda first: b'["a", "x"]\n', r"^line 2: expected a JSON object, got list$"),
+        (lambda first: b'"a"\n', r"^line 2: expected a JSON object, got str$"),
+        (lambda first: first.replace(b'"a"', b"7"), r"^line 2: missing or non-string 'id'$"),
+        (lambda first: first.replace(b"}", b',"extra":1}'), r"^line 2: unknown fields \['extra'\]$"),
+        (lambda first: first, r"^duplicate id 'a' on lines 1 and 2$"),
+    ], ids=["array", "string", "non-string-id", "unknown-field", "duplicate-id"])
+    def test_rule_names_its_line(self, tmp_path, loader, first_line, second_line, message):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + second_line(first_line))
+        with pytest.raises(ValueError, match=message):
+            loader(p)
+
+    def test_empty_file_names_the_file(self, tmp_path, loader, first_line):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b"")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: (dataset|outputs file) is empty$"):
             loader(p)
 
 

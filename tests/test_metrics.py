@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiscore import metrics
 from multiscore.metrics import (
     SMOOTH_NONE,
     BleuConfig,
@@ -231,6 +232,30 @@ class TestSelfBleu:
             outs = [random_sentence(rng) for _ in range(int(rng.integers(2, 5)))]
             dup = outs[int(rng.integers(0, len(outs)))]
             assert self_bleu(outs + [dup]) >= self_bleu(outs) - 1e-9
+
+    def test_one_sentence_per_distinct_string(self, monkeypatch):
+        made = []
+
+        class CountedSentence(metrics.Sentence):
+            def __post_init__(self):
+                made.append(self.raw)
+                super().__post_init__()
+
+        outs = ["a b c d", "a b c e", "x y z w", "a b c d", "x y z w", "a b c d"]
+        expected = sum(
+            sentence_bleu(o, [x for j, x in enumerate(outs) if j != i]) for i, o in enumerate(outs)
+        ) / len(outs)
+        monkeypatch.setattr(metrics, "Sentence", CountedSentence)
+        assert self_bleu(outs) == expected
+        assert sorted(made) == sorted(set(outs))
+
+    def test_each_distinct_output_scored_once(self, monkeypatch):
+        calls = []
+        real = metrics.sentence_bleu
+        monkeypatch.setattr(metrics, "sentence_bleu", lambda *a: calls.append(str(a[0])) or real(*a))
+        outs = ["a b c d", "a b c e", "x y z w"] * 4
+        assert self_bleu(outs) == self_bleu(outs[:3] * 2)
+        assert calls == outs[:3] * 2
 
 
 class TestMetricContract:

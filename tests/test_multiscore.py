@@ -4,12 +4,14 @@ quality, permutation invariance)."""
 
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiscore import multiscore as ms
 from multiscore.assignment import brute_force_matching
 from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
 from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score, score_matrix
@@ -351,3 +353,22 @@ class TestCorpusMultiScore:
         inst = EvalInstance(id="a", references=("x y",))
         with pytest.raises(ValueError):
             corpus_multi_score([inst], BleuMetric())
+
+    def test_unequal_instances_warned_in_order_before_scoring(self, caplog, monkeypatch):
+        insts = [
+            EvalInstance(id="a", references=("x y", "z w", "u v"), outputs=("x y", "z w")),
+            EvalInstance(id="b", references=("x y", "z w"), outputs=("x y", "z w")),
+            EvalInstance(id="c", references=("x y",), outputs=("x y", "z w", "u v")),
+        ]
+        warned_at_scoring = []
+        real = ms.score_matrix
+        monkeypatch.setattr(ms, "score_matrix", lambda *a: warned_at_scoring.append(len(caplog.records)) or real(*a))
+        caplog.set_level(logging.WARNING)
+        corpus_multi_score(insts, BleuMetric(), allow_unequal=True)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("multiscore.multiscore",
+             "instance 'a': matching 2 outputs against 3 references (averaging over the smaller side)"),
+            ("multiscore.multiscore",
+             "instance 'c': matching 3 outputs against 1 references (averaging over the smaller side)"),
+        ]
+        assert warned_at_scoring == [2, 2, 2]

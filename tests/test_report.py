@@ -7,6 +7,8 @@ import logging
 import numpy as np
 import pytest
 
+from multiscore import metrics
+from multiscore import report as report_module
 from multiscore.corpus import Dataset
 from multiscore.metrics import BleuConfig, BleuMetric, ChrfConfig, ChrfMetric, SMOOTH_NONE, corpus_bleu, corpus_chrfpp, self_bleu
 from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score
@@ -122,6 +124,44 @@ class TestEvaluateAll:
         inst = EvalInstance(id="a", references=("x y",))
         with pytest.raises(ValueError, match="no outputs"):
             evaluate_all([inst])
+
+    @pytest.mark.parametrize("inst, allow_unequal", [
+        (EvalInstance(id="a", references=("x y", "z w")), False),
+        (EvalInstance(id="a", references=("x y", "z w"), outputs=("x y",)), False),
+        (EvalInstance(id="a", references=("x y", "z w")), True),
+    ], ids=["no-outputs", "unequal", "no-outputs-allow-unequal"])
+    def test_admission_errors_match_corpus_multi_score(self, inst, allow_unequal):
+        instances = [make_instance(0, np.random.default_rng(26)), inst]
+        with pytest.raises(ValueError) as report_error:
+            evaluate_all(instances, allow_unequal=allow_unequal)
+        with pytest.raises(ValueError) as corpus_error:
+            corpus_multi_score(instances, BleuMetric(), allow_unequal=allow_unequal)
+        assert str(report_error.value) == str(corpus_error.value)
+        assert str(report_error.value) in (
+            "instance 'a' has no outputs to evaluate",
+            "instance 'a': 1 outputs vs 2 references (pass allow_unequal to permit)",
+        )
+
+    def test_n_best_statistics_once_per_distinct_output(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        inst = make_instance(0, rng, n_refs=12)
+        inst = EvalInstance(id=inst.id, references=inst.references, outputs=make_instance(1, rng).outputs * 4)
+        assert len(set(inst.outputs)) == 3
+        before = render(evaluate_all([inst]), "json")
+        calls = {"bleu": 0, "chrf": 0, "self": 0}
+
+        def counted(name, fn, when=lambda *a: True):
+            def wrapper(*args):
+                calls[name] += when(*args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(report_module, "_bleu_stats", counted("bleu", report_module._bleu_stats))
+        monkeypatch.setattr(report_module, "_chrf_stats", counted("chrf", report_module._chrf_stats))
+        # a Self-BLEU score is the one sentence BLEU with more than one reference
+        monkeypatch.setattr(metrics, "sentence_bleu", counted("self", metrics.sentence_bleu, lambda h, refs, *_: len(refs) > 1))
+        assert render(evaluate_all([inst]), "json") == before
+        assert calls == {"bleu": 3, "chrf": 3, "self": 3}
 
     def test_cased_and_lowercased_runs_do_not_mix(self):
         rng = np.random.default_rng(27)

@@ -1,0 +1,124 @@
+"""Byte-identity gate: run every report command on fixed inputs and keep
+what each one printed.
+
+    python tools/byte_gate.py OUTDIR [--repo CHECKOUT]
+
+OUTDIR (new or empty) receives ``inputs/``, the files the commands read,
+and ``results/INPUT/COMMAND.{stdout,stderr,exit}``. The program run is the
+package under ``CHECKOUT/src`` (default: this checkout), so two checkouts
+are compared by running the tool once against each and then
+``diff -r OUTDIR1 OUTDIR2``: no output means every report, diagnostic and
+exit code is byte-identical.
+
+Inputs: the bundled demo corpus with its four ``generate --seed 7`` output
+sets (the generate runs are gate commands too), a title-cased copy of those
+sets, the benchmark's eval-small and eval-nbest inputs at the default seed
+(built by ``bench/workloads.py``) and ``tests/evaluate_golden/``. On each,
+``evaluate --allow-unequal`` in every format and ``multiscore
+--allow-unequal --per-instance`` for both metrics and both formats, each
+with and without ``--no-lowercase``: 158 commands.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STRATEGIES = ("beam3", "random", "topk3", "ensemble")
+
+COMMANDS = [
+    (f"evaluate-{fmt}", ["evaluate", "--allow-unequal", "--format", fmt]) for fmt in ("json", "tsv", "table")
+] + [
+    (f"multiscore-{metric}-{fmt}",
+     ["multiscore", "--allow-unequal", "--per-instance", "--metric", metric, "--format", fmt])
+    for metric in ("bleu", "chrf")
+    for fmt in ("json", "table")
+]
+
+
+def _workloads():
+    """bench/workloads.py of this checkout, imported without writing
+    bytecode next to it."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, os.path.join(HERE, "bench"))
+    import workloads
+
+    return workloads
+
+
+def _run(repo, outdir, name, args):
+    """Run ``multiscore ARGS`` in OUTDIR and record its stdout, stderr and
+    exit code under ``results/NAME``. Paths are relative to OUTDIR, so
+    a message that names a file reads the same in every OUTDIR."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    proc = subprocess.run([sys.executable, "-m", "multiscore.cli", *args], cwd=outdir, env=env,
+                          capture_output=True)
+    base = os.path.join(outdir, "results", name)
+    os.makedirs(os.path.dirname(base), exist_ok=True)
+    for suffix, data in (("stdout", proc.stdout), ("stderr", proc.stderr), ("exit", b"%d\n" % proc.returncode)):
+        with open(f"{base}.{suffix}", "wb") as fh:
+            fh.write(data)
+    return proc.returncode
+
+
+def _title_cased(src, dst):
+    with open(src, encoding="utf-8") as fh, open(dst, "w", encoding="utf-8", newline="\n") as out:
+        for line in fh:
+            record = json.loads(line)
+            record["outputs"] = [text.title() for text in record["outputs"]]
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def build_inputs(repo, outdir):
+    """Write the gate inputs under OUTDIR/inputs, running the generate
+    commands; return ({name: --data/--outputs args}, generate exit codes)."""
+    inputs = os.path.join(outdir, "inputs")
+    os.makedirs(inputs)
+    demo = os.path.join("inputs", "demo.jsonl")
+    shutil.copyfile(os.path.join(repo, "src", "multiscore", "data", "demo_corpus.jsonl"), os.path.join(outdir, demo))
+    cases, codes = {}, []
+    for strategy in STRATEGIES:
+        outs = os.path.join("inputs", f"demo-{strategy}.jsonl")
+        codes.append(_run(repo, outdir, f"generate/{strategy}", ["generate", "--train", demo, "--strategy", strategy,
+                                                                 "--seed", "7", "--out", outs]))
+        cases[f"demo-{strategy}"] = ["--data", demo, "--outputs", outs]
+        titled = os.path.join("inputs", f"demo-{strategy}-title.jsonl")
+        _title_cased(os.path.join(outdir, outs), os.path.join(outdir, titled))
+        cases[f"demo-{strategy}-title"] = ["--data", demo, "--outputs", titled]
+    workloads = _workloads()
+    for name, make in (("eval-small", workloads.make_eval_small), ("eval-nbest", workloads.make_eval_nbest)):
+        os.makedirs(os.path.join(inputs, name))
+        make(workloads.DEFAULT_SEED, os.path.join(inputs, name))
+        cases[name] = ["--data", os.path.join("inputs", name, "refs.jsonl"),
+                       "--outputs", os.path.join("inputs", name, "outs.jsonl")]
+    golden = os.path.join("inputs", "evaluate_golden.jsonl")
+    shutil.copyfile(os.path.join(HERE, "tests", "evaluate_golden", "evaluate.jsonl"), os.path.join(outdir, golden))
+    cases["evaluate-golden"] = ["--data", golden]
+    return cases, codes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", help="new or empty directory for the inputs and results")
+    parser.add_argument("--repo", default=HERE, help="checkout whose src/ is run (default: this one)")
+    args = parser.parse_args(argv)
+    outdir, repo = os.path.abspath(args.outdir), os.path.abspath(args.repo)
+    if os.path.exists(outdir) and os.listdir(outdir):
+        parser.error(f"{outdir} is not empty")
+    os.makedirs(outdir, exist_ok=True)
+    cases, codes = build_inputs(repo, outdir)
+    for case, io_args in cases.items():
+        for label, command in COMMANDS:
+            codes.append(_run(repo, outdir, f"{case}/{label}", command + io_args))
+            codes.append(_run(repo, outdir, f"{case}/{label}-cased", command + io_args + ["--no-lowercase"]))
+    print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a non-zero exit; results in {outdir}/results")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
