@@ -52,6 +52,14 @@ _ENUMERATE_LIMIT = 120
 _BRUTE_FORCE_LIMIT = 8
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Reject weights outside [0, 100], non-finite ones first."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError("score matrix contains non-finite weights")
+    if w.min() < 0.0 or w.max() > 100.0:
+        raise ValueError("score matrix weights must lie in [0, 100]")
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Weights of the bipartite graph: outputs on rows, references on
@@ -63,10 +71,7 @@ class ScoreMatrix:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError(f"score matrix must be 2-D and non-empty, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("score matrix contains non-finite weights")
-        if w.min() < 0.0 or w.max() > 100.0:
-            raise ValueError("score matrix weights must lie in [0, 100]")
+        _check_weights(w)
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -103,6 +108,26 @@ def _coerce(matrix) -> ScoreMatrix:
     return matrix if isinstance(matrix, ScoreMatrix) else ScoreMatrix(np.asarray(matrix))
 
 
+def _enumerable(nr: int, nc: int) -> bool:
+    """Whether an nr x nc matrix has at most ``_ENUMERATE_LIMIT`` injective
+    assignments."""
+    n = max(nr, nc)
+    # math.perm(n, k) >= n for k >= 1, so testing n first is exact and keeps
+    # a large matrix from computing a huge count
+    return n <= _ENUMERATE_LIMIT and math.perm(n, min(nr, nc)) <= _ENUMERATE_LIMIT
+
+
+def _assignments(nr: int, nc: int) -> np.ndarray:
+    """Every injective assignment of the smaller side into the larger:
+    row a, slot s holds the larger side's index on slot s of the smaller
+    side, rows in lexicographic order."""
+    k, m = min(nr, nc), max(nr, nc)
+    count = math.perm(m, k)
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(m), k)), dtype=np.intp, count=count * k
+    ).reshape(count, k)
+
+
 def _enumerated_edges(w: np.ndarray) -> list[tuple[int, int]]:
     """Best assignment of a tiny matrix by trying every one of them.
 
@@ -112,14 +137,8 @@ def _enumerated_edges(w: np.ndarray) -> list[tuple[int, int]]:
     wins.
     """
     nr, nc = w.shape
-    k, m = min(nr, nc), max(nr, nc)
-    count = math.perm(m, k)
-    # perms[a, s]: the larger side's index on slot s of the smaller side,
-    # rows in lexicographic order
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(m), k)), dtype=np.intp, count=count * k
-    ).reshape(count, k)
-    slots = np.arange(k)
+    perms = _assignments(nr, nc)
+    slots = np.arange(min(nr, nc))
     # at most _ENUMERATE_LIMIT totals: plain Python selects among them faster
     if nr <= nc:
         totals = w[slots, perms].sum(axis=1).tolist()
@@ -306,17 +325,37 @@ def max_weight_matching(matrix) -> Matching:
     :param matrix: a :class:`ScoreMatrix` or anything convertible to one.
     :return: the optimal :class:`Matching`.
     """
-    matrix = _coerce(matrix)
-    w = matrix.weights
-    nr, nc = w.shape
-    n = max(nr, nc)
-    # math.perm(n, k) >= n for k >= 1, so testing n first is exact and keeps
-    # a large matrix from computing a huge count
-    if n <= _ENUMERATE_LIMIT and math.perm(n, min(nr, nc)) <= _ENUMERATE_LIMIT:
-        edges = _enumerated_edges(w)
-    else:
-        edges = _solved_edges(w)
+    w = _coerce(matrix).weights
+    edges = _enumerated_edges(w) if _enumerable(*w.shape) else _solved_edges(w)
     return Matching.from_edges(edges, w)
+
+
+def _matched_totals(grids: np.ndarray) -> list[float]:
+    """The :attr:`Matching.total` that :func:`max_weight_matching` gives each
+    of a stack of same-shape grids, without building either object.
+
+    Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
+    with one gather over the assignment table. A grid whose best total is
+    tied, within ``_TIE_TOL``, by a second assignment takes
+    :func:`_enumerated_edges`, which breaks the tie; larger grids are
+    solved one at a time.
+    """
+    _check_weights(grids)
+    _, nr, nc = grids.shape
+    if not _enumerable(nr, nc):
+        return [math.fsum(w[r, c] for r, c in _solved_edges(w)) for w in grids]
+    perms = _assignments(nr, nc)
+    slots = np.arange(min(nr, nc))
+    # picked[g, a, s]: the weight assignment a puts on slot s of grid g
+    picked = grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]
+    totals = picked.sum(axis=2)
+    tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
+    # the first tied assignment's weights, which are the answer when it is the only one
+    first = picked[np.arange(len(grids)), tied.argmax(axis=1)].tolist()
+    return [
+        math.fsum(weights) if unique else math.fsum(w[r, c] for r, c in _enumerated_edges(w))
+        for w, weights, unique in zip(grids, first, (tied.sum(axis=1) == 1).tolist())
+    ]
 
 
 def brute_force_matching(matrix) -> Matching:

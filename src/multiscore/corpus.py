@@ -87,8 +87,9 @@ def _read_jsonl(path):
 
 def _records(path, fields, what):
     """Yield ``(line_no, object)`` for each record of a JSON Lines file:
-    a JSON object with no field outside ``fields`` and a string ``id``
-    that no earlier line holds. An empty file is an error, named ``what``."""
+    a JSON object with no field outside ``fields`` and a non-empty string
+    ``id`` that no earlier line holds. An empty file is an error, named
+    ``what``."""
     id_lines: dict[str, int] = {}
     for line_no, obj in _read_jsonl(path):
         if not isinstance(obj, dict):
@@ -98,6 +99,8 @@ def _records(path, fields, what):
             raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
         if not isinstance(obj.get("id"), str):
             raise ValueError(f"line {line_no}: missing or non-string 'id'")
+        if not obj["id"]:
+            raise ValueError(f"line {line_no}: instance id must be non-empty")
         _check_unicode(line_no, "id", [obj["id"]])
         if obj["id"] in id_lines:
             raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")

@@ -2,10 +2,16 @@
 
 All scores live on a 0-100 scale. Each metric extracts one segment's
 sufficient statistics (``_bleu_stats``, ``_chrf_stats``); a sentence score
-is computed from one segment's statistics, a corpus score from their sums.
-Sentence-level scorers double as the pairwise metric consumed by the
-assignment-based set evaluation, via the :class:`SentenceMetric` adapters
-at the bottom of the module.
+is computed from one segment's statistics (``_bleu_score``,
+``_chrf_score``), a corpus score from their sums. Sentence-level scorers
+double as the pairwise metric consumed by the assignment-based set
+evaluation, via the :class:`SentenceMetric` adapters at the bottom of the
+module.
+
+These functions are the per-pair API. :func:`~multiscore.evaluate_all`
+takes the same integer statistics from the count tables of
+:mod:`multiscore.table` instead, and turns them into scores with the same
+``_bleu_score`` and ``_chrf_score``.
 """
 
 from __future__ import annotations

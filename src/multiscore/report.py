@@ -3,8 +3,12 @@
 Quality is corpus BLEU / chrF++ averaged over the three output slots, each
 slot scored against the full multi-reference sets. Diversity is Self-BLEU
 (macro-averaged per instance) plus the assignment-based set scores MS-BLEU
-and MS-CHRF. Scores are carried at full precision and rounded to two
-decimals (half-up) only when rendered.
+and MS-CHRF. Every integer statistic comes from the block-bounded n-gram
+count tables of :mod:`multiscore.table`; the scalar ``_bleu_score`` and
+``_chrf_score`` turn them into scores, so a report equals, byte for byte,
+the one the per-pair functions of :mod:`multiscore.metrics` and
+:mod:`multiscore.multiscore` give. Scores are carried at full precision and
+rounded to two decimals (half-up) only when rendered.
 """
 
 from __future__ import annotations
@@ -15,22 +19,21 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
+import numpy as np
+
+from .assignment import _matched_totals
 from .corpus import Dataset
 from .metrics import (
     BleuConfig,
-    BleuMetric,
     ChrfConfig,
-    ChrfMetric,
     SMOOTH_NONE,
     _bleu_score,
-    _bleu_stats,
     _chrf_score,
-    _chrf_stats,
     corpus_bleu,  # unused here: bench/tracer.py patches this binding
     corpus_chrfpp,  # unused here: bench/tracer.py patches this binding
-    self_bleu,  # bench/tracer.py patches this binding
+    self_bleu,  # unused here: bench/tracer.py patches this binding
 )
-from .multiscore import EvalInstance, _admit, _instance_sentences, multi_score
+from .multiscore import EvalInstance, _admit
 from .multiscore import corpus_multi_score  # unused here: bench/tracer.py patches this binding
 
 log = logging.getLogger(__name__)
@@ -66,8 +69,12 @@ def evaluate_all(
     lowercase: bool = True,
 ) -> EvaluationReport:
     """Compute the full evaluation battery for a dataset with outputs in one
-    pass: each instance's sentences give its MS-BLEU, MS-CHRF and Self-BLEU
-    and add to its slots' corpus BLEU / chrF++ totals, then are dropped.
+    pass over blocks of instances: each block's count tables give its
+    instances' MS-BLEU, MS-CHRF and Self-BLEU and add to the slots' corpus
+    BLEU / chrF++ totals, then are dropped. The numbers are those of
+    :func:`~multiscore.multi_score`, :func:`~multiscore.self_bleu`,
+    :func:`~multiscore.corpus_bleu` and :func:`~multiscore.corpus_chrfpp`
+    on the same texts.
 
     :param dataset: instances, each carrying both references and outputs.
     :param sentence_bleu_config: config for the pairwise BLEU behind MS-BLEU
@@ -81,44 +88,63 @@ def evaluate_all(
         reference set (matched over the smaller side). Every instance is
         checked, and each unequal one logged, before any scoring, by the
         same rule as :func:`~multiscore.corpus_multi_score`.
-    :param lowercase: evaluate case-insensitively (the default). Every
-        metric of an instance reads the same :class:`Sentence` objects, so
-        each distinct text is tokenized and profiled once.
+    :param lowercase: evaluate case-insensitively (the default). Texts
+        equal after casing and whitespace normalization are one column of
+        their instance, so each is tokenized and counted once.
     """
+    # imported on first use, so that importing the package, as every
+    # command does at start-up, does not load the table module
+    from .table import count_blocks
+
     instances = tuple(dataset)
     _admit(instances, allow_unequal)
     sentence_bleu_config = sentence_bleu_config or BleuConfig()
     corpus_bleu_config = corpus_bleu_config or BleuConfig(smoothing=SMOOTH_NONE)
     chrf_config = chrf_config or ChrfConfig()
-    bleu_metric, chrf_metric = BleuMetric(sentence_bleu_config), ChrfMetric(chrf_config)
 
     # quality: corpus statistics per output slot, each output against its
     # instance's full reference set. Corpus chrF++ keeps each segment's best
     # reference, the first on ties: the first maximum of the output's row in
-    # the MS-CHRF grid, so the grid picks it and no pair is scored twice
+    # the MS-CHRF grid, so no pair is scored twice
     n_slots = max(len(inst.outputs) for inst in instances)
     slot_bleu = [[0] * (2 + 2 * corpus_bleu_config.max_order) for _ in range(n_slots)]
     slot_chrf = [[0] * (3 * (chrf_config.char_order + chrf_config.word_order)) for _ in range(n_slots)]
     per_instance = []
-    for inst in instances:
-        outputs, references = _instance_sentences(inst, lowercase)
-        # diversity: assignment-based set scores
-        ms_bleu = multi_score(outputs, references, bleu_metric, allow_unequal, inst.id)
-        ms_chrf = multi_score(outputs, references, chrf_metric, allow_unequal, inst.id)
-        # diversity: Self-BLEU (needs at least two outputs)
-        self_score = self_bleu(outputs, sentence_bleu_config) if len(outputs) >= 2 else None
-        if self_score is None:
-            log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
-        seen: dict = {}  # equal outputs are one Sentence with one grid row: statistics once
-        for k, out in enumerate(outputs):
-            if out not in seen:
-                best = references[ms_chrf.matrix.weights[k].argmax()]
-                seen[out] = (_bleu_stats(out, references, corpus_bleu_config.max_order),
-                             _chrf_stats(out, [best], chrf_config))
-            bleu, chrf = seen[out]
-            slot_bleu[k] = [a + b for a, b in zip(slot_bleu[k], bleu)]
-            slot_chrf[k] = [a + b for a, b in zip(slot_chrf[k], chrf)]
-        per_instance.append(InstanceSummary(inst.id, ms_bleu.score, ms_chrf.score, self_score))
+    blocks = count_blocks(instances, lowercase, chrf_config.char_order, chrf_config.word_order,
+                          sentence_bleu_config.max_order, corpus_bleu_config.max_order)
+    for block in blocks:
+        grids: dict = {}  # (outputs, references) -> [(block position, MS-BLEU grid, MS-CHRF grid)]
+        self_scores = []
+        for b, (_, counts) in enumerate(block):
+            # one score per distinct (output, reference) text pair
+            bleu = [[_bleu_score(stats, sentence_bleu_config) for stats in row] for row in counts.pair_bleu]
+            chrf = [[_chrf_score(stats, chrf_config.beta) for stats in row] for row in counts.pair_chrf]
+            shape = (len(counts.out_cols), len(counts.ref_cols))
+            grids.setdefault(shape, []).append((
+                b,
+                [[bleu[o][r] for r in counts.ref_cols] for o in counts.out_cols],
+                [[chrf[o][r] for r in counts.ref_cols] for o in counts.out_cols],
+            ))
+            # diversity: Self-BLEU, the mean over outputs of their text's score
+            if counts.self_bleu is None:
+                self_scores.append(None)
+            else:
+                scores = [_bleu_score(stats, sentence_bleu_config) for stats in counts.self_bleu]
+                self_scores.append(sum(scores[o] for o in counts.out_cols) / len(counts.out_cols))
+            for k, o in enumerate(counts.out_cols):
+                best = chrf[o].index(max(chrf[o]))
+                slot_bleu[k] = [x + y for x, y in zip(slot_bleu[k], counts.slot_bleu[o])]
+                slot_chrf[k] = [x + y for x, y in zip(slot_chrf[k], counts.pair_chrf[o][best])]
+        # diversity: assignment-based set scores, the block's grids of one shape matched together
+        ms = [None] * len(block)
+        for (n_out, n_ref), items in grids.items():
+            totals = _matched_totals(np.array([grid for item in items for grid in item[1:]]))
+            for (b, _, _), bleu_total, chrf_total in zip(items, totals[0::2], totals[1::2]):
+                ms[b] = (bleu_total / min(n_out, n_ref), chrf_total / min(n_out, n_ref))
+        for (inst, _), (ms_bleu, ms_chrf), self_score in zip(block, ms, self_scores):
+            if self_score is None:
+                log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
+            per_instance.append(InstanceSummary(inst.id, ms_bleu, ms_chrf, self_score))
 
     usable = [s.self_bleu for s in per_instance if s.self_bleu is not None]
     mean_self = sum(usable) / len(usable) if usable else None

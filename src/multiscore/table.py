@@ -1,0 +1,284 @@
+"""Block-bounded n-gram count tables: every integer statistic behind
+:func:`~multiscore.evaluate_all`.
+
+The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
+Within a block, an instance's columns are its distinct casing-normalized
+texts (:func:`_key`), outputs and references apart, in first-seen order.
+Each n-gram order has one table: a row per distinct (instance, n-gram) that
+one of the instance's outputs holds, and in each cell that column's count
+of the n-gram. An n-gram no output holds matches nothing, so it gets no
+row. Character tables run over code points, word tables over token ids;
+BLEU and chrF++ share the word tables.
+
+Every statistic is a column operation summed per instance with
+``np.add.reduceat``: an output's overlap with one reference (chrF++ and
+BLEU pairs), its clip against the largest count in any reference (slot
+BLEU) or in any other output (Self-BLEU). Lengths and totals come from
+each text's symbol count. The statistics are the integer lists that
+``_bleu_stats`` and ``_chrf_stats`` return for the same texts, so the
+scalar ``_bleu_score`` and ``_chrf_score`` turn them into the same floats.
+
+An n-gram of order n is ranked from (its first n-1 symbols' rank, its
+last symbol), and order 0 is the instance. A key is at most (positions in
+the block) x 0x110000, so it fits an int64 at every order, whatever the
+alphabet. Nothing outlives a block: each table is dropped once its
+statistics are taken.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from . import text
+
+# Cells per block: (output characters) x (distinct outputs + distinct
+# references), summed over the block's instances; it bounds the widest
+# table. Measured on eval-small (2,000 instances of 3 outputs and 2-4
+# references, 2-CPU VM): evaluate_all took 1.13 s at 2**12 cells, 0.71 s at
+# 2**14, 0.59 s at 2**15 and 0.55-0.62 s from 2**16 to 2**19 (medians of
+# five in-process runs); a cold `evaluate` peaked at 34.8 MB RSS at 2**15
+# (34.5 MB with one instance a block), 36.9 MB at 2**16, 41.1 MB at 2**17
+# and 50.4 MB at 2**18. An instance of 8 distinct outputs and 200
+# references takes about 2**16 cells, so it is a block of its own.
+_BLOCK_CELLS = 1 << 15
+
+_CODE_POINTS = 0x110000  # symbols of the character tables
+
+
+class Counts(NamedTuple):
+    """One instance's integer statistics, indexed by distinct text.
+
+    ``out_cols[k]`` and ``ref_cols[j]`` are the columns of output k and
+    reference j. ``pair_bleu[o][r]`` and ``pair_chrf[o][r]`` are the
+    ``_bleu_stats`` and ``_chrf_stats`` of distinct output o against
+    distinct reference r alone; ``slot_bleu[o]`` is o's ``_bleu_stats``
+    against every reference. ``self_bleu[o]`` is o's ``_bleu_stats``
+    against the other outputs, where a repeat of o's text is one of the
+    others; it is None when the instance has a single output.
+    """
+
+    out_cols: list
+    ref_cols: list
+    pair_bleu: list
+    pair_chrf: list
+    slot_bleu: list
+    self_bleu: list | None
+
+
+def _key(raw: str, lowercase: bool) -> str:
+    """The text as the metrics read it: its word tokens and its character
+    stream (the key without its spaces) are functions of this key alone."""
+    return " ".join((raw.lower() if lowercase else raw).split())
+
+
+def _columns(keys) -> tuple[list[int], list[str]]:
+    """Each key's column, and the distinct keys in first-seen order."""
+    index: dict = {}
+    return [index.setdefault(k, len(index)) for k in keys], list(index)
+
+
+def _blocks(instances, lowercase):
+    """Runs of consecutive instances whose tables stay within
+    ``_BLOCK_CELLS`` cells (an instance wider than that is a run of its
+    own), each instance with its output and reference columns."""
+    block, chars, widths = [], 0, (0, 0)
+    for inst in instances:
+        outs = _columns([_key(t, lowercase) for t in inst.outputs])
+        refs = _columns([_key(t, lowercase) for t in inst.references])
+        inst_chars = sum(map(len, outs[1]))  # bounds the instance's rows
+        grown = (max(widths[0], len(outs[1])), max(widths[1], len(refs[1])))
+        if block and (chars + inst_chars) * sum(grown) > _BLOCK_CELLS:
+            yield block
+            block, chars, grown = [], 0, (len(outs[1]), len(refs[1]))
+        block.append((inst, outs, refs))
+        chars, widths = chars + inst_chars, grown
+    if block:
+        yield block
+
+
+def _sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per instance, the sum of its rows of ``values``; instance b owns rows
+    ``bounds[b]:bounds[b + 1]``, and an instance without rows sums to 0."""
+    starts = bounds[:-1]
+    filled = starts < bounds[1:]
+    sums = np.zeros((len(starts),) + values.shape[1:], dtype=np.int64)
+    if filled.any():
+        # the filled instances' rows are consecutive and cover every row
+        sums[filled] = np.add.reduceat(values, starts[filled], axis=0)
+    return sums
+
+
+class _Layout:
+    """Where a block's texts sit: per instance, its distinct outputs, then
+    its distinct references, one text after another in a symbol stream."""
+
+    def __init__(self, block):
+        self.n_inst = len(block)
+        self.width_out = max(len(outs[1]) for _, outs, _ in block)
+        self.width_ref = max(len(refs[1]) for _, _, refs in block)
+        self.keys, inst, is_out, col = [], [], [], []
+        # copies[b, o]: how many of instance b's outputs have text o
+        self.copies = np.zeros((self.n_inst, self.width_out), dtype=np.int64)
+        for b, (_, outs, refs) in enumerate(block):
+            for side, distinct in ((True, outs[1]), (False, refs[1])):
+                self.keys += distinct
+                inst += [b] * len(distinct)
+                is_out += [side] * len(distinct)
+                col += range(len(distinct))
+            for o in outs[0]:
+                self.copies[b, o] += 1
+        self.inst = np.array(inst, dtype=np.int64)
+        self.is_out = np.array(is_out, dtype=bool)
+        self.col = np.array(col, dtype=np.int64)
+
+    def chars(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The character stream: code points, each text's length, and the
+        number of distinct symbols a key may hold."""
+        chars = "".join(k.replace(" ", "") for k in self.keys)
+        symbols = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+        return symbols, np.array([len(k) - k.count(" ") for k in self.keys], dtype=np.int64), _CODE_POINTS
+
+    def words(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The word stream: token ids, each text's length, and the number
+        of distinct tokens. Each distinct key is tokenized once."""
+        vocab: dict = {}
+        tokens = {k: [vocab.setdefault(t, len(vocab)) for t in text.tokenize_words(k, lowercase=False)]
+                  for k in dict.fromkeys(self.keys)}
+        symbols = np.array([t for k in self.keys for t in tokens[k]], dtype=np.int64)
+        return symbols, np.array([len(tokens[k]) for k in self.keys], dtype=np.int64), max(len(vocab), 1)
+
+    def padded(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-text ``lengths`` as (instance, output) and (instance,
+        reference) arrays, 0 where an instance has fewer columns."""
+        out = np.zeros((self.n_inst, self.width_out), dtype=np.int64)
+        ref = np.zeros((self.n_inst, self.width_ref), dtype=np.int64)
+        out[self.inst[self.is_out], self.col[self.is_out]] = lengths[self.is_out]
+        ref[self.inst[~self.is_out], self.col[~self.is_out]] = lengths[~self.is_out]
+        return out, ref
+
+    def tables(self, symbols: np.ndarray, lengths: np.ndarray, n_symbols: int, max_order: int):
+        """Yield ``(out, ref, bounds)`` for orders 1..``max_order`` of a
+        stream: the (row, output) and (row, reference) count tables, and
+        ``bounds``, where instance b owns rows ``bounds[b]:bounds[b + 1]``."""
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        inst, is_out, col = self.inst[owner], self.is_out[owner], self.col[owner]
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols to the text's end
+        rank = inst.copy()  # order 0: the instance
+        at = np.arange(len(symbols))  # where an n-gram starts
+        for n in range(1, max_order + 1):
+            at = at[left[at] >= n]
+            grams, ids = np.unique(rank[at] * n_symbols + symbols[at + n - 1], return_inverse=True)
+            rank[at] = ids
+            out, cols = is_out[at], col[at]
+            # rows: the n-grams some output holds, in rank order, so grouped by instance
+            used = np.zeros(len(grams), dtype=bool)
+            used[ids[out]] = True
+            row = np.cumsum(used) - 1
+            n_rows = int(used.sum())
+            out_table = np.bincount(row[ids[out]] * self.width_out + cols[out], minlength=n_rows * self.width_out)
+            ref_ids, ref_cols = ids[~out], cols[~out]
+            kept = used[ref_ids]
+            ref_table = np.bincount(row[ref_ids[kept]] * self.width_ref + ref_cols[kept],
+                                    minlength=n_rows * self.width_ref)
+            inst_of_gram = np.empty(len(grams), dtype=np.int64)
+            inst_of_gram[ids] = inst[at]
+            bounds = np.searchsorted(inst_of_gram[used], np.arange(self.n_inst + 1))
+            yield out_table.reshape(n_rows, self.width_out), ref_table.reshape(n_rows, self.width_ref), bounds
+
+
+def _windows(lengths: np.ndarray, n: int) -> np.ndarray:
+    """The number of n-grams in texts of ``lengths`` symbols."""
+    return np.maximum(lengths - (n - 1), 0)
+
+
+def _closest(lengths: np.ndarray, allowed: np.ndarray, hyp: np.ndarray) -> np.ndarray:
+    """Per hypothesis length, the allowed length closest to it, ties
+    toward the shorter; ``lengths`` and ``allowed`` broadcast to
+    (*hyp.shape, candidates)."""
+    big = int(lengths.max(initial=0)) + 1
+    cost = np.abs(lengths - hyp[..., None]) * big + lengths
+    return np.where(allowed, cost, np.iinfo(np.int64).max).min(axis=-1) % big
+
+
+def _pairs(out: np.ndarray, ref: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(instance, output, reference) overlaps of one order's tables."""
+    return np.stack([_sums(np.minimum(out[:, [o]], ref), bounds) for o in range(out.shape[1])], axis=1)
+
+
+def count_blocks(instances, lowercase: bool, char_order: int, word_order: int, pair_order: int, slot_order: int):
+    """Yield ``[(instance, Counts), ...]`` for each block of ``instances``.
+
+    :param char_order: chrF++ character orders 1..``char_order``.
+    :param word_order: chrF++ word orders 1..``word_order``.
+    :param pair_order: BLEU orders of the pair and Self-BLEU statistics.
+    :param slot_order: BLEU orders of the slot statistics.
+    """
+    for block in _blocks(instances, lowercase):
+        counts = _count(block, char_order, word_order, pair_order, slot_order)
+        yield [(inst, c) for (inst, _, _), c in zip(block, counts)]
+
+
+def _count(block, char_order, word_order, pair_order, slot_order) -> list[Counts]:
+    layout = _Layout(block)
+    chars, words = layout.chars(), layout.words()
+    char_out, char_ref = layout.padded(chars[1])
+    word_out, word_ref = layout.padded(words[1])
+
+    char_pairs = [_pairs(*tables) for tables in layout.tables(*chars, char_order)]
+    word_pairs, slot_clips, self_clips = [], [], []
+    for n, (out, ref, bounds) in enumerate(layout.tables(*words, max(word_order, pair_order, slot_order)), start=1):
+        if n <= max(word_order, pair_order):
+            word_pairs.append(_pairs(out, ref, bounds))
+        if n <= slot_order:
+            slot_clips.append(_sums(np.minimum(out, ref.max(axis=1, keepdims=True)), bounds))
+        if n <= pair_order:
+            # min(count, largest count in any other output) is min(count,
+            # second largest count in the row): the row's largest once its
+            # first largest is set aside
+            first = out.argmax(axis=1)[:, None] == np.arange(out.shape[1])
+            second = np.where(first, 0, out).max(axis=1, keepdims=True, initial=0)
+            self_clips.append(_sums(np.minimum(out, second), bounds))
+
+    # chrF++: (matched, hypothesis total, reference total) per order,
+    # character orders first
+    chrf_parts = []
+    for orders, out_len, ref_len in ((char_pairs, char_out, char_ref), (word_pairs[:word_order], word_out, word_ref)):
+        for n, overlaps in enumerate(orders, start=1):
+            chrf_parts += [overlaps, _windows(out_len, n)[:, :, None], _windows(ref_len, n)[:, None, :]]
+    pair_chrf = np.stack(np.broadcast_arrays(*chrf_parts), axis=-1)
+    # BLEU: hypothesis length, reference length, matches and totals per order
+    totals = [_windows(word_out, n) for n in range(1, max(pair_order, slot_order) + 1)]
+    pair_bleu = np.stack(np.broadcast_arrays(
+        word_out[:, :, None], word_ref[:, None, :],
+        *word_pairs[:pair_order], *(total[:, :, None] for total in totals[:pair_order]),
+    ), axis=-1)
+
+    n_refs = np.array([len(refs[1]) for _, _, refs in block])
+    valid_ref = np.arange(layout.width_ref) < n_refs[:, None]
+    slot_len = _closest(word_ref[:, None, :], valid_ref[:, None, :], word_out)
+    slot_bleu = np.stack([word_out, slot_len, *slot_clips, *totals[:slot_order]], axis=-1)
+
+    # Self-BLEU: the others are the other outputs, and a repeated output's
+    # text is one of its own others, all of whose n-grams it matches
+    n_outs = np.array([len(outs[1]) for _, outs, _ in block])
+    repeated = layout.copies > 1
+    others = (np.arange(layout.width_out) < n_outs[:, None])[:, None, :]
+    others = others & (~np.eye(layout.width_out, dtype=bool) | repeated[:, :, None])
+    self_len = _closest(word_out[:, None, :], others, word_out)
+    self_matched = [np.where(repeated, total, clips) for total, clips in zip(totals, self_clips)]
+    self_bleu = np.stack([word_out, self_len, *self_matched, *totals[:pair_order]], axis=-1)
+
+    counts = []
+    for b, (_, outs, refs) in enumerate(block):
+        n_out, n_ref = len(outs[1]), len(refs[1])
+        counts.append(Counts(
+            out_cols=outs[0],
+            ref_cols=refs[0],
+            pair_bleu=pair_bleu[b, :n_out, :n_ref].tolist(),
+            pair_chrf=pair_chrf[b, :n_out, :n_ref].tolist(),
+            slot_bleu=slot_bleu[b, :n_out].tolist(),
+            self_bleu=self_bleu[b, :n_out].tolist() if len(outs[0]) > 1 else None,
+        ))
+    return counts

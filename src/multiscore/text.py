@@ -21,6 +21,9 @@ def tokenize_words(raw: str, lowercase: bool = True) -> list[str]:
         raw = raw.lower()
     tokens: list[str] = []
     for chunk in raw.split():
+        if chunk.isalnum():  # letters and digits only: no character of category P
+            tokens.append(chunk)
+            continue
         buf: list[str] = []
         for ch in chunk:
             if unicodedata.category(ch)[0] == "P":

@@ -132,7 +132,9 @@ class TestEvaluate:
      "error: line 2: instance 'b': empty output sentence\n"),
     ('{"id":"b","outputs":["the dog ran away"],"strategy":"beam_top3","score":1}',
      "error: line 2: unknown fields ['score']\n"),
-], ids=["blank_output", "unknown_field"])
+    ('{"id":"","outputs":["the dog ran away"]}',
+     "error: line 2: instance id must be non-empty\n"),
+], ids=["blank_output", "unknown_field", "empty_id"])
 def test_outputs_file_error_names_the_line(toy_data, tmp_path, capsys, command, line, message):
     outs = tmp_path / "outs.jsonl"
     outs.write_text('{"id":"a","outputs":["x y","y z","z w"]}\n' + line + "\n"

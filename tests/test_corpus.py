@@ -150,9 +150,10 @@ class TestRecordRules:
         (lambda first: b'["a", "x"]\n', r"^line 2: expected a JSON object, got list$"),
         (lambda first: b'"a"\n', r"^line 2: expected a JSON object, got str$"),
         (lambda first: first.replace(b'"a"', b"7"), r"^line 2: missing or non-string 'id'$"),
+        (lambda first: first.replace(b'"a"', b'""'), r"^line 2: instance id must be non-empty$"),
         (lambda first: first.replace(b"}", b',"extra":1}'), r"^line 2: unknown fields \['extra'\]$"),
         (lambda first: first, r"^duplicate id 'a' on lines 1 and 2$"),
-    ], ids=["array", "string", "non-string-id", "unknown-field", "duplicate-id"])
+    ], ids=["array", "string", "non-string-id", "empty-id", "unknown-field", "duplicate-id"])
     def test_rule_names_its_line(self, tmp_path, loader, first_line, second_line, message):
         p = tmp_path / "d.jsonl"
         p.write_bytes(first_line + second_line(first_line))

@@ -7,8 +7,8 @@ import logging
 import numpy as np
 import pytest
 
-from multiscore import metrics
-from multiscore import report as report_module
+from multiscore import table
+from multiscore import text as text_module
 from multiscore.corpus import Dataset
 from multiscore.metrics import BleuConfig, BleuMetric, ChrfConfig, ChrfMetric, SMOOTH_NONE, corpus_bleu, corpus_chrfpp, self_bleu
 from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score
@@ -145,23 +145,42 @@ class TestEvaluateAll:
     def test_n_best_statistics_once_per_distinct_output(self, monkeypatch):
         rng = np.random.default_rng(28)
         inst = make_instance(0, rng, n_refs=12)
-        inst = EvalInstance(id=inst.id, references=inst.references, outputs=make_instance(1, rng).outputs * 4)
-        assert len(set(inst.outputs)) == 3
-        before = render(evaluate_all([inst]), "json")
-        calls = {"bleu": 0, "chrf": 0, "self": 0}
+        outputs = make_instance(1, rng).outputs
+        # an n-best list: three texts repeated, plus a title-cased copy of one
+        inst = EvalInstance(id=inst.id, references=inst.references,
+                            outputs=outputs * 3 + outputs[:2] + (outputs[0].title(),))
+        assert len(set(inst.outputs)) == 4
+        before = [render(evaluate_all([inst], lowercase=lowercase), "json") for lowercase in (True, False)]
+        tokenized, counted = [], []
+        tokenize_words, blocks = text_module.tokenize_words, table.count_blocks
 
-        def counted(name, fn, when=lambda *a: True):
-            def wrapper(*args):
-                calls[name] += when(*args)
-                return fn(*args)
-            return wrapper
+        def tokenize(raw, lowercase=True):
+            tokenized.append(raw)
+            return tokenize_words(raw, lowercase)
 
-        monkeypatch.setattr(report_module, "_bleu_stats", counted("bleu", report_module._bleu_stats))
-        monkeypatch.setattr(report_module, "_chrf_stats", counted("chrf", report_module._chrf_stats))
-        # a Self-BLEU score is the one sentence BLEU with more than one reference
-        monkeypatch.setattr(metrics, "sentence_bleu", counted("self", metrics.sentence_bleu, lambda h, refs, *_: len(refs) > 1))
-        assert render(evaluate_all([inst]), "json") == before
-        assert calls == {"bleu": 3, "chrf": 3, "self": 3}
+        def count_blocks(*args):
+            for block in blocks(*args):
+                counted.extend(counts for _, counts in block)
+                yield block
+
+        monkeypatch.setattr(text_module, "tokenize_words", tokenize)
+        monkeypatch.setattr(table, "count_blocks", count_blocks)
+        for lowercase, report in zip((True, False), before):
+            tokenized.clear()
+            counted.clear()
+            assert render(evaluate_all([inst], lowercase=lowercase), "json") == report
+
+            def key(raw):
+                return " ".join((raw.lower() if lowercase else raw).split())
+
+            # each distinct text is tokenized once and is one row of statistics;
+            # under lowercasing the title-cased copy is its original's text
+            distinct_outputs = {key(t) for t in inst.outputs}
+            assert len(distinct_outputs) == (3 if lowercase else 4)
+            assert sorted(tokenized) == sorted(distinct_outputs | {key(t) for t in inst.references})
+            [counts] = counted
+            assert len(counts.pair_bleu) == len(counts.pair_chrf) == len(counts.self_bleu) == len(distinct_outputs)
+            assert len(counts.out_cols) == 12
 
     def test_cased_and_lowercased_runs_do_not_mix(self):
         rng = np.random.default_rng(27)

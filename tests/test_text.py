@@ -121,3 +121,9 @@ class TestSentence:
         s = Sentence("The Cat", lowercase=False)
         assert s.tokens == ("The", "Cat")
         assert s.chars == "TheCat"
+
+
+def test_no_alphanumeric_character_is_punctuation():
+    # tokenize_words keeps an alphanumeric chunk whole without looking at
+    # its characters, which is exact only while this holds
+    assert not [c for c in range(0x110000) if chr(c).isalnum() and unicodedata.category(chr(c))[0] == "P"]

@@ -13,10 +13,11 @@ exit code is byte-identical.
 Inputs: the bundled demo corpus with its four ``generate --seed 7`` output
 sets (the generate runs are gate commands too), a title-cased copy of those
 sets, the benchmark's eval-small and eval-nbest inputs at the default seed
-(built by ``bench/workloads.py``) and ``tests/evaluate_golden/``. On each,
-``evaluate --allow-unequal`` in every format and ``multiscore
---allow-unequal --per-instance`` for both metrics and both formats, each
-with and without ``--no-lowercase``: 158 commands.
+(built by ``bench/workloads.py``), the two interleaved into one corpus, so
+that each wide n-best instance sits between runs of narrow ones, and
+``tests/evaluate_golden/``. On each, ``evaluate --allow-unequal`` in every
+format and ``multiscore --allow-unequal --per-instance`` for both metrics
+and both formats, each with and without ``--no-lowercase``: 172 commands.
 """
 
 from __future__ import annotations
@@ -74,6 +75,22 @@ def _title_cased(src, dst):
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _interleaved(narrow, wide, dst):
+    """Write refs.jsonl and outs.jsonl into ``dst`` with the instances of
+    ``wide`` spread evenly between those of ``narrow``."""
+    os.makedirs(dst)
+    for name in ("refs.jsonl", "outs.jsonl"):
+        with open(os.path.join(narrow, name), "rb") as fh:
+            lines = fh.readlines()
+        with open(os.path.join(wide, name), "rb") as fh:
+            extra = fh.readlines()
+        step = len(lines) // (len(extra) + 1)
+        for k in range(len(extra), 0, -1):  # from the back, so earlier positions hold
+            lines.insert(k * step, extra[k - 1])
+        with open(os.path.join(dst, name), "wb") as fh:
+            fh.writelines(lines)
+
+
 def build_inputs(repo, outdir):
     """Write the gate inputs under OUTDIR/inputs, running the generate
     commands; return ({name: --data/--outputs args}, generate exit codes)."""
@@ -96,6 +113,10 @@ def build_inputs(repo, outdir):
         make(workloads.DEFAULT_SEED, os.path.join(inputs, name))
         cases[name] = ["--data", os.path.join("inputs", name, "refs.jsonl"),
                        "--outputs", os.path.join("inputs", name, "outs.jsonl")]
+    _interleaved(os.path.join(inputs, "eval-small"), os.path.join(inputs, "eval-nbest"),
+                 os.path.join(inputs, "eval-mixed"))
+    cases["eval-mixed"] = ["--data", os.path.join("inputs", "eval-mixed", "refs.jsonl"),
+                           "--outputs", os.path.join("inputs", "eval-mixed", "outs.jsonl")]
     golden = os.path.join("inputs", "evaluate_golden.jsonl")
     shutil.copyfile(os.path.join(HERE, "tests", "evaluate_golden", "evaluate.jsonl"), os.path.join(outdir, golden))
     cases["evaluate-golden"] = ["--data", golden]
