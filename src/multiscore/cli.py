@@ -126,10 +126,24 @@ def _round2_table():
     return fmt
 
 
+def _formatted_rows(weights: np.ndarray, format_row) -> list:
+    """``format_row`` of each matrix row, made once per distinct row: an
+    n-best grid repeats its output rows, and every repeat shares the first
+    one's result."""
+    done: dict = {}
+    rows = []
+    for row in weights:
+        key = row.tobytes()
+        formatted = done.get(key)
+        if formatted is None:
+            formatted = done[key] = format_row(row.tolist())
+        rows.append(formatted)
+    return rows
+
+
 def _matrix_lines(result, fmt) -> list[str]:
     lines = ["  matrix (outputs x references):"]
-    for row in result.matrix.weights.tolist():
-        lines.append("    " + " ".join(f"{fmt(x):>7}" for x in row))
+    lines += _formatted_rows(result.matrix.weights, lambda row: "    " + " ".join(f"{fmt(x):>7}" for x in row))
     pairs = " ".join(
         f"{r}->{c} ({fmt(w)})" for (r, c), w in zip(result.matching.edges, result.matching.edge_weights)
     )
@@ -157,7 +171,7 @@ def _cmd_multiscore(args) -> int:
                 {
                     "id": r.instance_id,
                     "score": fmt(r.score),
-                    "matrix": [[fmt(x) for x in row] for row in r.matrix.weights.tolist()],
+                    "matrix": _formatted_rows(r.matrix.weights, lambda row: [fmt(x) for x in row]),
                     "matching": [
                         {"output": e[0], "reference": e[1], "weight": fmt(w)}
                         for e, w in zip(r.matching.edges, r.matching.edge_weights)

@@ -8,10 +8,11 @@ double as the pairwise metric consumed by the assignment-based set
 evaluation, via the :class:`SentenceMetric` adapters at the bottom of the
 module.
 
-These functions are the per-pair API. :func:`~multiscore.evaluate_all`
-takes the same integer statistics from the count tables of
-:mod:`multiscore.table` instead, and turns them into scores with the same
-``_bleu_score`` and ``_chrf_score``.
+These functions are the per-pair API. :func:`~multiscore.evaluate_all`,
+and :func:`~multiscore.corpus_multi_score` with a :class:`BleuMetric` or
+:class:`ChrfMetric`, take the same integer statistics from the count
+tables of :mod:`multiscore.table` instead, and turn them into scores with
+the same ``_bleu_score`` and ``_chrf_score``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import Matching, ScoreMatrix, max_weight_matching
-from .metrics import SentenceMetric
+from .metrics import BleuMetric, ChrfMetric, SentenceMetric, _bleu_score, _chrf_score
 from .text import Sentence
 
 log = logging.getLogger(__name__)
@@ -137,10 +137,37 @@ def multi_score(
     :return: a :class:`MultiScoreResult`; ``score`` lies in [0, 100].
     """
     _sizes_differ(len(outputs), len(references), allow_unequal, instance_id)
-    matrix = score_matrix(outputs, references, metric)
+    return _matched(instance_id, score_matrix(outputs, references, metric))
+
+
+def _matched(instance_id: str, matrix: ScoreMatrix) -> MultiScoreResult:
+    """The result of matching ``matrix``: its mean matched edge weight."""
     matching = max_weight_matching(matrix)
     score = matching.total / len(matching.edges)
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
+
+
+def _table_results(instances: Sequence[EvalInstance], metric: SentenceMetric, lowercase: bool):
+    """Yield the result of each instance under a built-in ``metric``, its
+    grid scored from the count tables: each distinct (output, reference)
+    pair's statistics, as ``metric.score`` would take them, become one
+    score, copied to every cell that pair occupies."""
+    # imported on first use, so that importing the package, as every
+    # command does at start-up, does not load the table module
+    from .table import count_blocks
+
+    config, bleu = metric.config, isinstance(metric, BleuMetric)
+    if bleu:
+        blocks = count_blocks(instances, lowercase, pair_order=config.max_order)
+    else:
+        blocks = count_blocks(instances, lowercase, char_order=config.char_order, word_order=config.word_order)
+    for block in blocks:
+        for inst, counts in block:
+            if bleu:
+                scores = [[_bleu_score(stats, config) for stats in row] for row in counts.pair_bleu]
+            else:
+                scores = [[_chrf_score(stats, config.beta) for stats in row] for row in counts.pair_chrf]
+            yield _matched(inst.id, ScoreMatrix(counts.grid(scores)))
 
 
 def corpus_multi_score(
@@ -155,15 +182,27 @@ def corpus_multi_score(
         reference set (matched over the smaller side). Every instance is
         checked, and each unequal one logged, before any scoring, by the
         same rule as :func:`~multiscore.evaluate_all`.
-    :param lowercase: score case-insensitively (the default). Each instance's
-        texts become :class:`Sentence` objects under that casing, one per
-        distinct text, which are dropped once the instance is scored.
+    :param lowercase: score case-insensitively (the default).
     :return: (mean score, per-instance results in corpus order).
+
+    A :class:`~multiscore.BleuMetric` or :class:`~multiscore.ChrfMetric`
+    (exactly those classes) is scored from the count tables of
+    :mod:`multiscore.table`, a block of instances at a time, with no
+    :class:`Sentence`: texts equal after casing and whitespace
+    normalization are one row or column of the distinct grid, and each
+    block's tables are dropped once its grids are scored. Any other metric
+    goes through :func:`score_matrix`, with one :class:`Sentence` per
+    distinct text of an instance, dropped once the instance is scored. The
+    results are the same, float for float, as :func:`multi_score` on the
+    same texts.
     """
     _admit(instances, allow_unequal)
-    results = [
-        multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=allow_unequal, instance_id=inst.id)
-        for inst in instances
-    ]
+    if type(metric) in (BleuMetric, ChrfMetric):
+        results = list(_table_results(instances, metric, lowercase))
+    else:
+        results = [
+            multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=allow_unequal, instance_id=inst.id)
+            for inst in instances
+        ]
     mean = sum(r.score for r in results) / len(results)
     return mean, results

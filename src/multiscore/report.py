@@ -110,8 +110,9 @@ def evaluate_all(
     slot_bleu = [[0] * (2 + 2 * corpus_bleu_config.max_order) for _ in range(n_slots)]
     slot_chrf = [[0] * (3 * (chrf_config.char_order + chrf_config.word_order)) for _ in range(n_slots)]
     per_instance = []
-    blocks = count_blocks(instances, lowercase, chrf_config.char_order, chrf_config.word_order,
-                          sentence_bleu_config.max_order, corpus_bleu_config.max_order)
+    blocks = count_blocks(instances, lowercase, char_order=chrf_config.char_order,
+                          word_order=chrf_config.word_order, pair_order=sentence_bleu_config.max_order,
+                          slot_order=corpus_bleu_config.max_order, self_order=sentence_bleu_config.max_order)
     for block in blocks:
         grids: dict = {}  # (outputs, references) -> [(block position, MS-BLEU grid, MS-CHRF grid)]
         self_scores = []
@@ -120,11 +121,7 @@ def evaluate_all(
             bleu = [[_bleu_score(stats, sentence_bleu_config) for stats in row] for row in counts.pair_bleu]
             chrf = [[_chrf_score(stats, chrf_config.beta) for stats in row] for row in counts.pair_chrf]
             shape = (len(counts.out_cols), len(counts.ref_cols))
-            grids.setdefault(shape, []).append((
-                b,
-                [[bleu[o][r] for r in counts.ref_cols] for o in counts.out_cols],
-                [[chrf[o][r] for r in counts.ref_cols] for o in counts.out_cols],
-            ))
+            grids.setdefault(shape, []).append((b, counts.grid(bleu), counts.grid(chrf)))
             # diversity: Self-BLEU, the mean over outputs of their text's score
             if counts.self_bleu is None:
                 self_scores.append(None)

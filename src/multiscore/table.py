@@ -1,5 +1,6 @@
 """Block-bounded n-gram count tables: every integer statistic behind
-:func:`~multiscore.evaluate_all`.
+:func:`~multiscore.evaluate_all`, and behind the built-in metrics' grids
+in :func:`~multiscore.corpus_multi_score`.
 
 The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
 Within a block, an instance's columns are its distinct casing-normalized
@@ -56,15 +57,24 @@ class Counts(NamedTuple):
     distinct reference r alone; ``slot_bleu[o]`` is o's ``_bleu_stats``
     against every reference. ``self_bleu[o]`` is o's ``_bleu_stats``
     against the other outputs, where a repeat of o's text is one of the
-    others; it is None when the instance has a single output.
+    others; it is None when the instance has a single output. A statistic
+    whose order was 0 in :func:`count_blocks` is None.
     """
 
     out_cols: list
     ref_cols: list
-    pair_bleu: list
-    pair_chrf: list
-    slot_bleu: list
+    pair_bleu: list | None
+    pair_chrf: list | None
+    slot_bleu: list | None
     self_bleu: list | None
+
+    def grid(self, scores) -> np.ndarray:
+        """The (outputs x references) grid of ``scores[o][r]``, one score
+        per distinct pair: a repeated text copies its row or column."""
+        block = np.array(scores, dtype=np.float64)
+        if block.shape != (len(self.out_cols), len(self.ref_cols)):
+            block = block[np.ix_(self.out_cols, self.ref_cols)]
+        return block
 
 
 def _key(raw: str, lowercase: bool) -> str:
@@ -207,68 +217,85 @@ def _pairs(out: np.ndarray, ref: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.stack([_sums(np.minimum(out[:, [o]], ref), bounds) for o in range(out.shape[1])], axis=1)
 
 
-def count_blocks(instances, lowercase: bool, char_order: int, word_order: int, pair_order: int, slot_order: int):
+def count_blocks(instances, lowercase: bool, *, char_order: int = 0, word_order: int = 0,
+                 pair_order: int = 0, slot_order: int = 0, self_order: int = 0):
     """Yield ``[(instance, Counts), ...]`` for each block of ``instances``.
+    A statistic whose order is 0 is not taken, and no table is built that
+    no statistic reads.
 
     :param char_order: chrF++ character orders 1..``char_order``.
     :param word_order: chrF++ word orders 1..``word_order``.
-    :param pair_order: BLEU orders of the pair and Self-BLEU statistics.
+    :param pair_order: BLEU orders of the pair statistics.
     :param slot_order: BLEU orders of the slot statistics.
+    :param self_order: BLEU orders of the Self-BLEU statistics.
     """
     for block in _blocks(instances, lowercase):
-        counts = _count(block, char_order, word_order, pair_order, slot_order)
+        counts = _count(block, char_order, word_order, pair_order, slot_order, self_order)
         yield [(inst, c) for (inst, _, _), c in zip(block, counts)]
 
 
-def _count(block, char_order, word_order, pair_order, slot_order) -> list[Counts]:
+def _chrf_orders(overlaps, out_len: np.ndarray, ref_len: np.ndarray) -> list:
+    """chrF++'s (matched, hypothesis total, reference total) arrays for
+    each order's (instance, output, reference) overlaps, from order 1."""
+    parts = []
+    for n, matched in enumerate(overlaps, start=1):
+        parts += [matched, _windows(out_len, n)[:, :, None], _windows(ref_len, n)[:, None, :]]
+    return parts
+
+
+def _count(block, char_order, word_order, pair_order, slot_order, self_order) -> list[Counts]:
     layout = _Layout(block)
-    chars, words = layout.chars(), layout.words()
-    char_out, char_ref = layout.padded(chars[1])
-    word_out, word_ref = layout.padded(words[1])
-
-    char_pairs = [_pairs(*tables) for tables in layout.tables(*chars, char_order)]
-    word_pairs, slot_clips, self_clips = [], [], []
-    for n, (out, ref, bounds) in enumerate(layout.tables(*words, max(word_order, pair_order, slot_order)), start=1):
-        if n <= max(word_order, pair_order):
-            word_pairs.append(_pairs(out, ref, bounds))
-        if n <= slot_order:
-            slot_clips.append(_sums(np.minimum(out, ref.max(axis=1, keepdims=True)), bounds))
-        if n <= pair_order:
-            # min(count, largest count in any other output) is min(count,
-            # second largest count in the row): the row's largest once its
-            # first largest is set aside
-            first = out.argmax(axis=1)[:, None] == np.arange(out.shape[1])
-            second = np.where(first, 0, out).max(axis=1, keepdims=True, initial=0)
-            self_clips.append(_sums(np.minimum(out, second), bounds))
-
     # chrF++: (matched, hypothesis total, reference total) per order,
     # character orders first
     chrf_parts = []
-    for orders, out_len, ref_len in ((char_pairs, char_out, char_ref), (word_pairs[:word_order], word_out, word_ref)):
-        for n, overlaps in enumerate(orders, start=1):
-            chrf_parts += [overlaps, _windows(out_len, n)[:, :, None], _windows(ref_len, n)[:, None, :]]
-    pair_chrf = np.stack(np.broadcast_arrays(*chrf_parts), axis=-1)
-    # BLEU: hypothesis length, reference length, matches and totals per order
-    totals = [_windows(word_out, n) for n in range(1, max(pair_order, slot_order) + 1)]
-    pair_bleu = np.stack(np.broadcast_arrays(
-        word_out[:, :, None], word_ref[:, None, :],
-        *word_pairs[:pair_order], *(total[:, :, None] for total in totals[:pair_order]),
-    ), axis=-1)
+    if char_order:
+        chars = layout.chars()
+        char_pairs = [_pairs(*tables) for tables in layout.tables(*chars, char_order)]
+        chrf_parts += _chrf_orders(char_pairs, *layout.padded(chars[1]))
 
-    n_refs = np.array([len(refs[1]) for _, _, refs in block])
-    valid_ref = np.arange(layout.width_ref) < n_refs[:, None]
-    slot_len = _closest(word_ref[:, None, :], valid_ref[:, None, :], word_out)
-    slot_bleu = np.stack([word_out, slot_len, *slot_clips, *totals[:slot_order]], axis=-1)
-
-    # Self-BLEU: the others are the other outputs, and a repeated output's
-    # text is one of its own others, all of whose n-grams it matches
-    n_outs = np.array([len(outs[1]) for _, outs, _ in block])
-    repeated = layout.copies > 1
-    others = (np.arange(layout.width_out) < n_outs[:, None])[:, None, :]
-    others = others & (~np.eye(layout.width_out, dtype=bool) | repeated[:, :, None])
-    self_len = _closest(word_out[:, None, :], others, word_out)
-    self_matched = [np.where(repeated, total, clips) for total, clips in zip(totals, self_clips)]
-    self_bleu = np.stack([word_out, self_len, *self_matched, *totals[:pair_order]], axis=-1)
+    pair_bleu = slot_bleu = self_bleu = None
+    n_words = max(word_order, pair_order, slot_order, self_order)
+    if n_words:
+        words = layout.words()
+        word_out, word_ref = layout.padded(words[1])
+        word_pairs, slot_clips, self_clips = [], [], []
+        for n, (out, ref, bounds) in enumerate(layout.tables(*words, n_words), start=1):
+            if n <= max(word_order, pair_order):
+                word_pairs.append(_pairs(out, ref, bounds))
+            if n <= slot_order:
+                slot_clips.append(_sums(np.minimum(out, ref.max(axis=1, keepdims=True)), bounds))
+            if n <= self_order:
+                # min(count, largest count in any other output) is min(count,
+                # second largest count in the row): the row's largest once its
+                # first largest is set aside
+                first = out.argmax(axis=1)[:, None] == np.arange(out.shape[1])
+                second = np.where(first, 0, out).max(axis=1, keepdims=True, initial=0)
+                self_clips.append(_sums(np.minimum(out, second), bounds))
+        chrf_parts += _chrf_orders(word_pairs[:word_order], word_out, word_ref)
+        # BLEU: hypothesis length, reference length, matches and totals per order
+        totals = [_windows(word_out, n) for n in range(1, n_words + 1)]
+        if pair_order:
+            pair_bleu = np.stack(np.broadcast_arrays(
+                word_out[:, :, None], word_ref[:, None, :],
+                *word_pairs[:pair_order], *(total[:, :, None] for total in totals[:pair_order]),
+            ), axis=-1)
+        if slot_order:
+            n_refs = np.array([len(refs[1]) for _, _, refs in block])
+            valid_ref = np.arange(layout.width_ref) < n_refs[:, None]
+            slot_len = _closest(word_ref[:, None, :], valid_ref[:, None, :], word_out)
+            slot_bleu = np.stack([word_out, slot_len, *slot_clips, *totals[:slot_order]], axis=-1)
+        if self_order:
+            # Self-BLEU: the others are the other outputs, and a repeated
+            # output's text is one of its own others, all of whose n-grams
+            # it matches
+            n_outs = np.array([len(outs[1]) for _, outs, _ in block])
+            repeated = layout.copies > 1
+            others = (np.arange(layout.width_out) < n_outs[:, None])[:, None, :]
+            others = others & (~np.eye(layout.width_out, dtype=bool) | repeated[:, :, None])
+            self_len = _closest(word_out[:, None, :], others, word_out)
+            self_matched = [np.where(repeated, total, clips) for total, clips in zip(totals, self_clips)]
+            self_bleu = np.stack([word_out, self_len, *self_matched, *totals[:self_order]], axis=-1)
+    pair_chrf = np.stack(np.broadcast_arrays(*chrf_parts), axis=-1) if chrf_parts else None
 
     counts = []
     for b, (_, outs, refs) in enumerate(block):
@@ -276,9 +303,9 @@ def _count(block, char_order, word_order, pair_order, slot_order) -> list[Counts
         counts.append(Counts(
             out_cols=outs[0],
             ref_cols=refs[0],
-            pair_bleu=pair_bleu[b, :n_out, :n_ref].tolist(),
-            pair_chrf=pair_chrf[b, :n_out, :n_ref].tolist(),
-            slot_bleu=slot_bleu[b, :n_out].tolist(),
-            self_bleu=self_bleu[b, :n_out].tolist() if len(outs[0]) > 1 else None,
+            pair_bleu=None if pair_bleu is None else pair_bleu[b, :n_out, :n_ref].tolist(),
+            pair_chrf=None if pair_chrf is None else pair_chrf[b, :n_out, :n_ref].tolist(),
+            slot_bleu=None if slot_bleu is None else slot_bleu[b, :n_out].tolist(),
+            self_bleu=None if self_bleu is None or len(outs[0]) < 2 else self_bleu[b, :n_out].tolist(),
         ))
     return counts

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiscore import multiscore as ms
+from multiscore import table
 from multiscore.assignment import brute_force_matching
-from multiscore.metrics import BleuMetric, ChrfMetric, SentenceMetric
+from multiscore.metrics import BleuConfig, BleuMetric, ChrfMetric, SentenceMetric
 from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score, score_matrix
 from multiscore.text import Sentence
 
@@ -354,21 +355,68 @@ class TestCorpusMultiScore:
         with pytest.raises(ValueError):
             corpus_multi_score([inst], BleuMetric())
 
+    UNEQUAL = [
+        EvalInstance(id="a", references=("x y", "z w", "u v"), outputs=("x y", "z w")),
+        EvalInstance(id="b", references=("x y", "z w"), outputs=("x y", "z w")),
+        EvalInstance(id="c", references=("x y",), outputs=("x y", "z w", "u v")),
+    ]
+    WARNINGS = [
+        ("multiscore.multiscore",
+         "instance 'a': matching 2 outputs against 3 references (averaging over the smaller side)"),
+        ("multiscore.multiscore",
+         "instance 'c': matching 3 outputs against 1 references (averaging over the smaller side)"),
+    ]
+
     def test_unequal_instances_warned_in_order_before_scoring(self, caplog, monkeypatch):
-        insts = [
-            EvalInstance(id="a", references=("x y", "z w", "u v"), outputs=("x y", "z w")),
-            EvalInstance(id="b", references=("x y", "z w"), outputs=("x y", "z w")),
-            EvalInstance(id="c", references=("x y",), outputs=("x y", "z w", "u v")),
-        ]
+        # a built-in metric's first scoring step is counting a block of
+        # instances into its tables; the three instances make one block
+        warned_at_scoring = []
+        real = table._count
+        monkeypatch.setattr(table, "_count", lambda *a: warned_at_scoring.append(len(caplog.records)) or real(*a))
+        caplog.set_level(logging.WARNING)
+        corpus_multi_score(self.UNEQUAL, BleuMetric(), allow_unequal=True)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == self.WARNINGS
+        assert warned_at_scoring == [2]
+
+    def test_custom_metric_unequal_instances_warned_in_order_before_scoring(self, caplog, monkeypatch):
+        # any other metric scores each instance through score_matrix
         warned_at_scoring = []
         real = ms.score_matrix
         monkeypatch.setattr(ms, "score_matrix", lambda *a: warned_at_scoring.append(len(caplog.records)) or real(*a))
         caplog.set_level(logging.WARNING)
-        corpus_multi_score(insts, BleuMetric(), allow_unequal=True)
-        assert [(r.name, r.getMessage()) for r in caplog.records] == [
-            ("multiscore.multiscore",
-             "instance 'a': matching 2 outputs against 3 references (averaging over the smaller side)"),
-            ("multiscore.multiscore",
-             "instance 'c': matching 3 outputs against 1 references (averaging over the smaller side)"),
-        ]
+        corpus_multi_score(self.UNEQUAL, CountingMetric(BleuMetric()), allow_unequal=True)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == self.WARNINGS
         assert warned_at_scoring == [2, 2, 2]
+
+    @pytest.mark.parametrize("metric", [BleuMetric(BleuConfig(max_order=2)), ChrfMetric()], ids=lambda m: m.name)
+    def test_built_in_metrics_build_no_sentence(self, metric, monkeypatch):
+        def refuse(sentence):
+            raise AssertionError(f"Sentence built for {sentence.raw!r}")
+
+        monkeypatch.setattr(Sentence, "__post_init__", refuse)
+        inst = EvalInstance(id="a", references=("x y", "Z w", "z w"), outputs=("x y", "x y", "u v"))
+        mean, [result] = corpus_multi_score([inst], metric)
+        assert result.matrix.weights.shape == (3, 3)
+        # the per-pair path does build them, so the patch is seen
+        with pytest.raises(AssertionError, match="Sentence built"):
+            corpus_multi_score([inst], CountingMetric(metric))
+
+    def test_bleu_subclass_scores_each_distinct_pair_once(self):
+        class CountingBleu(BleuMetric):
+            """Overrides ``score``, so the count tables may not stand in for it."""
+
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def score(self, hypothesis, references):
+                self.calls.append((str(hypothesis), tuple(map(str, references))))
+                return super().score(hypothesis, references)
+
+        inst = EvalInstance(id="a", references=("x y", "z w", "z w", "x y z"), outputs=("x y", "u v", "x y", "u v"))
+        metric = CountingBleu()
+        _, [result] = corpus_multi_score([inst], metric)
+        assert len(metric.calls) == len(set(metric.calls)) == 2 * 3
+        expected = multi_score(inst.outputs, inst.references, BleuMetric())
+        assert np.array_equal(result.matrix.weights, expected.matrix.weights)
+        assert result.score == expected.score

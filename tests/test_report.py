@@ -158,8 +158,8 @@ class TestEvaluateAll:
             tokenized.append(raw)
             return tokenize_words(raw, lowercase)
 
-        def count_blocks(*args):
-            for block in blocks(*args):
+        def count_blocks(*args, **kwargs):
+            for block in blocks(*args, **kwargs):
                 counted.extend(counts for _, counts in block)
                 yield block
 

@@ -1,6 +1,6 @@
-"""The block-bounded count tables behind evaluate_all: their integer
-statistics equal the per-pair functions', and a report does not depend on
-where the blocks are cut."""
+"""The block-bounded count tables behind evaluate_all and
+corpus_multi_score: their integer statistics and grids equal the per-pair
+functions', and a report does not depend on where the blocks are cut."""
 
 import tracemalloc
 from unittest import mock
@@ -10,8 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiscore import table
-from multiscore.metrics import ChrfConfig, _bleu_stats, _chrf_score, _chrf_stats
-from multiscore.multiscore import EvalInstance
+from multiscore.metrics import (
+    BleuConfig,
+    BleuMetric,
+    ChrfConfig,
+    ChrfMetric,
+    _bleu_stats,
+    _chrf_score,
+    _chrf_stats,
+)
+from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score
 from multiscore.report import evaluate_all, render
 from multiscore.text import Sentence
 
@@ -62,7 +70,8 @@ _WIDE = [EvalInstance(id="w", references=("".join(map(chr, range(0x400, 0x430)))
 def test_statistics_equal_the_per_pair_functions(corpus, lowercase, char_order, word_order, pair_order, slot_order, cells):
     chrf_config = ChrfConfig(char_order=char_order, word_order=word_order)
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
-        blocks = list(table.count_blocks(corpus, lowercase, char_order, word_order, pair_order, slot_order))
+        blocks = list(table.count_blocks(corpus, lowercase, char_order=char_order, word_order=word_order,
+                                         pair_order=pair_order, slot_order=slot_order, self_order=pair_order))
     assert [inst for block in blocks for inst, _ in block] == corpus
     for inst, counts in (item for block in blocks for item in block):
         outs = [Sentence(t, lowercase) for t in inst.outputs]
@@ -80,6 +89,45 @@ def test_statistics_equal_the_per_pair_functions(corpus, lowercase, char_order, 
         for k, (out, o) in enumerate(zip(outs, counts.out_cols)):
             if len(outs) >= 2:
                 assert counts.self_bleu[o] == _bleu_stats(out, outs[:k] + outs[k + 1:], pair_order)
+
+
+def test_only_the_statistics_asked_for_are_taken(monkeypatch):
+    corpus = [EvalInstance(id="a", references=("x y", "Z, w"), outputs=("x y z", "x y z", "w"))]
+    [[(_, bleu)]] = table.count_blocks(corpus, True, pair_order=2)
+    assert bleu.pair_chrf is None and bleu.slot_bleu is None and bleu.self_bleu is None
+    outs, refs = _instance_sentences(corpus[0], True)
+    assert bleu.pair_bleu == [[_bleu_stats(o, [r], 2) for r in refs] for o in dict.fromkeys(outs)]
+    # character orders alone tokenize nothing
+    monkeypatch.setattr(table.text, "tokenize_words", None)
+    [[(_, chrf)]] = table.count_blocks(corpus, True, char_order=3)
+    assert chrf.pair_bleu is None and chrf.slot_bleu is None and chrf.self_bleu is None
+    config = ChrfConfig(char_order=3, word_order=0)
+    assert chrf.pair_chrf == [[_chrf_stats(o, [r], config) for r in refs] for o in dict.fromkeys(outs)]
+    [[(_, nothing)]] = table.count_blocks(corpus, True)
+    assert nothing[2:] == (None, None, None, None)
+
+
+_metrics = st.one_of(
+    st.builds(BleuMetric, st.builds(BleuConfig, max_order=st.integers(1, 9))),
+    st.builds(ChrfMetric, st.builds(ChrfConfig, char_order=st.integers(1, 8), word_order=st.integers(0, 3),
+                                    beta=st.floats(0.25, 8.0))),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpus=_corpora(), lowercase=st.booleans(), metric=_metrics, cells=st.sampled_from([1, 200, 1 << 15]))
+def test_multiscore_grids_equal_the_per_pair_path(corpus, lowercase, metric, cells):
+    with mock.patch.object(table, "_BLOCK_CELLS", cells):
+        mean, results = corpus_multi_score(corpus, metric, allow_unequal=True, lowercase=lowercase)
+    assert [r.instance_id for r in results] == [inst.id for inst in corpus]
+    expected = [multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=True, instance_id=inst.id)
+                for inst in corpus]
+    for got, want in zip(results, expected):
+        assert np.array_equal(got.matrix.weights, want.matrix.weights)
+        assert got.matching.edges == want.matching.edges
+        assert got.matching.edge_weights == want.matching.edge_weights
+        assert got.score == want.score
+    assert mean == sum(want.score for want in expected) / len(expected)
 
 
 def _words_instance(rng, k, n_out, n_ref, vocab=("red", "Cat", "sat", "mat", "dog", "ran", "far", "big", ",", ".")):

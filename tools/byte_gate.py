@@ -17,7 +17,9 @@ sets, the benchmark's eval-small and eval-nbest inputs at the default seed
 that each wide n-best instance sits between runs of narrow ones, and
 ``tests/evaluate_golden/``. On each, ``evaluate --allow-unequal`` in every
 format and ``multiscore --allow-unequal --per-instance`` for both metrics
-and both formats, each with and without ``--no-lowercase``: 172 commands.
+and both formats, at the default metric flags and at non-default ones
+(``--bleu-max-order 2``; ``--chrf-char-order 3 --chrf-word-order 0
+--chrf-beta 1``), each with and without ``--no-lowercase``: 268 commands.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ COMMANDS = [
     (f"multiscore-{metric}-{fmt}",
      ["multiscore", "--allow-unequal", "--per-instance", "--metric", metric, "--format", fmt])
     for metric in ("bleu", "chrf")
+    for fmt in ("json", "table")
+] + [
+    (f"multiscore-{label}-{fmt}",
+     ["multiscore", "--allow-unequal", "--per-instance", *flags, "--format", fmt])
+    for label, flags in (
+        ("bleu2", ["--metric", "bleu", "--bleu-max-order", "2"]),
+        ("chrf3w0b1", ["--metric", "chrf", "--chrf-char-order", "3", "--chrf-word-order", "0", "--chrf-beta", "1"]),
+    )
     for fmt in ("json", "table")
 ]
 
