@@ -330,12 +330,13 @@ def max_weight_matching(matrix) -> Matching:
     return Matching.from_edges(edges, w)
 
 
-def _matched_totals(grids: np.ndarray) -> list[float]:
-    """The :attr:`Matching.total` that :func:`max_weight_matching` gives each
-    of a stack of same-shape grids, without building either object.
+def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The edges :func:`max_weight_matching` gives each of a stack of
+    same-shape grids, sorted by row, without building a :class:`Matching`.
 
     Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
-    with one gather over the assignment table. A grid whose best total is
+    with one gather over the assignment table, and each takes its first
+    tied assignment when that is the only one. A grid whose best total is
     tied, within ``_TIE_TOL``, by a second assignment takes
     :func:`_enumerated_edges`, which breaks the tie; larger grids are
     solved one at a time.
@@ -343,19 +344,25 @@ def _matched_totals(grids: np.ndarray) -> list[float]:
     _check_weights(grids)
     _, nr, nc = grids.shape
     if not _enumerable(nr, nc):
-        return [math.fsum(w[r, c] for r, c in _solved_edges(w)) for w in grids]
+        return [_solved_edges(w) for w in grids]
     perms = _assignments(nr, nc)
     slots = np.arange(min(nr, nc))
-    # picked[g, a, s]: the weight assignment a puts on slot s of grid g
-    picked = grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]
-    totals = picked.sum(axis=2)
+    # totals[g, a]: the total assignment a gives grid g
+    totals = (grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]).sum(axis=2)
     tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
-    # the first tied assignment's weights, which are the answer when it is the only one
-    first = picked[np.arange(len(grids)), tied.argmax(axis=1)].tolist()
+    first = perms[tied.argmax(axis=1)].tolist()
     return [
-        math.fsum(weights) if unique else math.fsum(w[r, c] for r, c in _enumerated_edges(w))
-        for w, weights, unique in zip(grids, first, (tied.sum(axis=1) == 1).tolist())
+        (list(enumerate(a)) if nr <= nc else sorted(zip(a, range(nc)))) if unique else _enumerated_edges(w)
+        for w, a, unique in zip(grids, first, (tied.sum(axis=1) == 1).tolist())
     ]
+
+
+def _matched_totals(grids: np.ndarray) -> list[float]:
+    """The :attr:`Matching.total` of each of :func:`_matched_edges`' matchings:
+    ``math.fsum`` of its edge weights, in any order."""
+    edges = np.array(_matched_edges(grids)).reshape(len(grids), -1, 2)
+    weights = grids[np.arange(len(grids))[:, None], edges[:, :, 0], edges[:, :, 1]]
+    return [math.fsum(row) for row in weights.tolist()]
 
 
 def brute_force_matching(matrix) -> Matching:

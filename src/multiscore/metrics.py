@@ -2,17 +2,16 @@
 
 All scores live on a 0-100 scale. Each metric extracts one segment's
 sufficient statistics (``_bleu_stats``, ``_chrf_stats``); a sentence score
-is computed from one segment's statistics (``_bleu_score``,
-``_chrf_score``), a corpus score from their sums. Sentence-level scorers
-double as the pairwise metric consumed by the assignment-based set
+is computed from one segment's statistics, a corpus score from their sums,
+by the one BLEU and chrF++ formula of :mod:`multiscore.table`. Sentence-level
+scorers double as the pairwise metric consumed by the assignment-based set
 evaluation, via the :class:`SentenceMetric` adapters at the bottom of the
 module.
 
 These functions are the per-pair API. :func:`~multiscore.evaluate_all`,
 and :func:`~multiscore.corpus_multi_score` with a :class:`BleuMetric` or
 :class:`ChrfMetric`, take the same integer statistics from the count
-tables of :mod:`multiscore.table` instead, and turn them into scores with
-the same ``_bleu_score`` and ``_chrf_score``.
+tables of :mod:`multiscore.table` instead, a block of them at a time.
 """
 
 from __future__ import annotations
@@ -117,20 +116,9 @@ def _bleu_stats(hyp: Sentence | None, refs: Sequence[Sentence], max_order: int) 
 
 
 def _bleu_score(stats: Sequence[int], config: BleuConfig) -> float:
-    hyp_len, ref_len = stats[0], stats[1]
-    if hyp_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for i in range(config.max_order):
-        m, t = stats[2 + i], stats[2 + config.max_order + i]
-        if config.smoothing == SMOOTH_ADD_ONE and i >= 1:
-            m += 1
-            t += 1
-        if m == 0 or t == 0:
-            return 0.0
-        log_sum += math.log(m / t)
-    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
-    return bp * math.exp(log_sum / config.max_order) * 100.0
+    from .table import _bleu_scores  # the one BLEU formula, loaded on first use
+
+    return float(_bleu_scores(stats, config))
 
 
 def sentence_bleu(
@@ -208,20 +196,9 @@ def _chrf_stats(hyp: Sentence | None, refs: Sequence[Sentence], config: ChrfConf
 
 
 def _chrf_score(stats: Sequence[int], beta: float) -> float:
-    precisions, recalls = [], []
-    for matched, hyp_total, ref_total in zip(stats[0::3], stats[1::3], stats[2::3]):
-        if hyp_total == 0 and ref_total == 0:
-            continue  # order carries no n-grams on either side
-        precisions.append(matched / hyp_total if hyp_total else 0.0)
-        recalls.append(matched / ref_total if ref_total else 0.0)
-    if not precisions:
-        return 0.0
-    p = sum(precisions) / len(precisions)
-    r = sum(recalls) / len(recalls)
-    if p + r == 0.0:
-        return 0.0
-    b2 = beta * beta
-    return (1 + b2) * p * r / (b2 * p + r) * 100.0
+    from .table import _chrf_scores  # the one chrF++ formula, loaded on first use
+
+    return float(_chrf_scores(stats, beta))
 
 
 def sentence_chrfpp(

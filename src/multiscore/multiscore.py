@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import Matching, ScoreMatrix, max_weight_matching
-from .metrics import BleuMetric, ChrfMetric, SentenceMetric, _bleu_score, _chrf_score
+from .assignment import Matching, ScoreMatrix, _enumerable, _matched_edges, max_weight_matching
+from .metrics import BleuMetric, ChrfMetric, SentenceMetric
 from .text import Sentence
 
 log = logging.getLogger(__name__)
@@ -140,9 +140,10 @@ def multi_score(
     return _matched(instance_id, score_matrix(outputs, references, metric))
 
 
-def _matched(instance_id: str, matrix: ScoreMatrix) -> MultiScoreResult:
-    """The result of matching ``matrix``: its mean matched edge weight."""
-    matching = max_weight_matching(matrix)
+def _matched(instance_id: str, matrix: ScoreMatrix, edges=None) -> MultiScoreResult:
+    """The result of matching ``matrix``, or of ``edges`` if given: its mean
+    matched edge weight."""
+    matching = max_weight_matching(matrix) if edges is None else Matching.from_edges(edges, matrix.weights)
     score = matching.total / len(matching.edges)
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
 
@@ -151,10 +152,11 @@ def _table_results(instances: Sequence[EvalInstance], metric: SentenceMetric, lo
     """Yield the result of each instance under a built-in ``metric``, its
     grid scored from the count tables: each distinct (output, reference)
     pair's statistics, as ``metric.score`` would take them, become one
-    score, copied to every cell that pair occupies."""
+    score, copied to every cell that pair occupies. A block's grids of one
+    shape are matched in one batch, unless they are too large to enumerate."""
     # imported on first use, so that importing the package, as every
     # command does at start-up, does not load the table module
-    from .table import count_blocks
+    from .table import _bleu_scores, _chrf_scores, count_blocks
 
     config, bleu = metric.config, isinstance(metric, BleuMetric)
     if bleu:
@@ -162,12 +164,14 @@ def _table_results(instances: Sequence[EvalInstance], metric: SentenceMetric, lo
     else:
         blocks = count_blocks(instances, lowercase, char_order=config.char_order, word_order=config.word_order)
     for block in blocks:
-        for inst, counts in block:
-            if bleu:
-                scores = [[_bleu_score(stats, config) for stats in row] for row in counts.pair_bleu]
-            else:
-                scores = [[_chrf_score(stats, config.beta) for stats in row] for row in counts.pair_chrf]
-            yield _matched(inst.id, ScoreMatrix(counts.grid(scores)))
+        scores = _bleu_scores(block.pair_bleu, config) if bleu else _chrf_scores(block.pair_chrf, config.beta)
+        results = [None] * len(block.instances)
+        for positions, outs, refs in block.shapes():
+            grids = scores[positions[:, None, None], outs[:, :, None], refs[:, None, :]]
+            batch = _matched_edges(grids) if _enumerable(*grids.shape[1:]) else [None] * len(grids)
+            for b, grid, edges in zip(positions.tolist(), grids, batch):
+                results[b] = _matched(block.instances[b].id, ScoreMatrix(grid), edges)
+        yield from results
 
 
 def corpus_multi_score(

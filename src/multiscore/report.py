@@ -4,11 +4,12 @@ Quality is corpus BLEU / chrF++ averaged over the three output slots, each
 slot scored against the full multi-reference sets. Diversity is Self-BLEU
 (macro-averaged per instance) plus the assignment-based set scores MS-BLEU
 and MS-CHRF. Every integer statistic comes from the block-bounded n-gram
-count tables of :mod:`multiscore.table`; the scalar ``_bleu_score`` and
-``_chrf_score`` turn them into scores, so a report equals, byte for byte,
-the one the per-pair functions of :mod:`multiscore.metrics` and
-:mod:`multiscore.multiscore` give. Scores are carried at full precision and
-rounded to two decimals (half-up) only when rendered.
+count tables of :mod:`multiscore.table`, whose formulas score a block of
+them at once, each float as one segment's statistics alone give it; so a
+report equals, byte for byte, the one the per-pair functions of
+:mod:`multiscore.metrics` and :mod:`multiscore.multiscore` give. Scores are
+carried at full precision and rounded to two decimals (half-up) only when
+rendered.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .metrics import (
     BleuConfig,
     ChrfConfig,
     SMOOTH_NONE,
-    _bleu_score,
-    _chrf_score,
     corpus_bleu,  # unused here: bench/tracer.py patches this binding
     corpus_chrfpp,  # unused here: bench/tracer.py patches this binding
     self_bleu,  # unused here: bench/tracer.py patches this binding
@@ -94,7 +93,7 @@ def evaluate_all(
     """
     # imported on first use, so that importing the package, as every
     # command does at start-up, does not load the table module
-    from .table import count_blocks
+    from .table import _bleu_scores, _chrf_scores, count_blocks
 
     instances = tuple(dataset)
     _admit(instances, allow_unequal)
@@ -103,45 +102,42 @@ def evaluate_all(
     chrf_config = chrf_config or ChrfConfig()
 
     # quality: corpus statistics per output slot, each output against its
-    # instance's full reference set. Corpus chrF++ keeps each segment's best
-    # reference, the first on ties: the first maximum of the output's row in
-    # the MS-CHRF grid, so no pair is scored twice
+    # instance's full reference set
     n_slots = max(len(inst.outputs) for inst in instances)
-    slot_bleu = [[0] * (2 + 2 * corpus_bleu_config.max_order) for _ in range(n_slots)]
-    slot_chrf = [[0] * (3 * (chrf_config.char_order + chrf_config.word_order)) for _ in range(n_slots)]
+    slot_bleu = np.zeros((n_slots, 2 + 2 * corpus_bleu_config.max_order), dtype=np.int64)
+    slot_chrf = np.zeros((n_slots, 3 * (chrf_config.char_order + chrf_config.word_order)), dtype=np.int64)
     per_instance = []
     blocks = count_blocks(instances, lowercase, char_order=chrf_config.char_order,
                           word_order=chrf_config.word_order, pair_order=sentence_bleu_config.max_order,
                           slot_order=corpus_bleu_config.max_order, self_order=sentence_bleu_config.max_order)
     for block in blocks:
-        grids: dict = {}  # (outputs, references) -> [(block position, MS-BLEU grid, MS-CHRF grid)]
-        self_scores = []
-        for b, (_, counts) in enumerate(block):
-            # one score per distinct (output, reference) text pair
-            bleu = [[_bleu_score(stats, sentence_bleu_config) for stats in row] for row in counts.pair_bleu]
-            chrf = [[_chrf_score(stats, chrf_config.beta) for stats in row] for row in counts.pair_chrf]
-            shape = (len(counts.out_cols), len(counts.ref_cols))
-            grids.setdefault(shape, []).append((b, counts.grid(bleu), counts.grid(chrf)))
-            # diversity: Self-BLEU, the mean over outputs of their text's score
-            if counts.self_bleu is None:
-                self_scores.append(None)
-            else:
-                scores = [_bleu_score(stats, sentence_bleu_config) for stats in counts.self_bleu]
-                self_scores.append(sum(scores[o] for o in counts.out_cols) / len(counts.out_cols))
-            for k, o in enumerate(counts.out_cols):
-                best = chrf[o].index(max(chrf[o]))
-                slot_bleu[k] = [x + y for x, y in zip(slot_bleu[k], counts.slot_bleu[o])]
-                slot_chrf[k] = [x + y for x, y in zip(slot_chrf[k], counts.pair_chrf[o][best])]
-        # diversity: assignment-based set scores, the block's grids of one shape matched together
-        ms = [None] * len(block)
-        for (n_out, n_ref), items in grids.items():
-            totals = _matched_totals(np.array([grid for item in items for grid in item[1:]]))
-            for (b, _, _), bleu_total, chrf_total in zip(items, totals[0::2], totals[1::2]):
-                ms[b] = (bleu_total / min(n_out, n_ref), chrf_total / min(n_out, n_ref))
-        for (inst, _), (ms_bleu, ms_chrf), self_score in zip(block, ms, self_scores):
-            if self_score is None:
+        # one score per distinct (output, reference) pair, and per distinct output's Self-BLEU
+        bleu = _bleu_scores(block.pair_bleu, sentence_bleu_config)
+        chrf = _chrf_scores(block.pair_chrf, chrf_config.beta)
+        self_scores = _bleu_scores(block.self_bleu, sentence_bleu_config)
+        ms_bleu, ms_chrf, self_means = (np.empty(len(block.instances)) for _ in range(3))
+        for positions, outs, refs in block.shapes():
+            n, (n_out, n_ref) = len(positions), (outs.shape[1], refs.shape[1])
+            at = positions[:, None, None], outs[:, :, None], refs[:, None, :]
+            grids = np.concatenate([bleu[at], chrf[at]])
+            # diversity: assignment-based set scores, the grids of one shape matched together
+            totals = np.array(_matched_totals(grids)) / min(n_out, n_ref)
+            ms_bleu[positions], ms_chrf[positions] = totals[:n], totals[n:]
+            # Self-BLEU: the mean over outputs of their text's score, added in output order
+            self_total = 0.0
+            for column in self_scores[positions[:, None], outs].T:
+                self_total = self_total + column
+            self_means[positions] = self_total / n_out
+            # corpus chrF++ keeps each segment's best reference, the first on
+            # ties: the first maximum of its MS-CHRF grid row
+            best = np.take_along_axis(refs, grids[n:].argmax(axis=2), axis=1)
+            slot_bleu[:n_out] += block.slot_bleu[positions[:, None], outs].sum(axis=0)
+            slot_chrf[:n_out] += block.pair_chrf[positions[:, None], outs, best].sum(axis=0)
+        for inst, outs, ms_b, ms_c, self_mean in zip(block.instances, block.out_cols, ms_bleu.tolist(),
+                                                     ms_chrf.tolist(), self_means.tolist()):
+            if len(outs) < 2:
                 log.warning("instance %r has a single output; Self-BLEU skipped", inst.id)
-            per_instance.append(InstanceSummary(inst.id, ms_bleu, ms_chrf, self_score))
+            per_instance.append(InstanceSummary(inst.id, ms_b, ms_c, self_mean if len(outs) > 1 else None))
 
     usable = [s.self_bleu for s in per_instance if s.self_bleu is not None]
     mean_self = sum(usable) / len(usable) if usable else None
@@ -156,8 +152,8 @@ def evaluate_all(
     }
     return EvaluationReport(
         quality={
-            "bleu": sum(_bleu_score(stats, corpus_bleu_config) for stats in slot_bleu) / n_slots,
-            "chrfpp": sum(_chrf_score(stats, chrf_config.beta) for stats in slot_chrf) / n_slots,
+            "bleu": sum(_bleu_scores(slot_bleu, corpus_bleu_config).tolist()) / n_slots,
+            "chrfpp": sum(_chrf_scores(slot_chrf, chrf_config.beta).tolist()) / n_slots,
         },
         diversity={
             "self_bleu": mean_self,
@@ -208,7 +204,7 @@ def render(report: EvaluationReport, format: str = "table") -> bytes:
         payload = {
             "quality": report.quality,
             "diversity": report.diversity,
-            "per_instance": [asdict(s) for s in report.per_instance],
+            "per_instance": [vars(s) for s in report.per_instance],
             "config": report.config,
         }
         return (_canonical_json(payload) + "\n").encode("utf-8")

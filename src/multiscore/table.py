@@ -1,6 +1,7 @@
 """Block-bounded n-gram count tables: every integer statistic behind
 :func:`~multiscore.evaluate_all`, and behind the built-in metrics' grids
-in :func:`~multiscore.corpus_multi_score`.
+in :func:`~multiscore.corpus_multi_score`, and the BLEU and chrF++
+formulas that turn statistics into scores.
 
 The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
 Within a block, an instance's columns are its distinct casing-normalized
@@ -16,8 +17,10 @@ Every statistic is a column operation summed per instance with
 BLEU pairs), its clip against the largest count in any reference (slot
 BLEU) or in any other output (Self-BLEU). Lengths and totals come from
 each text's symbol count. The statistics are the integer lists that
-``_bleu_stats`` and ``_chrf_stats`` return for the same texts, so the
-scalar ``_bleu_score`` and ``_chrf_score`` turn them into the same floats.
+``_bleu_stats`` and ``_chrf_stats`` return for the same texts, and
+:func:`_bleu_scores` and :func:`_chrf_scores` score a whole block's
+statistics together, element by element in the scalar formula's order, so
+every score is the float one statistics row alone gives.
 
 An n-gram of order n is ranked from (its first n-1 symbols' rank, its
 last symbol), and order 0 is the instance. A key is at most (positions in
@@ -28,11 +31,13 @@ statistics are taken.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import text
+from .metrics import SMOOTH_ADD_ONE
 
 # Cells per block: (output characters) x (distinct outputs + distinct
 # references), summed over the block's instances; it bounds the widest
@@ -48,33 +53,92 @@ _BLOCK_CELLS = 1 << 15
 _CODE_POINTS = 0x110000  # symbols of the character tables
 
 
-class Counts(NamedTuple):
-    """One instance's integer statistics, indexed by distinct text.
+class Block(NamedTuple):
+    """A block's integer statistics, as arrays indexed by instance (its
+    position in the block), distinct output o and, for pairs, distinct
+    reference r, with the statistics along the last axis.
 
-    ``out_cols[k]`` and ``ref_cols[j]`` are the columns of output k and
-    reference j. ``pair_bleu[o][r]`` and ``pair_chrf[o][r]`` are the
-    ``_bleu_stats`` and ``_chrf_stats`` of distinct output o against
-    distinct reference r alone; ``slot_bleu[o]`` is o's ``_bleu_stats``
-    against every reference. ``self_bleu[o]`` is o's ``_bleu_stats``
-    against the other outputs, where a repeat of o's text is one of the
-    others; it is None when the instance has a single output. A statistic
-    whose order was 0 in :func:`count_blocks` is None.
+    ``out_cols[b][k]`` and ``ref_cols[b][j]`` are the columns of output k
+    and reference j of ``instances[b]``; positions past an instance's own
+    columns hold no statistic of it. ``pair_bleu[b, o, r]`` and
+    ``pair_chrf[b, o, r]`` are the ``_bleu_stats`` and ``_chrf_stats`` of
+    output o against reference r alone; ``slot_bleu[b, o]`` is o's
+    ``_bleu_stats`` against every reference. ``self_bleu[b, o]`` is o's
+    ``_bleu_stats`` against the other outputs, where a repeat of o's text
+    is one of the others; it means nothing for an instance with a single
+    output. A statistic whose order was 0 in :func:`count_blocks` is None.
     """
 
+    instances: list
     out_cols: list
     ref_cols: list
-    pair_bleu: list | None
-    pair_chrf: list | None
-    slot_bleu: list | None
-    self_bleu: list | None
+    pair_bleu: np.ndarray | None
+    pair_chrf: np.ndarray | None
+    slot_bleu: np.ndarray | None
+    self_bleu: np.ndarray | None
 
-    def grid(self, scores) -> np.ndarray:
-        """The (outputs x references) grid of ``scores[o][r]``, one score
-        per distinct pair: a repeated text copies its row or column."""
-        block = np.array(scores, dtype=np.float64)
-        if block.shape != (len(self.out_cols), len(self.ref_cols)):
-            block = block[np.ix_(self.out_cols, self.ref_cols)]
-        return block
+    def shapes(self):
+        """Yield ``(positions, outs, refs)`` for each (outputs x references)
+        grid shape: the positions of the block's instances of that shape,
+        and their output and reference columns as (instance, output) and
+        (instance, reference) arrays. So ``scores[positions[:, None, None],
+        outs[:, :, None], refs[:, None, :]]`` are their grids of
+        ``scores[b, o, r]``, a repeated text copying its row or column."""
+        groups: dict = {}
+        for b, shape in enumerate(zip(map(len, self.out_cols), map(len, self.ref_cols))):
+            groups.setdefault(shape, []).append(b)
+        for positions in groups.values():
+            yield (np.array(positions), np.array([self.out_cols[b] for b in positions]),
+                   np.array([self.ref_cols[b] for b in positions]))
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of every element. ``math.log`` and ``math.exp`` give the
+    floats the scalar formula gives; ``np.log`` and ``np.exp`` may differ
+    from them by an ulp on some CPUs."""
+    return np.fromiter(map(fn, values.ravel().tolist()), dtype=np.float64, count=values.size).reshape(values.shape)
+
+
+def _bleu_scores(stats, config) -> np.ndarray:
+    """BLEU of each ``_bleu_stats`` row along the last axis of ``stats``:
+    ``[hyp_len, ref_len, matched_1..N, total_1..N]``, N =
+    ``config.max_order``. The log precisions are added order by order; a
+    zero hypothesis length, or a zero matched or total count at any order,
+    scores 0.0. Add-one smoothing applies from order 2."""
+    stats = np.asarray(stats, dtype=np.int64)
+    n = config.max_order
+    hyp_len, ref_len = stats[..., 0], stats[..., 1]
+    matched, total = stats[..., 2:2 + n], stats[..., 2 + n:2 + 2 * n]
+    if config.smoothing == SMOOTH_ADD_ONE:
+        matched, total = matched + (np.arange(n) >= 1), total + (np.arange(n) >= 1)
+    counted = (matched != 0) & (total != 0)
+    zero = (hyp_len == 0) | ~counted.all(axis=-1)
+    logs = _each(math.log, np.divide(matched, total, out=np.ones(matched.shape), where=counted))
+    # a running sum adds order after order, as the scalar loop does
+    log_sum = np.add.accumulate(logs, axis=-1)[..., -1]
+    brevity, mean = _each(math.exp, np.stack([1.0 - ref_len / np.where(zero, 1, hyp_len), log_sum / n]))
+    return np.where(zero, 0.0, np.minimum(1.0, brevity) * mean * 100.0)
+
+
+def _chrf_scores(stats, beta: float) -> np.ndarray:
+    """chrF++ of each ``_chrf_stats`` row along the last axis of ``stats``:
+    (matched, hypothesis total, reference total) per order. Each order's
+    precision and recall are added in order; an order with no n-grams on
+    either side adds nothing and is not counted. No counted order, or a
+    zero precision and recall, scores 0.0."""
+    stats = np.asarray(stats, dtype=np.int64)
+    matched, hyp_total, ref_total = stats[..., 0::3], stats[..., 1::3], stats[..., 2::3]
+    shape = stats.shape[:-1]
+    counted = ((hyp_total != 0) | (ref_total != 0)).sum(axis=-1)
+
+    def mean(side):
+        # a side without n-grams adds 0.0, which leaves the running sum as it is
+        ratios = np.divide(matched, side, out=np.zeros(side.shape), where=side != 0)
+        return np.divide(np.add.accumulate(ratios, axis=-1)[..., -1], counted, out=np.zeros(shape), where=counted != 0)
+
+    p, r = mean(hyp_total), mean(ref_total)
+    b2 = beta * beta
+    return np.divide((1 + b2) * p * r, b2 * p + r, out=np.zeros(shape), where=p + r != 0.0) * 100.0
 
 
 def _key(raw: str, lowercase: bool) -> str:
@@ -219,9 +283,9 @@ def _pairs(out: np.ndarray, ref: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def count_blocks(instances, lowercase: bool, *, char_order: int = 0, word_order: int = 0,
                  pair_order: int = 0, slot_order: int = 0, self_order: int = 0):
-    """Yield ``[(instance, Counts), ...]`` for each block of ``instances``.
-    A statistic whose order is 0 is not taken, and no table is built that
-    no statistic reads.
+    """Yield a :class:`Block` for each block of ``instances``, in corpus
+    order. A statistic whose order is 0 is not taken, and no table is built
+    that no statistic reads.
 
     :param char_order: chrF++ character orders 1..``char_order``.
     :param word_order: chrF++ word orders 1..``word_order``.
@@ -230,8 +294,7 @@ def count_blocks(instances, lowercase: bool, *, char_order: int = 0, word_order:
     :param self_order: BLEU orders of the Self-BLEU statistics.
     """
     for block in _blocks(instances, lowercase):
-        counts = _count(block, char_order, word_order, pair_order, slot_order, self_order)
-        yield [(inst, c) for (inst, _, _), c in zip(block, counts)]
+        yield _count(block, char_order, word_order, pair_order, slot_order, self_order)
 
 
 def _chrf_orders(overlaps, out_len: np.ndarray, ref_len: np.ndarray) -> list:
@@ -243,7 +306,7 @@ def _chrf_orders(overlaps, out_len: np.ndarray, ref_len: np.ndarray) -> list:
     return parts
 
 
-def _count(block, char_order, word_order, pair_order, slot_order, self_order) -> list[Counts]:
+def _count(block, char_order, word_order, pair_order, slot_order, self_order) -> Block:
     layout = _Layout(block)
     # chrF++: (matched, hypothesis total, reference total) per order,
     # character orders first
@@ -296,16 +359,12 @@ def _count(block, char_order, word_order, pair_order, slot_order, self_order) ->
             self_matched = [np.where(repeated, total, clips) for total, clips in zip(totals, self_clips)]
             self_bleu = np.stack([word_out, self_len, *self_matched, *totals[:self_order]], axis=-1)
     pair_chrf = np.stack(np.broadcast_arrays(*chrf_parts), axis=-1) if chrf_parts else None
-
-    counts = []
-    for b, (_, outs, refs) in enumerate(block):
-        n_out, n_ref = len(outs[1]), len(refs[1])
-        counts.append(Counts(
-            out_cols=outs[0],
-            ref_cols=refs[0],
-            pair_bleu=None if pair_bleu is None else pair_bleu[b, :n_out, :n_ref].tolist(),
-            pair_chrf=None if pair_chrf is None else pair_chrf[b, :n_out, :n_ref].tolist(),
-            slot_bleu=None if slot_bleu is None else slot_bleu[b, :n_out].tolist(),
-            self_bleu=None if self_bleu is None or len(outs[0]) < 2 else self_bleu[b, :n_out].tolist(),
-        ))
-    return counts
+    return Block(
+        instances=[inst for inst, _, _ in block],
+        out_cols=[outs[0] for _, outs, _ in block],
+        ref_cols=[refs[0] for _, _, refs in block],
+        pair_bleu=pair_bleu,
+        pair_chrf=pair_chrf,
+        slot_bleu=slot_bleu,
+        self_bleu=self_bleu,
+    )

@@ -108,6 +108,50 @@ def oracle_chrfpp(hyp, ref, char_order=6, word_order=2, beta=2.0):
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
 
 
+def oracle_bleu_score(stats, config):
+    """BLEU of one ``[hyp_len, ref_len, matched_1..N, total_1..N]`` list, one
+    scalar step at a time: the library's formula as it stood before it was
+    vectorized, frozen here to check the array form float for float."""
+    hyp_len, ref_len = stats[0], stats[1]
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for i in range(config.max_order):
+        m, t = stats[2 + i], stats[2 + config.max_order + i]
+        if config.smoothing == "add-one" and i >= 1:
+            m += 1
+            t += 1
+        if m == 0 or t == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
+    return bp * math.exp(log_sum / config.max_order) * 100.0
+
+
+def oracle_chrf_score(stats, beta):
+    """chrF++ of one flattened (matched, hyp_total, ref_total)-per-order
+    list, one scalar step at a time; frozen like :func:`oracle_bleu_score`."""
+    precisions, recalls = [], []
+    for matched, hyp_total, ref_total in zip(stats[0::3], stats[1::3], stats[2::3]):
+        if hyp_total == 0 and ref_total == 0:
+            continue  # order carries no n-grams on either side
+        precisions.append(matched / hyp_total if hyp_total else 0.0)
+        recalls.append(matched / ref_total if ref_total else 0.0)
+    if not precisions:
+        return 0.0
+    # added left to right, as sum() does before Python 3.12 (later ones compensate)
+    p_sum = r_sum = 0.0
+    for precision, recall in zip(precisions, recalls):
+        p_sum += precision
+        r_sum += recall
+    p = p_sum / len(precisions)
+    r = r_sum / len(recalls)
+    if p + r == 0.0:
+        return 0.0
+    b2 = beta * beta
+    return (1 + b2) * p * r / (b2 * p + r) * 100.0
+
+
 def oracle_score_matrix(outputs, references, metric):
     """The pairwise grid by definition: ``metric`` called on every cell."""
     return [[metric.score(out, [ref]) for ref in references] for out in outputs]

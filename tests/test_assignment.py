@@ -18,6 +18,8 @@ from multiscore.assignment import (
     ScoreMatrix,
     _enumerated_edges,
     _lex_min_tight_matching,
+    _matched_edges,
+    _matched_totals,
     _solve_min_cost,
     _solved_edges,
     brute_force_matching,
@@ -317,6 +319,28 @@ def test_enumeration_and_solver_pick_the_same_edges(w):
     # on them here, against the enumeration and in both orientations
     assert _enumerated_edges(w) == _solved_edges(w)
     assert _enumerated_edges(w.T) == _solved_edges(w.T)
+
+
+def _grid_stacks():
+    """Stacks of 1-5 same-shape grids, tie-heavy or not; sides up to 7, so
+    the solver's shapes (6x6 and up) come too."""
+    weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 100.0))
+    shapes = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5))
+    return st.tuples(shapes, st.booleans()).flatmap(
+        lambda sb: arrays(np.float64, sb[0][2:] + sb[0][:2],
+                          elements=st.sampled_from([0.0, 1.0, 2.0]) if sb[1] else weights)
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_grid_stacks())
+# three tied assignments, of which the first in enumeration order, rows
+# (1, 2) on columns (0, 1), is not the lexicographically smallest edge list
+@example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]]))
+def test_batched_edges_and_totals_equal_one_matching_each(grids):
+    matchings = [max_weight_matching(w) for w in grids]
+    assert [tuple(edges) for edges in _matched_edges(grids)] == [m.edges for m in matchings]
+    assert _matched_totals(grids) == [m.total for m in matchings]
 
 
 MATCHING_GOLDEN = os.path.join(os.path.dirname(__file__), "matching_golden", "edges.json")

@@ -160,7 +160,7 @@ class TestEvaluateAll:
 
         def count_blocks(*args, **kwargs):
             for block in blocks(*args, **kwargs):
-                counted.extend(counts for _, counts in block)
+                counted.append(block)
                 yield block
 
         monkeypatch.setattr(text_module, "tokenize_words", tokenize)
@@ -178,9 +178,9 @@ class TestEvaluateAll:
             distinct_outputs = {key(t) for t in inst.outputs}
             assert len(distinct_outputs) == (3 if lowercase else 4)
             assert sorted(tokenized) == sorted(distinct_outputs | {key(t) for t in inst.references})
-            [counts] = counted
-            assert len(counts.pair_bleu) == len(counts.pair_chrf) == len(counts.self_bleu) == len(distinct_outputs)
-            assert len(counts.out_cols) == 12
+            [block] = counted
+            assert block.pair_bleu.shape[1] == block.pair_chrf.shape[1] == block.self_bleu.shape[1] == len(distinct_outputs)
+            assert len(block.out_cols[0]) == 12
 
     def test_cased_and_lowercased_runs_do_not_mix(self):
         rng = np.random.default_rng(27)

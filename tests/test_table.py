@@ -6,11 +6,15 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from multiscore import table
 from multiscore.metrics import (
+    SMOOTH_ADD_ONE,
+    SMOOTH_NONE,
     BleuConfig,
     BleuMetric,
     ChrfConfig,
@@ -22,6 +26,7 @@ from multiscore.metrics import (
 from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score
 from multiscore.report import evaluate_all, render
 from multiscore.text import Sentence
+from oracles import oracle_bleu_score, oracle_chrf_score
 
 # a small pool makes repeats common; case variants, punctuation, Cyrillic
 # and astral-plane words, and words over a wide alphabet (a 12-gram of
@@ -72,39 +77,110 @@ def test_statistics_equal_the_per_pair_functions(corpus, lowercase, char_order, 
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
         blocks = list(table.count_blocks(corpus, lowercase, char_order=char_order, word_order=word_order,
                                          pair_order=pair_order, slot_order=slot_order, self_order=pair_order))
-    assert [inst for block in blocks for inst, _ in block] == corpus
-    for inst, counts in (item for block in blocks for item in block):
-        outs = [Sentence(t, lowercase) for t in inst.outputs]
-        refs = [Sentence(t, lowercase) for t in inst.references]
-        for out, o in zip(outs, counts.out_cols):
-            for ref, r in zip(refs, counts.ref_cols):
-                assert counts.pair_bleu[o][r] == _bleu_stats(out, [ref], pair_order)
-                assert counts.pair_chrf[o][r] == _chrf_stats(out, [ref], chrf_config)
-            assert counts.slot_bleu[o] == _bleu_stats(out, refs, slot_order)
-            # the best reference, the first on ties, as evaluate_all picks it
-            best = max((counts.pair_chrf[o][r] for r in counts.ref_cols), key=lambda s: _chrf_score(s, chrf_config.beta))
-            assert best == _chrf_stats(out, refs, chrf_config)
-        if len(outs) < 2:
-            assert counts.self_bleu is None
-        for k, (out, o) in enumerate(zip(outs, counts.out_cols)):
-            if len(outs) >= 2:
-                assert counts.self_bleu[o] == _bleu_stats(out, outs[:k] + outs[k + 1:], pair_order)
+    assert [inst for block in blocks for inst in block.instances] == corpus
+    for block in blocks:
+        for b, inst in enumerate(block.instances):
+            outs = [Sentence(t, lowercase) for t in inst.outputs]
+            refs = [Sentence(t, lowercase) for t in inst.references]
+            out_cols, ref_cols = block.out_cols[b], block.ref_cols[b]
+            for out, o in zip(outs, out_cols):
+                for ref, r in zip(refs, ref_cols):
+                    assert block.pair_bleu[b, o, r].tolist() == _bleu_stats(out, [ref], pair_order)
+                    assert block.pair_chrf[b, o, r].tolist() == _chrf_stats(out, [ref], chrf_config)
+                assert block.slot_bleu[b, o].tolist() == _bleu_stats(out, refs, slot_order)
+                # the best reference, the first on ties, as evaluate_all picks it
+                best = max((block.pair_chrf[b, o, r].tolist() for r in ref_cols),
+                           key=lambda s: _chrf_score(s, chrf_config.beta))
+                assert best == _chrf_stats(out, refs, chrf_config)
+            for k, (out, o) in enumerate(zip(outs, out_cols)):
+                if len(outs) >= 2:
+                    assert block.self_bleu[b, o].tolist() == _bleu_stats(out, outs[:k] + outs[k + 1:], pair_order)
 
 
 def test_only_the_statistics_asked_for_are_taken(monkeypatch):
     corpus = [EvalInstance(id="a", references=("x y", "Z, w"), outputs=("x y z", "x y z", "w"))]
-    [[(_, bleu)]] = table.count_blocks(corpus, True, pair_order=2)
+    [bleu] = table.count_blocks(corpus, True, pair_order=2)
     assert bleu.pair_chrf is None and bleu.slot_bleu is None and bleu.self_bleu is None
     outs, refs = _instance_sentences(corpus[0], True)
-    assert bleu.pair_bleu == [[_bleu_stats(o, [r], 2) for r in refs] for o in dict.fromkeys(outs)]
+    assert bleu.pair_bleu[0].tolist() == [[_bleu_stats(o, [r], 2) for r in refs] for o in dict.fromkeys(outs)]
     # character orders alone tokenize nothing
     monkeypatch.setattr(table.text, "tokenize_words", None)
-    [[(_, chrf)]] = table.count_blocks(corpus, True, char_order=3)
+    [chrf] = table.count_blocks(corpus, True, char_order=3)
     assert chrf.pair_bleu is None and chrf.slot_bleu is None and chrf.self_bleu is None
     config = ChrfConfig(char_order=3, word_order=0)
-    assert chrf.pair_chrf == [[_chrf_stats(o, [r], config) for r in refs] for o in dict.fromkeys(outs)]
-    [[(_, nothing)]] = table.count_blocks(corpus, True)
-    assert nothing[2:] == (None, None, None, None)
+    assert chrf.pair_chrf[0].tolist() == [[_chrf_stats(o, [r], config) for r in refs] for o in dict.fromkeys(outs)]
+    [nothing] = table.count_blocks(corpus, True)
+    assert nothing[3:] == (None, None, None, None)
+
+
+# small counts make zeros and equal ratios common; large ones test the
+# rounding of each division
+_stats_counts = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+
+
+def _stats(width):
+    """Statistics arrays of ``width`` per row, as (slot,), (instance,
+    output) or (instance, output, reference) rows."""
+    return arrays(np.int64, array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda shape: shape + (width,)),
+                  elements=_stats_counts)
+
+
+def _assert_each_row_equals(scores, stats, oracle):
+    assert scores.shape == stats.shape[:-1]
+    for index in np.ndindex(scores.shape):
+        assert scores[index] == oracle(stats[index].tolist())
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), max_order=st.integers(1, 9), smoothing=st.sampled_from([SMOOTH_ADD_ONE, SMOOTH_NONE]))
+def test_bleu_scores_equal_the_scalar_oracle(data, max_order, smoothing):
+    config = BleuConfig(max_order=max_order, smoothing=smoothing)
+    stats = data.draw(_stats(2 + 2 * max_order))
+    _assert_each_row_equals(table._bleu_scores(stats, config), stats, lambda row: oracle_bleu_score(row, config))
+
+
+@pytest.mark.parametrize("smoothing", [SMOOTH_ADD_ONE, SMOOTH_NONE])
+@pytest.mark.parametrize("max_order", [1, 4, 9])
+def test_bleu_scores_zero_cases(smoothing, max_order):
+    config = BleuConfig(max_order=max_order, smoothing=smoothing)
+    full = [7, 9] + [5] * max_order + [6] * max_order
+    rows = [full, [0] + full[1:]]  # a hypothesis length of 0
+    for i in range(max_order):  # a zero match, then a zero total, at each order
+        for at in (2 + i, 2 + max_order + i):
+            rows.append(full[:at] + [0] + full[at + 1:])
+    stats = np.array(rows)
+    scores = table._bleu_scores(stats, config)
+    _assert_each_row_equals(scores, stats, lambda row: oracle_bleu_score(row, config))
+    assert scores[0] > 0.0 and scores[1] == 0.0
+    # an unsmoothed zero, or one at order 1, scores 0; add-one lifts the rest
+    zeros = [scores[2 + 2 * i + k] == 0.0 for i in range(max_order) for k in range(2)]
+    assert zeros == [smoothing == SMOOTH_NONE or i == 0 for i in range(max_order) for _ in range(2)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), char_order=st.integers(1, 9), word_order=st.integers(0, 3), beta=st.floats(0.25, 8.0))
+def test_chrf_scores_equal_the_scalar_oracle(data, char_order, word_order, beta):
+    stats = data.draw(_stats(3 * (char_order + word_order)))
+    _assert_each_row_equals(table._chrf_scores(stats, beta), stats, lambda row: oracle_chrf_score(row, beta))
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0, 2.0, 8.0])
+def test_chrf_scores_zero_cases(beta):
+    stats = np.array([
+        [3, 5, 4, 2, 4, 3, 1, 3, 2],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],  # no order carries n-grams: 0
+        [3, 5, 4, 0, 0, 0, 1, 3, 2],  # an order without n-grams is not counted
+        [0, 0, 0, 2, 4, 3, 0, 0, 0],
+        [0, 5, 4, 0, 4, 3, 0, 3, 2],  # nothing matched: p + r == 0
+        [0, 0, 4, 0, 0, 3, 0, 0, 2],  # an empty hypothesis: precision and recall 0
+        [2, 0, 4, 2, 4, 0, 1, 3, 2],  # one side empty at some orders
+    ])
+    scores = table._chrf_scores(stats, beta)
+    _assert_each_row_equals(scores, stats, lambda row: oracle_chrf_score(row, beta))
+    assert scores[1] == scores[4] == scores[5] == 0.0
+    # a skipped order scores as if the row never held it
+    assert scores[2] == table._chrf_scores(stats[2, [0, 1, 2, 6, 7, 8]], beta) > 0.0
+    assert scores[3] == table._chrf_scores([2, 4, 3], beta) > 0.0
 
 
 _metrics = st.one_of(

@@ -17,9 +17,11 @@ sets, the benchmark's eval-small and eval-nbest inputs at the default seed
 that each wide n-best instance sits between runs of narrow ones, and
 ``tests/evaluate_golden/``. On each, ``evaluate --allow-unequal`` in every
 format and ``multiscore --allow-unequal --per-instance`` for both metrics
-and both formats, at the default metric flags and at non-default ones
-(``--bleu-max-order 2``; ``--chrf-char-order 3 --chrf-word-order 0
---chrf-beta 1``), each with and without ``--no-lowercase``: 268 commands.
+and both formats, all at the default metric flags; then both commands at
+non-default ones (``--bleu-max-order 2``; ``--chrf-char-order 3
+--chrf-word-order 0 --chrf-beta 1``), ``evaluate`` in json and table and
+``multiscore`` with the metric the flags set, in both formats. Each runs
+with and without ``--no-lowercase``: 364 commands.
 """
 
 from __future__ import annotations
@@ -34,8 +36,18 @@ import sys
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STRATEGIES = ("beam3", "random", "topk3", "ensemble")
 
+# the non-default metric flags: (label, multiscore's --metric, flags)
+METRIC_FLAGS = (
+    ("bleu2", "bleu", ["--bleu-max-order", "2"]),
+    ("chrf3w0b1", "chrf", ["--chrf-char-order", "3", "--chrf-word-order", "0", "--chrf-beta", "1"]),
+)
+
 COMMANDS = [
     (f"evaluate-{fmt}", ["evaluate", "--allow-unequal", "--format", fmt]) for fmt in ("json", "tsv", "table")
+] + [
+    (f"evaluate-{label}-{fmt}", ["evaluate", "--allow-unequal", *flags, "--format", fmt])
+    for label, _, flags in METRIC_FLAGS
+    for fmt in ("json", "table")
 ] + [
     (f"multiscore-{metric}-{fmt}",
      ["multiscore", "--allow-unequal", "--per-instance", "--metric", metric, "--format", fmt])
@@ -43,11 +55,8 @@ COMMANDS = [
     for fmt in ("json", "table")
 ] + [
     (f"multiscore-{label}-{fmt}",
-     ["multiscore", "--allow-unequal", "--per-instance", *flags, "--format", fmt])
-    for label, flags in (
-        ("bleu2", ["--metric", "bleu", "--bleu-max-order", "2"]),
-        ("chrf3w0b1", ["--metric", "chrf", "--chrf-char-order", "3", "--chrf-word-order", "0", "--chrf-beta", "1"]),
-    )
+     ["multiscore", "--allow-unequal", "--per-instance", "--metric", metric, *flags, "--format", fmt])
+    for label, metric, flags in METRIC_FLAGS
     for fmt in ("json", "table")
 ]
 
