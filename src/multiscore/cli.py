@@ -200,6 +200,8 @@ def _instance_seed(seed: int, index: int) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     dataset = load_jsonl(args.train)
     lowercase = not args.no_lowercase
     sequences = [

@@ -10,6 +10,7 @@ Random strategies draw from per-sample substreams seeded by
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +34,10 @@ class NGramLM:
     The distribution for a context uses only its last (order - 1) tokens,
     padded with BOS. With add_k > 0 every vocabulary token (including EOS)
     has positive probability in every context; with add_k == 0 an unseen
-    context falls back to the uniform distribution.
+    context falls back to the uniform distribution. Every context without
+    counts shares that one add-k distribution, so the model builds at most
+    one distribution per training context plus that prior: its memory is
+    bounded by its training contexts, not by the contexts decoding visits.
     """
 
     def __init__(self, order: int, vocab: Sequence[str], counts: dict[tuple, dict[str, int]], add_k: float = 0.1):
@@ -46,27 +50,47 @@ class NGramLM:
         self.order = order
         self.add_k = float(add_k)
         self.vocabulary = tuple(vocab)
-        self._index = {t: i for i, t in enumerate(self.vocabulary)}
-        self.counts = {tuple(ctx): dict(table) for ctx, table in counts.items()}
-        self._dist_cache: dict[tuple, np.ndarray] = {}
+        self._index: dict[str, int] = {}
+        for i, token in enumerate(self.vocabulary):
+            if token in self._index:
+                raise ValueError(f"vocabulary lists the token {token!r} twice")
+            self._index[token] = i
+        self.counts: dict[tuple, dict[str, int]] = {}
+        for ctx, table in counts.items():
+            ctx = tuple(ctx)
+            if len(ctx) != order - 1:
+                raise ValueError(
+                    f"context {ctx!r} has {len(ctx)} tokens; an order-{order} model's contexts have {order - 1}"
+                )
+            for token, count in table.items():
+                if token not in self._index:
+                    raise ValueError(f"context {ctx!r}: counted token {token!r} is not in the vocabulary")
+                if not count >= 0:
+                    raise ValueError(f"context {ctx!r}: token {token!r} has the count {count!r}; counts must be >= 0")
+            self.counts[ctx] = dict(table)
+        self._distributions: dict[tuple | None, np.ndarray] = {}
 
-    def _context_key(self, context: Sequence[str]) -> tuple:
-        if self.order == 1:
-            return ()
-        padded = (BOS,) * (self.order - 1) + tuple(context)
-        return padded[-(self.order - 1):]
+    def _key(self, context: Sequence[str]) -> tuple | None:
+        """The count-table key of ``context``: its last (order - 1) tokens,
+        padded with BOS only when it is shorter. None when that context has
+        no counts, so every unseen context maps to the one add-k prior."""
+        n = self.order - 1
+        short = n - len(context)
+        key = (BOS,) * short + tuple(context) if short > 0 else tuple(context[len(context) - n:])
+        return key if self.counts.get(key) else None
 
     def next_distribution(self, context: Sequence[str]) -> np.ndarray:
-        key = self._context_key(context)
-        cached = self._dist_cache.get(key)
-        if cached is not None:
-            return cached
-        table = self.counts.get(key)
+        """The read-only next-token distribution after ``context``; contexts
+        with the same key get the same array."""
+        key = self._key(context)
+        probs = self._distributions.get(key)
+        if probs is not None:
+            return probs
         n_vocab = len(self.vocabulary)
         probs = np.full(n_vocab, self.add_k)
         total = 0
-        if table:
-            for token, count in table.items():
+        if key is not None:
+            for token, count in self.counts[key].items():
                 probs[self._index[token]] += count
                 total += count
         denom = total + self.add_k * n_vocab
@@ -75,7 +99,7 @@ class NGramLM:
         else:
             probs /= denom
         probs.flags.writeable = False
-        self._dist_cache[key] = probs
+        self._distributions[key] = probs
         return probs
 
 
@@ -142,10 +166,10 @@ def _beam_pools(
         closures = []  # hypotheses taking EOS now
         extensions = []  # hypotheses growing by one token
         for tokens, logp in active:
-            probs = model.next_distribution(tokens)
-            for idx in np.flatnonzero(probs > 0.0):
-                idx = int(idx)
-                cand_logp = logp + math.log(probs[idx])
+            for idx, p in enumerate(model.next_distribution(tokens).tolist()):
+                if not p > 0.0:  # never expand a zero-probability continuation
+                    continue
+                cand_logp = logp + math.log(p)
                 if idx == eos_idx:
                     closures.append((tokens, cand_logp))
                 else:
@@ -272,30 +296,43 @@ def generate_top3_beam(
     )
 
 
-def _sample_tokens(model: NGramLM, rng: np.random.Generator, max_len: int, top_k: int | None) -> tuple[list[str], bool]:
-    """One ancestral sample; returns (tokens, hit_max_len)."""
+def _sample_tokens(
+    model: NGramLM, rng: np.random.Generator, max_len: int, top_k: int | None, cdfs: dict
+) -> tuple[list[str], bool]:
+    """One ancestral sample; returns (tokens, hit_max_len).
+
+    ``cdfs`` maps a distribution key to its :func:`_sampling_cdf`, built on
+    first use; samples from one model at one ``top_k`` may share it."""
     vocab = model.vocabulary
     eos_idx = vocab.index(EOS)
     tokens: list[str] = []
     for _ in range(max_len):
-        probs = model.next_distribution(tokens)
-        if top_k is not None and top_k < len(vocab):
-            # k most probable tokens, probability ties kept in token order
-            keep = np.argsort(-probs, kind="stable")[:top_k]
-            restricted = probs[keep] / probs[keep].sum()
-            idx = int(keep[_draw(rng, restricted)])
-        else:
-            idx = _draw(rng, probs)
+        key = model._key(tokens)
+        entry = cdfs.get(key)
+        if entry is None:
+            entry = cdfs[key] = _sampling_cdf(model.next_distribution(tokens), top_k)
+        cdf, keep = entry
+        idx = keep[_draw(rng, cdf)]
         if idx == eos_idx:
             return tokens, False
         tokens.append(vocab[idx])
     return tokens, True
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    cdf = np.cumsum(probs)
+def _sampling_cdf(probs: np.ndarray, top_k: int | None) -> tuple[list[float], Sequence[int]]:
+    """(cdf, token index of each cdf entry) for sampling from ``probs``, or
+    from its ``top_k`` most probable tokens renormalized, probability ties
+    kept in token order."""
+    if top_k is None or top_k >= len(probs):
+        return np.cumsum(probs).tolist(), range(len(probs))
+    keep = np.argsort(-probs, kind="stable")[:top_k]
+    restricted = probs[keep] / probs[keep].sum()
+    return np.cumsum(restricted).tolist(), keep.tolist()
+
+
+def _draw(rng: np.random.Generator, cdf: list[float]) -> int:
     r = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, r, side="right")), len(probs) - 1)
+    return min(bisect.bisect_right(cdf, r), len(cdf) - 1)
 
 
 _EMPTY_RESAMPLE_CAP = 100
@@ -304,13 +341,14 @@ _EMPTY_RESAMPLE_CAP = 100
 def _sampling_set(model, seed: int, max_len: int, top_k: int | None, strategy: str, instance_id: str) -> GenerationSet:
     sentences = []
     flags: set[str] = set()
+    cdfs: dict = {}
     for k in range(SET_SIZE):
         rng = np.random.default_rng((seed, k))
         # a sample that stops at EOS immediately is redrawn from the same
         # substream so sets stay evaluable; conditional next-token
         # frequencies at non-empty contexts are unaffected
         for _ in range(_EMPTY_RESAMPLE_CAP):
-            tokens, truncated = _sample_tokens(model, rng, max_len, top_k)
+            tokens, truncated = _sample_tokens(model, rng, max_len, top_k, cdfs)
             if tokens:
                 break
         if truncated:

@@ -9,6 +9,8 @@ import math
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
+
 
 def toks(s):
     return s.lower().split()
@@ -195,3 +197,59 @@ def enumerate_sequences(model, max_len):
 
     walk((), 0.0, 0)
     return out
+
+
+def oracle_distribution(model, context):
+    """The add-k next-token distribution of ``context``, built afresh from
+    the model's counts on every call."""
+    from multiscore.decoding import BOS
+
+    n_vocab = len(model.vocabulary)
+    index = {t: i for i, t in enumerate(model.vocabulary)}
+    key = () if model.order == 1 else ((BOS,) * (model.order - 1) + tuple(context))[-(model.order - 1):]
+    table = model.counts.get(key)
+    probs = np.full(n_vocab, model.add_k)
+    total = 0
+    if table:
+        for token, count in table.items():
+            probs[index[token]] += count
+            total += count
+    denom = total + model.add_k * n_vocab
+    if denom <= 0.0:
+        return np.full(n_vocab, 1.0 / n_vocab)
+    return probs / denom
+
+
+def oracle_sample_set(model, seed, max_len, top_k=None):
+    """(sentences, flags) of the set ``generate_random`` (``top_k`` None) or
+    ``generate_topk_random`` draws, by the per-draw sampler as it stood
+    before distributions and CDFs were shared: every draw builds its
+    context's distribution, its top-k ``argsort`` and its ``cumsum``, and
+    searches that. Frozen here to check the shared form token for token."""
+    from multiscore.decoding import EOS
+
+    vocab = model.vocabulary
+    eos = vocab.index(EOS)
+    sentences, truncated = [], False
+    for k in range(3):
+        rng = np.random.default_rng((seed, k))
+        for _ in range(100):  # an empty sample is redrawn from the same substream
+            tokens, hit_max_len = [], True
+            for _ in range(max_len):
+                probs = oracle_distribution(model, tokens)
+                keep = np.arange(len(vocab))
+                if top_k is not None and top_k < len(vocab):
+                    keep = np.argsort(-probs, kind="stable")[:top_k]
+                    probs = probs[keep] / probs[keep].sum()
+                cdf = np.cumsum(probs)
+                r = rng.random() * cdf[-1]
+                idx = int(keep[min(int(np.searchsorted(cdf, r, side="right")), len(probs) - 1)])
+                if idx == eos:
+                    hit_max_len = False
+                    break
+                tokens.append(vocab[idx])
+            if tokens:
+                break
+        truncated = truncated or hit_max_len
+        sentences.append(" ".join(tokens))
+    return tuple(sentences), ("truncated",) if truncated else ()

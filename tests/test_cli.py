@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiscore import decoding
+from multiscore import cli, decoding
 from multiscore.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _round2_table, main
 from multiscore.corpus import load_jsonl, load_outputs_jsonl
 from multiscore.metrics import BleuMetric, ChrfMetric
@@ -332,6 +332,18 @@ class TestGenerate:
         rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, knob, value, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert knob[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["beam3", "random", "topk3", "ensemble"])
+    def test_negative_seed_is_validation_error(self, toy_data, tmp_path, capsys, monkeypatch, strategy):
+        def untrained(*args, **kwargs):
+            raise AssertionError("trained before the seed was checked")
+
+        monkeypatch.setattr(cli, "train_ngram", untrained)
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_deterministic_outputs(self, toy_data, tmp_path):

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiscore.decoding import (
+    BOS,
     EOS,
+    NGramLM,
     beam_search,
     generate_ensemble,
     generate_random,
@@ -14,7 +18,7 @@ from multiscore.decoding import (
     generate_topk_random,
     train_ngram,
 )
-from oracles import enumerate_sequences
+from oracles import oracle_distribution, enumerate_sequences, oracle_sample_set
 
 
 def fixed_model(rows, order=2, add_k=0.0):
@@ -73,6 +77,79 @@ class TestTrainNgram:
         lm2 = fixed_model(["a b"], order=3, add_k=0.5)
         d2 = lm2.next_distribution(("b", "a"))
         assert np.allclose(d2, np.full(len(lm2.vocabulary), 1 / len(lm2.vocabulary)))
+
+
+class TestModelValidation:
+    def test_counted_token_outside_the_vocabulary(self):
+        with pytest.raises(ValueError, match=r"context \('a',\): counted token 'b' is not in the vocabulary"):
+            NGramLM(2, (EOS, "a"), {("a",): {"b": 1}})
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match=r"context \('a',\): token 'a' has the count -1"):
+            NGramLM(2, (EOS, "a"), {("a",): {"a": -1, EOS: 2}})
+
+    def test_context_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"context \('x', 'a'\) has 2 tokens; an order-2 model's contexts have 1"):
+            NGramLM(2, (EOS, "a"), {("x", "a"): {"a": 1}})
+
+    def test_duplicated_vocabulary_token(self):
+        with pytest.raises(ValueError, match="vocabulary lists the token 'a' twice"):
+            NGramLM(2, (EOS, "a", "b", "a"), {("a",): {"b": 1}})
+
+
+class TestSharedDistributions:
+    def test_at_most_one_distribution_per_training_context_plus_the_prior(self):
+        lm = fixed_model(["a b c", "b c a", "c c"], order=3, add_k=0.1)
+        for seed in range(5):
+            generate_random(lm, seed=seed, max_len=20)
+            generate_topk_random(lm, k=2, seed=seed, max_len=20)
+        generate_top3_beam(lm, beam_width=6, max_len=8)
+        assert len(lm._distributions) <= len(lm.counts) + 1
+        unseen = lm.next_distribution(("a", "a"))
+        assert lm.next_distribution(("c", "b")) is unseen
+        assert lm.next_distribution(("q", "r", "b", "b")) is unseen
+        assert lm.next_distribution(("b",)) is lm.next_distribution((BOS, "b"))
+        assert lm.next_distribution(("x", "a", "b")) is not unseen
+        with pytest.raises(ValueError):
+            unseen[0] = 1.0  # shared, so read-only
+
+
+_WORDS = [f"t{i}" for i in range(12)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), min_size=1, max_size=6),
+    order=st.integers(1, 4),
+    add_k=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    max_len=st.integers(1, 10),
+)
+# twelve word types: every k up to |V| = 13, past the 8 elements where
+# numpy's sum turns pairwise
+@example(corpus=[_WORDS[:9], _WORDS[3:], _WORDS[::2]], order=2, add_k=0.1, seed=7, max_len=10)
+@example(corpus=[_WORDS[:9], _WORDS[3:], []], order=3, add_k=0.0, seed=20210811, max_len=10)
+def test_sampling_equals_the_per_draw_sampler(corpus, order, add_k, seed, max_len):
+    # one model decoded at every k in turn, so nothing built for one k
+    # may serve another
+    lm = train_ngram(corpus, order=order, add_k=add_k)
+    for ctx in ([], corpus[0], ["t11"] * 3):
+        assert np.array_equal(lm.next_distribution(ctx), oracle_distribution(lm, ctx))
+    for top_k in [None, *range(1, len(lm.vocabulary) + 1)]:
+        sentences, flags = oracle_sample_set(lm, seed, max_len, top_k)
+
+        def decode():
+            if top_k is None:
+                return generate_random(lm, seed=seed, max_len=max_len)
+            return generate_topk_random(lm, k=top_k, seed=seed, max_len=max_len)
+
+        if all(sentences):
+            got = decode()
+            assert (got.sentences, got.flags) == (sentences, flags)
+        else:  # every redraw of some sample was empty
+            with pytest.raises(ValueError, match="empty sentence"):
+                decode()
+    assert len(lm._distributions) <= len(lm.counts) + 1
 
 
 class TestBeamSearch:
@@ -197,8 +274,9 @@ class TestGenerateRandom:
         counts = {tok: 0 for tok in lm.vocabulary}
         from multiscore.decoding import _sample_tokens
 
+        cdfs = {}
         for _ in range(n):
-            tokens, _tr = _sample_tokens(lm, rng, max_len=5, top_k=None)
+            tokens, _tr = _sample_tokens(lm, rng, max_len=5, top_k=None, cdfs=cdfs)
             # first token after "a" in each sample: sample full sequences and
             # look at the continuation of the deterministic first token "a"
             assert tokens[0] == "a"
@@ -245,9 +323,9 @@ class TestGenerateTopkRandom:
         from multiscore.decoding import _sample_tokens
 
         n = 10000
-        counts = {}
+        counts, cdfs = {}, {}
         for _ in range(n):
-            tokens, _tr = _sample_tokens(lm, rng, max_len=4, top_k=2)
+            tokens, _tr = _sample_tokens(lm, rng, max_len=4, top_k=2, cdfs=cdfs)
             nxt = tokens[1] if len(tokens) > 1 else EOS
             counts[nxt] = counts.get(nxt, 0) + 1
         for idx, p in zip(keep, renorm):

@@ -7,8 +7,8 @@ OUTDIR (new or empty) receives ``inputs/``, the files the commands read,
 and ``results/INPUT/COMMAND.{stdout,stderr,exit}``. The program run is the
 package under ``CHECKOUT/src`` (default: this checkout), so two checkouts
 are compared by running the tool once against each and then
-``diff -r OUTDIR1 OUTDIR2``: no output means every report, diagnostic and
-exit code is byte-identical.
+``diff -r OUTDIR1 OUTDIR2``: no output means every report, generated file,
+diagnostic and exit code is byte-identical.
 
 Inputs: the bundled demo corpus with its four ``generate --seed 7`` output
 sets (the generate runs are gate commands too), a title-cased copy of those
@@ -21,7 +21,11 @@ and both formats, all at the default metric flags; then both commands at
 non-default ones (``--bleu-max-order 2``; ``--chrf-char-order 3
 --chrf-word-order 0 --chrf-beta 1``), ``evaluate`` in json and table and
 ``multiscore`` with the metric the flags set, in both formats. Each runs
-with and without ``--no-lowercase``: 364 commands.
+with and without ``--no-lowercase``: 364 commands. On top of those,
+``generate`` runs whose files land in ``results/generate/``: every strategy
+on the benchmark's generate training corpus at the default seed, and on the
+demo corpus at ``--seed 7`` with ``--add-k 0``, with ``--order 1`` and with
+``--no-lowercase``, and ``topk3`` with ``--topk 9``: 17 more, 381 in all.
 """
 
 from __future__ import annotations
@@ -35,6 +39,15 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STRATEGIES = ("beam3", "random", "topk3", "ensemble")
+DEMO_SEED = "7"
+
+# generate on the demo corpus at non-default knobs: (label, strategies, flags)
+GENERATE_KNOBS = (
+    ("topk9", ("topk3",), ["--topk", "9"]),
+    ("addk0", STRATEGIES, ["--add-k", "0"]),
+    ("order1", STRATEGIES, ["--order", "1"]),
+    ("cased", STRATEGIES, ["--no-lowercase"]),
+)
 
 # the non-default metric flags: (label, multiscore's --metric, flags)
 METRIC_FLAGS = (
@@ -110,6 +123,25 @@ def _interleaved(narrow, wide, dst):
             fh.writelines(lines)
 
 
+def _generate_runs(repo, outdir, demo, workloads):
+    """Run generate with every strategy on the benchmark's generate corpus
+    at its default seed, and on the demo corpus at GENERATE_KNOBS, writing
+    each file to results/generate/; return the exit codes."""
+    os.makedirs(os.path.join(outdir, "inputs", "generate"))
+    workloads.make_generate(workloads.DEFAULT_SEED, os.path.join(outdir, "inputs", "generate"))
+    bench = os.path.join("inputs", "generate", "train.jsonl")
+    runs = [(f"bench-{s}", bench, s, str(workloads.DEFAULT_SEED), []) for s in STRATEGIES]
+    runs += [(f"demo-{s}-{label}", demo, s, DEMO_SEED, flags)
+             for label, strategies, flags in GENERATE_KNOBS for s in strategies]
+    os.makedirs(os.path.join(outdir, "results", "generate"), exist_ok=True)
+    return [
+        _run(repo, outdir, f"generate/{name}", ["generate", "--train", train, "--strategy", strategy,
+                                                "--seed", seed, *flags,
+                                                "--out", os.path.join("results", "generate", f"{name}.jsonl")])
+        for name, train, strategy, seed, flags in runs
+    ]
+
+
 def build_inputs(repo, outdir):
     """Write the gate inputs under OUTDIR/inputs, running the generate
     commands; return ({name: --data/--outputs args}, generate exit codes)."""
@@ -121,12 +153,13 @@ def build_inputs(repo, outdir):
     for strategy in STRATEGIES:
         outs = os.path.join("inputs", f"demo-{strategy}.jsonl")
         codes.append(_run(repo, outdir, f"generate/{strategy}", ["generate", "--train", demo, "--strategy", strategy,
-                                                                 "--seed", "7", "--out", outs]))
+                                                                 "--seed", DEMO_SEED, "--out", outs]))
         cases[f"demo-{strategy}"] = ["--data", demo, "--outputs", outs]
         titled = os.path.join("inputs", f"demo-{strategy}-title.jsonl")
         _title_cased(os.path.join(outdir, outs), os.path.join(outdir, titled))
         cases[f"demo-{strategy}-title"] = ["--data", demo, "--outputs", titled]
     workloads = _workloads()
+    codes += _generate_runs(repo, outdir, demo, workloads)
     for name, make in (("eval-small", workloads.make_eval_small), ("eval-nbest", workloads.make_eval_nbest)):
         os.makedirs(os.path.join(inputs, name))
         make(workloads.DEFAULT_SEED, os.path.join(inputs, name))
