@@ -7,9 +7,13 @@ side into the larger, ``math.perm(max side, min side)``:
 * at most ``_ENUMERATE_LIMIT`` = 120 (every shape up to 5x5, 4x5, 3x6, 2x11
   and 1x120, either way round): every assignment is scored with one numpy
   gather-and-sum;
-* more: shortest augmenting paths over dual potentials, O(n^3) (the
-  Hungarian method in the form of Jonker & Volgenant 1987 and Crouse
-  2016). Rectangular inputs are squared by zero-weight padding; padded
+* more: shortest augmenting paths over dual potentials (the Hungarian
+  method in the form of Jonker & Volgenant 1987 and Crouse 2016), in its
+  transportation form: bit-for-bit equal rows are one row class whose
+  supply is its row count, and each search settles a whole class at once,
+  so it costs O(k n) for k distinct rows, and the at most n searches
+  O(k n^2) (O(n^3) without repeats). Rectangular inputs are squared by
+  zero-weight padding (a wide input's padded rows are one class); padded
   edges never appear in results.
 
 The rule counts assignments, not the smaller side: a 3x2000 input has
@@ -152,90 +156,172 @@ def _enumerated_edges(w: np.ndarray) -> list[tuple[int, int]]:
     return min(sorted(zip(rows, range(nc))) for rows in tied)
 
 
-def _solve_min_cost(cost: np.ndarray, warm_start: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Square min-cost assignment via shortest augmenting paths.
+# rows hashed per chunk of about this many cells, so that hashing never
+# holds a temporary the size of the matrix
+_HASH_CHUNK_CELLS = 1 << 16
 
-    Returns (row_of_col, u, v) where row_of_col[j] is the row matched to
-    column j and u, v are feasible dual potentials with
-    u[i] + v[j] <= cost[i, j], tight on matched edges.
 
-    With ``warm_start``, column reduction and then row reduction with a
-    greedy match on zero-reduced-cost edges (Jonker & Volgenant 1987)
-    match most rows before any search; it pays off on square inputs only,
-    since a padded input's zero rows leave most rows free after it. Each
-    search keeps its distances relative to its start and moves the duals
-    once, when it reaches a free column (Crouse 2016).
+def _row_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the bit-for-bit equal rows of ``w`` in first-seen order.
+
+    Returns (class_of_row, reps): the class of each row, and the first row
+    of each class, ascending. Each row is hashed to 64 bits and each row
+    whose hash was seen before is checked cell by cell against the first
+    row with that hash; a row that fails the check (a hash collision)
+    becomes a class of its own. No copy of ``w`` is made.
     """
-    n = cost.shape[0]
-    u = np.zeros(n)
+    nr, nc = w.shape
+    bits = w.view(np.uint64)
+    # splitmix64 of the column index: multipliers with no linear relation
+    # between columns, so that rows holding the same values in other
+    # places hash apart
+    mix = np.arange(1, nc + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        mix ^= mix >> np.uint64(shift)
+        mix *= np.uint64(factor)
+    mix ^= mix >> np.uint64(31)
+    step = max(1, _HASH_CHUNK_CELLS // nc)
+    hashes = np.empty(nr, dtype=np.uint64)
+    for lo in range(0, nr, step):
+        # fold the high half of each cell into the low half, so that cells
+        # differing only in sign, exponent or leading mantissa bits (small
+        # integers, say) still differ in the low bits the product keeps
+        folded = bits[lo:lo + step] >> np.uint64(32)
+        folded ^= bits[lo:lo + step]
+        np.matmul(folded, mix, out=hashes[lo:lo + step])
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    label = first[inverse]
+    repeats = np.flatnonzero(label != np.arange(nr))
+    for lo in range(0, repeats.size, step):
+        rows = repeats[lo:lo + step]
+        same = (bits[rows] == bits[label[rows]]).all(axis=1)
+        label[rows[~same]] = rows[~same]
+    reps, class_of_row = np.unique(label, return_inverse=True)
+    return class_of_row, reps
+
+
+def _solve_min_cost(
+    w: np.ndarray, reps: np.ndarray, supply: list[int], warm_start: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-cost transportation from row classes to unit-capacity columns
+    via shortest augmenting paths, with costs ``-w``.
+
+    Class ``b`` is ``supply[b]`` equal rows, all copies of row
+    ``w[reps[b]]``; the supplies sum to the number of columns. Returns
+    (owner, u, v) where owner[j] is the class matched to column j, each
+    class owning ``supply[b]`` columns, and u (per class), v (per column)
+    are feasible dual potentials with u[b] + v[j] <= -w[reps[b], j], tight
+    on matched edges. A class of one row is a row of the assignment
+    problem, so an input without repeated rows is solved exactly as the
+    row-by-row Hungarian method would.
+
+    With ``warm_start``, v starts at the column minimum and each class, in
+    order, takes up to its supply of the free columns where its reduced
+    cost is minimal (Jonker & Volgenant 1987); it pays off on square inputs
+    only, since a padded input's zero rows leave most rows free after it.
+
+    Each search sends one unit from a class with unmet supply to a free
+    column. The start class's own columns are settled at distance 0; when
+    a column owned by class ``b`` is reached, all of ``b``'s columns are
+    settled at that distance and ``b`` is relaxed once, so a search takes
+    at most (number of classes + 1) steps and O(k n) work for k classes.
+    Distances are kept relative to the search's start, and the duals move
+    once, when a free column is reached (Crouse 2016).
+    """
+    k, n = len(reps), w.shape[1]
+    rows = [w[r] for r in reps.tolist()]
+    u = np.zeros(k)
     v = np.zeros(n)
-    row_of_col = np.full(n, -1, dtype=np.intp)
-    col_of_row = np.full(n, -1, dtype=np.intp)
+    owner = np.full(n, -1, dtype=np.intp)
+    have = [0] * k  # columns each class owns
     if warm_start:
-        v = cost.min(axis=0)
+        # -v: the column maximum of w, so that reduced costs are -v - w[r]
+        neg_v = w.max(axis=0)
+        np.negative(neg_v, out=v)
         free = np.ones(n, dtype=bool)
-        # row by row, so that no n x n temporary is made
-        for i in range(n):
-            reduced = cost[i] - v
-            u[i] = reduced.min()
-            hit = reduced == u[i]
+        for b, row in enumerate(rows):
+            reduced = neg_v - row
+            u[b] = reduced.min()
+            hit = reduced == u[b]
             hit &= free
-            j = int(hit.argmax())
-            if hit[j]:
-                row_of_col[j], col_of_row[i] = i, j
-                free[j] = False
+            taken = np.flatnonzero(hit)[:supply[b]]
+            owner[taken] = b
+            free[taken] = False
+            have[b] = taken.size
 
     dist = np.empty(n)
-    way = np.empty(n, dtype=np.intp)  # way[j]: the row that last relaxed column j
-    for start in np.flatnonzero(col_of_row < 0).tolist():
-        dist.fill(np.inf)
-        # a settled column's v becomes -inf here, so it never relaxes again
-        v_open = v.copy()
-        free_cols = None  # built on the first tie check of this search
-        settled, settled_dist = [], []
-        i, base = start, 0.0
-        while True:
-            slack = cost[i] - v_open
-            slack += base - u[i]
-            better = slack < dist
-            np.copyto(way, i, where=better)
-            np.minimum(dist, slack, out=dist)
-            j = int(dist.argmin())
-            base = float(dist[j])
-            if row_of_col[j] >= 0:
-                # any column at the minimum is a valid Dijkstra step; ending
-                # at a free one keeps tie-heavy solves to O(n) steps instead
-                # of walking every tied assigned column first (Crouse 2016);
-                # free columns are never settled, since reaching one ends
-                # the search, so dist holds their distances
-                if free_cols is None:
-                    free_cols = np.flatnonzero(row_of_col < 0)
-                k = int(dist[free_cols].argmin())
-                if dist[free_cols[k]] == base:
-                    j = int(free_cols[k])
-            if row_of_col[j] < 0:
-                break
-            settled.append(j)
-            settled_dist.append(base)
-            dist[j] = np.inf
-            v_open[j] = -np.inf
-            i = int(row_of_col[j])
-        # dual update for the whole search: every settled column and its row
-        # move by how much closer than the free column they were
-        u[start] += base
-        if settled:
-            cols = np.array(settled)
-            shift = base - np.array(settled_dist)
-            u[row_of_col[cols]] += shift
-            v[cols] -= shift
-        # augment along the alternating path
-        while True:
-            i = int(way[j])
-            row_of_col[j] = i
-            col_of_row[i], j = j, int(col_of_row[i])
-            if i == start:
-                break
-    return row_of_col, u, v
+    neg_v_open = np.empty(n)
+    way = np.empty(n, dtype=np.intp)  # way[j]: the class that last relaxed column j
+    via = np.empty(k, dtype=np.intp)  # via[b]: the column b was reached through
+    for start in range(k):
+        for _ in range(supply[start] - have[start]):
+            dist.fill(np.inf)
+            # -v with settled columns at +inf, so that they never relax again
+            np.negative(v, out=neg_v_open)
+            free_cols = None  # built on the first tie check of this search
+            # settled columns of one-column classes, and (class, columns,
+            # distance) for classes settled with all their columns at once
+            settled, settled_dist, groups = [], [], []
+            if have[start]:
+                mine = owner == start
+                neg_v_open[mine] = np.inf
+                groups.append((start, mine, 0.0))
+            b, base = start, 0.0
+            while True:
+                slack = neg_v_open - rows[b]
+                slack += base - u[b]
+                better = slack < dist
+                np.copyto(way, b, where=better)
+                np.minimum(dist, slack, out=dist)
+                j = int(dist.argmin())
+                base = float(dist[j])
+                if owner[j] >= 0:
+                    # any column at the minimum is a valid Dijkstra step; ending
+                    # at a free one keeps tie-heavy solves to O(n) steps instead
+                    # of walking every tied assigned column first (Crouse 2016);
+                    # free columns are never settled, since reaching one ends
+                    # the search, so dist holds their distances
+                    if free_cols is None:
+                        free_cols = np.flatnonzero(owner < 0)
+                    f = int(dist[free_cols].argmin())
+                    if dist[free_cols[f]] == base:
+                        j = int(free_cols[f])
+                b = int(owner[j])
+                if b < 0:
+                    break
+                via[b] = j
+                if have[b] == 1:
+                    settled.append(j)
+                    settled_dist.append(base)
+                    dist[j] = np.inf
+                    neg_v_open[j] = np.inf
+                else:
+                    theirs = owner == b
+                    dist[theirs] = np.inf
+                    neg_v_open[theirs] = np.inf
+                    groups.append((b, theirs, base))
+            # dual update for the whole search: every settled column and its
+            # class move by how much closer than the free column they were
+            if not have[start]:
+                u[start] += base
+            if settled:
+                cols = np.array(settled)
+                shift = base - np.array(settled_dist)
+                u[owner[cols]] += shift
+                v[cols] -= shift
+            for c, cols, d in groups:
+                u[c] += base - d
+                v[cols] -= base - d
+            # augment along the alternating path: each class on it takes the
+            # column after it and gives up the one it was reached through
+            while True:
+                b = int(way[j])
+                owner[j] = b
+                if b == start:
+                    break
+                j = int(via[b])
+            have[start] += 1
+    return owner, u, v
 
 
 def _lex_min_tight_matching(
@@ -292,22 +378,44 @@ def _lex_min_tight_matching(
 
 
 def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
-    """Best assignment by the augmenting-path solver and the tie-break
-    inside its tight subgraph."""
+    """Best assignment by the augmenting-path solver over the classes of
+    equal rows, and the tie-break inside its tight subgraph."""
     nr, nc = w.shape
     n = max(nr, nc)
-    # maximize by minimizing the negated, zero-padded weights
-    cost = np.zeros((n, n))
-    cost[:nr, :nc] = w
-    np.negative(cost, out=cost)
-    row_of_col, u, v = _solve_min_cost(cost, warm_start=nr == nc)
+    class_of_row, reps = _row_classes(w)
+    supply = np.bincount(class_of_row).tolist()
+    # maximize by minimizing the negated weights, squared by zero padding: a
+    # wide input's padded rows are one class, row nr of a copy with one zero
+    # row added; a square one is solved on w itself
+    if nr > nc:
+        wp = np.zeros((n, n))
+        wp[:, :nc] = w
+    elif nr < nc:
+        wp = np.zeros((nr + 1, n))
+        wp[:nr] = w
+        reps = np.append(reps, nr)
+        class_of_row = np.append(class_of_row, np.full(n - nr, len(supply)))
+        supply.append(n - nr)
+    else:
+        wp = w
+    owner, u, v = _solve_min_cost(wp, reps, supply, warm_start=nr == nc)
+    # a class's columns go to its rows in ascending order; any order would
+    # do, since equal rows have equal tight rows
+    row_of_col = np.empty(n, dtype=np.intp)
+    row_of_col[np.argsort(owner, kind="stable")] = np.argsort(class_of_row, kind="stable")
 
     # optimal assignments live inside the tight subgraph (complementary
-    # slackness); matched edges are included regardless of rounding. Row
-    # by row, so that no n x n float temporary is made
+    # slackness); matched edges are included regardless of rounding. Class
+    # by class, so that no n x n float temporary is made
+    neg_v = -v
     tight = np.empty((n, n), dtype=bool)
-    for i in range(n):
-        np.less_equal(cost[i] - u[i] - v, _TIE_TOL, out=tight[i])
+    for b, r in enumerate(reps.tolist()):
+        reduced = wp[r] + u[b]
+        np.subtract(neg_v, reduced, out=reduced)
+        np.less_equal(reduced, _TIE_TOL, out=tight[r])
+        if supply[b] > 1:
+            tight[r, owner == b] = True
+            tight[class_of_row == b] = tight[r]
     tight[row_of_col, np.arange(n)] = True
 
     col_of_row = _lex_min_tight_matching(tight, row_of_col, nr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -199,9 +200,28 @@ def _instance_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
+def _check_generate_knobs(args) -> None:
+    """Reject an out-of-range generation flag by name, before the training
+    file is read and whichever strategy would use it."""
+    # beam3 keeps the best three finished hypotheses, so its beam holds three
+    min_width = SET_SIZE if args.strategy == "beam3" else 1
+    for flag, value, low in (
+        ("--seed", args.seed, 0),
+        ("--order", args.order, 1),
+        ("--max-len", args.max_len, 1),
+        ("--beam-width", args.beam_width, min_width),
+        ("--topk", args.topk, 1),
+    ):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    if not (math.isfinite(args.add_k) and args.add_k >= 0):
+        raise ValueError(f"--add-k must be finite and >= 0, got {args.add_k}")
+    if not math.isfinite(args.alpha):
+        raise ValueError(f"--alpha must be finite, got {args.alpha}")
+
+
 def _cmd_generate(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _check_generate_knobs(args)
     dataset = load_jsonl(args.train)
     lowercase = not args.no_lowercase
     sequences = [

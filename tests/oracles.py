@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def toks(s):
@@ -167,6 +168,37 @@ def oracle_best_assignment(weights):
         key=lambda p: sum(weights[i][p[i]] for i in range(n)),
     )
     return sum(weights[i][best[i]] for i in range(n)), best
+
+
+def oracle_lex_min_assignment(weights):
+    """The lexicographically smallest optimal edge list of an exactly
+    summed (say, small-integer) matrix, by scipy alone: rows are fixed in
+    order, and each row takes the smallest column, or else no column, for
+    which the optimum with every fixed edge forced still equals the overall
+    optimum."""
+    w = np.asarray(weights, dtype=float)
+    nr, nc = w.shape
+
+    def best(rows, cols):
+        if not rows or not cols:
+            return 0.0
+        sub = w[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return sub[r, c].sum()
+
+    optimum = best(list(range(nr)), list(range(nc)))
+    edges, fixed, open_cols = [], 0.0, list(range(nc))
+    for row in range(nr):
+        rest = list(range(row + 1, nr))
+        for col in open_cols:
+            others = [c for c in open_cols if c != col]
+            if fixed + w[row, col] + best(rest, others) == optimum:
+                edges.append((row, col))
+                fixed += w[row, col]
+                open_cols = others
+                break
+        # no column keeps the optimum: the row stays unmatched
+    return edges
 
 
 def enumerate_sequences(model, max_len):

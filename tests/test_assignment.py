@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+from oracles import oracle_lex_min_assignment
+
 from multiscore.assignment import (
     ScoreMatrix,
     _enumerated_edges,
     _lex_min_tight_matching,
     _matched_edges,
     _matched_totals,
+    _row_classes,
     _solve_min_cost,
     _solved_edges,
     brute_force_matching,
@@ -259,6 +263,10 @@ def _seeded_matrix(kind, shape, seed):
         return rng.integers(0, 3, shape).astype(float)
     if kind == "all-equal":
         return np.full(shape, 50.0)
+    if kind == "repeated-rows":
+        # an n-best grid: a few distinct rows, each repeated
+        distinct = rng.uniform(0, 100, (int(rng.integers(1, 9)), shape[1]))
+        return distinct[rng.integers(0, len(distinct), shape[0])]
     # a scaled permutation matrix: the greedy start matches every row
     w = np.zeros(shape)
     k = min(shape)
@@ -268,7 +276,7 @@ def _seeded_matrix(kind, shape, seed):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.sampled_from(["uniform", "integers-0-2", "all-equal", "permutation"]),
+    st.sampled_from(["uniform", "integers-0-2", "all-equal", "permutation", "repeated-rows"]),
     st.tuples(st.integers(1, 30), st.integers(1, 30)),
     st.integers(0, 2**32 - 1),
     st.booleans(),
@@ -276,19 +284,44 @@ def _seeded_matrix(kind, shape, seed):
 @example("all-equal", (12, 12), 0, True)
 @example("permutation", (12, 12), 0, True)
 @example("uniform", (10, 30), 0, False)
+@example("repeated-rows", (30, 30), 0, True)
 def test_solver_duals_certify_optimality(kind, shape, seed, warm_start):
-    # the returned duals must prove the matching optimal: feasible, tight on
-    # every matched edge, and summing to the matching's cost
+    # the returned duals must prove the transportation optimal: feasible,
+    # tight on every matched edge, and summing to the matching's cost
     w = _seeded_matrix(kind, shape, seed)
     n = max(shape)
-    cost = np.zeros((n, n))
-    cost[: shape[0], : shape[1]] = -w
-    row_of_col, u, v = _solve_min_cost(cost, warm_start=warm_start)
-    assert sorted(row_of_col.tolist()) == list(range(n))
+    padded = np.zeros((n, n))
+    padded[: shape[0], : shape[1]] = w
+    class_of_row, reps = _row_classes(padded)
+    supply = np.bincount(class_of_row)
+    owner, u, v = _solve_min_cost(padded, reps, supply.tolist(), warm_start=warm_start)
+    assert np.array_equal(np.bincount(owner, minlength=len(reps)), supply)
+    cost = -padded[reps]
     cols = np.arange(n)
     assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
-    assert np.abs(cost[row_of_col, cols] - u[row_of_col] - v).max() <= 1e-9
-    assert abs(u.sum() + v.sum() - cost[row_of_col, cols].sum()) <= n * 1e-9
+    assert np.abs(cost[owner, cols] - u[owner] - v).max() <= 1e-9
+    assert abs(supply @ u + v.sum() - cost[owner, cols].sum()) <= n * 1e-9
+
+
+def test_row_classes_group_equal_rows_in_first_seen_order():
+    w = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [-0.0, 0.0]])
+    class_of_row, reps = _row_classes(w)
+    # -0.0 and 0.0 differ bit for bit, so the last row is a class of its own
+    assert class_of_row.tolist() == [0, 1, 0, 2, 1, 3]
+    assert reps.tolist() == [0, 1, 3, 5]
+
+
+def test_row_classes_split_hash_collisions(monkeypatch):
+    # with every row hashed alike, only the rows equal cell by cell to the
+    # first share its class; each other row becomes a class of its own
+    def same_hash(rows, mix, out):
+        out[:] = 0
+        return out
+
+    monkeypatch.setattr(np, "matmul", same_hash)
+    class_of_row, reps = _row_classes(np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0]]))
+    assert class_of_row.tolist() == [0, 1, 0, 2]
+    assert reps.tolist() == [0, 1, 3]
 
 
 # weights whose distinct sums differ by rounding only: the 1e-9 tie band
@@ -341,6 +374,68 @@ def test_batched_edges_and_totals_equal_one_matching_each(grids):
     matchings = [max_weight_matching(w) for w in grids]
     assert [tuple(edges) for edges in _matched_edges(grids)] == [m.edges for m in matchings]
     assert _matched_totals(grids) == [m.total for m in matchings]
+
+
+def _repeated_row_grids():
+    """Grids of 1-8 distinct rows, each repeated, sides 6-40 (so always on
+    the solver's path), with integer 0-2, rounding-pool or uniform weights."""
+    weights = st.sampled_from(["integers-0-2", "pool", "uniform"])
+    sides = st.tuples(st.integers(6, 40), st.integers(6, 40))
+    return st.tuples(weights, sides, st.integers(1, 8), st.integers(0, 2**32 - 1))
+
+
+def _repeated_row_grid(kind, shape, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integers-0-2":
+        distinct = rng.integers(0, 3, (k, shape[1])).astype(float)
+    elif kind == "pool":
+        distinct = rng.choice(_ROUNDING_POOLS[seed % len(_ROUNDING_POOLS)], (k, shape[1]))
+    else:
+        distinct = rng.uniform(0, 100, (k, shape[1]))
+    return distinct[rng.integers(0, k, shape[0])]
+
+
+@settings(deadline=None, max_examples=100)
+@given(_repeated_row_grids())
+@example(("integers-0-2", (40, 6), 2, 0))
+@example(("uniform", (6, 40), 8, 0))
+def test_repeated_rows_match_the_oracles(case):
+    # repeated rows are solved as one row with a multiplicity; in both
+    # orientations the edges must be the lexicographically smallest optimal
+    # ones, and the totals scipy's
+    kind, shape, _, _ = case
+    w = _repeated_row_grid(*case)
+    for grid in (w, w.T):
+        m = max_weight_matching(grid)
+        if kind == "integers-0-2":
+            assert list(m.edges) == oracle_lex_min_assignment(grid)
+            assert m.total == scipy_total(grid)
+        else:
+            assert m.total == pytest.approx(scipy_total(grid), abs=max(shape) * 1e-9)
+
+
+def test_square_solve_makes_no_copy_of_the_matrix():
+    # ScoreMatrix's own copy is the one n x n float array; the solver works
+    # on it, so the peak stays well under two copies
+    w = np.random.default_rng(13).uniform(0, 100, (1000, 1000))
+    tracemalloc.start()
+    try:
+        max_weight_matching(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * w.nbytes
+
+
+def test_nbest_shaped_matrix_within_time_budget():
+    # 8 distinct rows repeated to 1000: searches take at most 9 steps
+    rng = np.random.default_rng(14)
+    w = rng.uniform(0, 100, (8, 1000))[np.arange(1000) % 8]
+    start = time.perf_counter()
+    m = max_weight_matching(w)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert m.total == pytest.approx(scipy_total(w), abs=1e-6)
 
 
 MATCHING_GOLDEN = os.path.join(os.path.dirname(__file__), "matching_golden", "edges.json")

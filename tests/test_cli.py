@@ -285,7 +285,7 @@ class TestGenerate:
         out = tmp_path / "g.jsonl"
         rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, "--max-len", "0", "--out", str(out)])
         assert rc == EXIT_VALIDATION
-        assert "instance 'a'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --max-len must be >= 1, got 0\n"
         assert not out.exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".multiscore-")]
 
@@ -331,8 +331,43 @@ class TestGenerate:
         out = tmp_path / "g.jsonl"
         rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, knob, value, "--out", str(out)])
         assert rc == EXIT_VALIDATION
-        assert knob[2:].replace("-", "_") in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {knob} must be ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["beam3", "random", "topk3", "ensemble"])
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("--topk", "0", "--topk must be >= 1, got 0"),
+            ("--beam-width", "0", None),
+            ("--order", "0", "--order must be >= 1, got 0"),
+            ("--add-k", "-1", "--add-k must be finite and >= 0, got -1.0"),
+            ("--add-k", "nan", "--add-k must be finite and >= 0, got nan"),
+            ("--alpha", "inf", "--alpha must be finite, got inf"),
+            ("--max-len", "0", "--max-len must be >= 1, got 0"),
+        ],
+    )
+    def test_knob_is_checked_by_name_before_loading(self, toy_data, tmp_path, capsys, monkeypatch,
+                                                    strategy, knob, value, message):
+        # every strategy rejects every bad knob, also one it does not use
+        def unread(*args, **kwargs):
+            raise AssertionError("read the training file before the knobs were checked")
+
+        monkeypatch.setattr(cli, "load_jsonl", unread)
+        if message is None:
+            message = f"--beam-width must be >= {3 if strategy == 'beam3' else 1}, got 0"
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(toy_data), "--strategy", strategy, knob, value, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_beam3_width_below_set_size_names_the_flag(self, toy_data, tmp_path, capsys):
+        out = tmp_path / "g.jsonl"
+        rc = main(["generate", "--train", str(toy_data), "--strategy", "beam3", "--beam-width", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --beam-width must be >= 3, got 2\n"
 
     @pytest.mark.parametrize("strategy", ["beam3", "random", "topk3", "ensemble"])
     def test_negative_seed_is_validation_error(self, toy_data, tmp_path, capsys, monkeypatch, strategy):
