@@ -111,6 +111,43 @@ def oracle_chrfpp(hyp, ref, char_order=6, word_order=2, beta=2.0):
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
 
 
+def _chrfpp_stats(hyp, ref, char_order, word_order):
+    """(matched, hyp total, ref total) per order, character orders first,
+    flattened, over the same streams as :func:`oracle_chrfpp`."""
+    hs = "".join(hyp.lower().split())
+    rs = "".join(ref.lower().split())
+    stats = []
+    for n in range(1, char_order + 1):
+        hg = Counter(hs[i : i + n] for i in range(len(hs) - n + 1))
+        rg = Counter(rs[i : i + n] for i in range(len(rs) - n + 1))
+        stats += [sum((hg & rg).values()), sum(hg.values()), sum(rg.values())]
+    for n in range(1, word_order + 1):
+        hg, rg = ngrams(toks(hyp), n), ngrams(toks(ref), n)
+        stats += [sum((hg & rg).values()), sum(hg.values()), sum(rg.values())]
+    return stats
+
+
+def oracle_corpus_chrfpp(pairs, char_order=6, word_order=2, beta=2.0):
+    """Micro-aggregated chrF++ over (non-blank hypothesis, references)
+    pairs: each segment adds the per-order statistics of its best reference
+    under :func:`oracle_chrfpp`, the first on ties."""
+    totals = [0] * (3 * (char_order + word_order))
+    for hyp, refs in pairs:
+        scores = [oracle_chrfpp(hyp, ref, char_order, word_order, beta) for ref in refs]
+        best = refs[scores.index(max(scores))]
+        totals = [a + b for a, b in zip(totals, _chrfpp_stats(hyp, best, char_order, word_order))]
+    return oracle_chrf_score(totals, beta)
+
+
+def oracle_self_bleu(outputs, max_order=4, smooth=True):
+    """Mean sentence BLEU of each output against all the other outputs."""
+    scores = [
+        oracle_sentence_bleu(out, outputs[:i] + outputs[i + 1 :], smooth=smooth, max_order=max_order)
+        for i, out in enumerate(outputs)
+    ]
+    return sum(scores) / len(scores)
+
+
 def oracle_bleu_score(stats, config):
     """BLEU of one ``[hyp_len, ref_len, matched_1..N, total_1..N]`` list, one
     scalar step at a time: the library's formula as it stood before it was

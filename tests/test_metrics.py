@@ -21,6 +21,7 @@ from multiscore.metrics import (
     sentence_chrfpp,
 )
 from multiscore.multiscore import score_matrix
+from multiscore.text import Sentence
 from oracles import oracle_chrfpp, oracle_corpus_bleu, oracle_sentence_bleu
 
 UNSMOOTHED = BleuConfig(smoothing=SMOOTH_NONE)
@@ -324,3 +325,102 @@ def test_corpus_chrfpp_reference_is_first_row_maximum_of_grid(instances):
             full.append((out, refs))
             picked.append((out, refs[int(np.argmax(row))]))
     assert corpus_chrfpp(full) == corpus_chrfpp(picked)
+
+
+# rules the per-pair functions keep whichever engine counts their n-grams
+def test_blank_hypothesis_keeps_its_shortest_reference_in_a_corpus():
+    # a blank hypothesis scores 0 against every reference; in a corpus it
+    # adds the totals of its shortest reference by characters, wherever
+    # that reference stands
+    other = ("ab cd", "ab cd")
+    shortest_last = corpus_chrfpp([("", ["abcdef ghi", "ab"]), other])
+    assert shortest_last == corpus_chrfpp([("", ["ab", "abcdef ghi"]), other])
+    assert shortest_last == corpus_chrfpp([("", "ab"), other])
+    assert shortest_last != corpus_chrfpp([("", "abcdef ghi"), other])
+    assert corpus_chrfpp([("  ", ["abcdef ghi", "ab"]), other]) == shortest_last
+    assert sentence_chrfpp("", "ab") == ChrfMetric().score("", ["abcdef ghi", "ab"]) == 0.0
+
+
+def _cased(text):
+    """``text`` as a cased Sentence of the text a metric reads from it."""
+    if isinstance(text, Sentence):
+        return Sentence(text.raw.lower() if text.lowercase else text.raw, lowercase=False)
+    return Sentence(text.lower(), lowercase=False) if text.strip() else text
+
+
+class TestPerTextCasing:
+    """A Sentence keeps its own casing beside plain strings, which are
+    lowercased: every call equals the one on the texts as each is read."""
+
+    CASED = Sentence("The Cat sat", lowercase=False)
+    HYPS = [CASED, "The cat sat", Sentence("THE CAT sat"), "the Cat Sat on"]
+    REFS = [Sentence("the Cat sat", lowercase=False), "THE CAT SAT", CASED]
+
+    def test_a_cased_sentence_keeps_its_case(self):
+        assert sentence_bleu(Sentence("The Cat", lowercase=False), ["the cat"]) == 0.0
+        assert sentence_bleu("The Cat", [Sentence("the cat", lowercase=False)]) == 100.0
+        assert sentence_chrfpp(Sentence("AB", lowercase=False), "ab") == 0.0
+        assert sentence_chrfpp("AB", Sentence("ab", lowercase=False)) == 100.0
+
+    def test_sentence_functions(self):
+        for hyp in self.HYPS:
+            for k in range(len(self.REFS)):
+                refs = self.REFS[k:] + self.REFS[:k]
+                assert sentence_bleu(hyp, refs) == sentence_bleu(_cased(hyp), [_cased(r) for r in refs])
+                assert sentence_chrfpp(hyp, refs[0]) == sentence_chrfpp(_cased(hyp), _cased(refs[0]))
+                assert ChrfMetric().score(hyp, refs) == ChrfMetric().score(_cased(hyp), [_cased(r) for r in refs])
+        assert sentence_bleu(self.CASED, self.REFS[:2]) != sentence_bleu(str(self.CASED), self.REFS[:2])
+
+    def test_corpus_functions(self):
+        pairs = [(hyp, self.REFS[k % 3:]) for k, hyp in enumerate(self.HYPS)]
+        cased = [(_cased(hyp), [_cased(r) for r in refs]) for hyp, refs in pairs]
+        plain = [(str(hyp), [str(r) for r in refs]) for hyp, refs in pairs]
+        # unsmoothed order 4 would read 0 on three-word texts
+        config = BleuConfig(max_order=2, smoothing=SMOOTH_NONE)
+        assert corpus_bleu(pairs, config) == corpus_bleu(cased, config) != corpus_bleu(plain, config)
+        assert corpus_chrfpp(pairs) == corpus_chrfpp(cased) != corpus_chrfpp(plain)
+
+    def test_self_bleu(self):
+        # the cased Sentence is no repeat of "the cat sat"; the other two are
+        outputs = [self.CASED, "the cat sat", Sentence("THE CAT SAT"), "a dog"]
+        assert self_bleu(outputs) == self_bleu([_cased(o) for o in outputs])
+        assert self_bleu(outputs) != self_bleu([str(o) for o in outputs])
+
+    def test_score_matrix(self):
+        for metric in (BleuMetric(), ChrfMetric()):
+            grid = score_matrix(self.HYPS + ["  "], self.REFS, metric).weights
+            cased = score_matrix([_cased(h) for h in self.HYPS] + ["  "], [_cased(r) for r in self.REFS], metric)
+            plain = score_matrix([str(h) for h in self.HYPS], [str(r) for r in self.REFS], metric)
+            assert np.array_equal(grid, cased.weights)
+            assert not np.array_equal(grid[:-1], plain.weights)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sentence_bleu("a b", []), "references must be non-empty"),
+    (lambda: sentence_bleu("a b", ["a b", " "]), "reference sentence must be non-empty"),
+    (lambda: sentence_chrfpp("a b", ""), "reference sentence must be non-empty"),
+    (lambda: corpus_bleu([]), "corpus must contain at least one segment"),
+    (lambda: corpus_bleu([("a b", ["a b"]), ("a b", [])]), "references must be non-empty"),
+    (lambda: corpus_bleu([("a b", ["a b"]), ("a b", ["\t"])]), "reference sentence must be non-empty"),
+    (lambda: corpus_chrfpp([]), "corpus must contain at least one segment"),
+    (lambda: corpus_chrfpp([("a b", [])]), "references must be non-empty"),
+    (lambda: corpus_chrfpp([("a b", "a b"), ("a b", " ")]), "reference sentence must be non-empty"),
+    (lambda: self_bleu([]), "self-BLEU needs at least 2 outputs"),
+    (lambda: self_bleu(["a b"]), "self-BLEU needs at least 2 outputs"),
+    (lambda: self_bleu(["a b", " "]), "reference sentence must be non-empty"),
+    (lambda: self_bleu(["", "a b", "c d"]), "reference sentence must be non-empty"),
+    (lambda: BleuMetric().score("a b", []), "references must be non-empty"),
+    (lambda: ChrfMetric().score("a b", []), "references must be non-empty"),
+    (lambda: ChrfMetric().score("a b", ["a b", ""]), "reference sentence must be non-empty"),
+    (lambda: score_matrix(["a b"], ["a b", " "], BleuMetric()), "reference sentence must be non-empty"),
+    (lambda: score_matrix(["a b"], [""], ChrfMetric()), "reference sentence must be non-empty"),
+])
+def test_rejections_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@settings(deadline=None)
+@given(_hypotheses, _reference_lists, _chrf_configs)
+def test_chrf_metric_is_the_best_single_reference_score(hyp, refs, config):
+    assert ChrfMetric(config).score(hyp, refs) == max(sentence_chrfpp(hyp, r, config) for r in refs)

@@ -1,11 +1,15 @@
 """A built install carries every bundled data file and exports exactly the
-public names README documents, and no module keeps a process-global memo."""
+public names README documents, no module keeps a process-global memo, and
+start-up does not load the count tables."""
 
 import ast
 import fnmatch
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -64,3 +68,15 @@ def test_no_module_memoizes_with_functools():
                   and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"functools memo in {found}"
+
+
+def test_start_up_does_not_load_the_count_tables():
+    # every command imports multiscore.cli first; the table module is
+    # imported inside the functions that count, so a command that counts
+    # nothing does not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, multiscore.cli; print(sorted(m for m in sys.modules if m.startswith('multiscore')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "'multiscore.cli'" in loaded
+    assert "'multiscore.table'" not in loaded

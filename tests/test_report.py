@@ -6,6 +6,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from multiscore import table
 from multiscore import text as text_module
@@ -14,6 +17,14 @@ from multiscore.metrics import BleuConfig, BleuMetric, ChrfConfig, ChrfMetric, S
 from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score
 from multiscore.report import evaluate_all, render, round2
 from multiscore.text import Sentence
+from oracles import (
+    oracle_best_assignment,
+    oracle_chrfpp,
+    oracle_corpus_bleu,
+    oracle_corpus_chrfpp,
+    oracle_self_bleu,
+    oracle_sentence_bleu,
+)
 
 
 def make_instance(k, rng, n_refs=3, n_outs=3):
@@ -283,3 +294,86 @@ class TestRender:
             lowercase=cfg["lowercase"],
         )
         assert render(report, "json") == render(again, "json")
+
+
+# A whole report against the independent oracles alone: pairwise grids of
+# oracle_sentence_bleu / oracle_chrfpp matched by exhaustive search (square)
+# or scipy (ragged), oracle_corpus_bleu / oracle_corpus_chrfpp per output
+# slot, and oracle_self_bleu. A small pool makes repeats and ties common,
+# and words of disjoint letters ("zz", "xy") make zero-score ties between
+# references of different lengths; title-cased copies read as their
+# originals under the default lowercasing. No punctuation, so the oracles'
+# whitespace tokenizer agrees with the library's.
+@st.composite
+def _oracle_corpora(draw):
+    words = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "zz", "xy"])
+    pool = draw(st.lists(st.lists(words, min_size=1, max_size=7).map(" ".join), min_size=1, max_size=5))
+
+    def text():
+        raw = draw(st.sampled_from(pool))
+        return raw.title() if draw(st.booleans()) else raw
+
+    return [
+        EvalInstance(id=f"i{k}", references=tuple(text() for _ in range(draw(st.integers(1, 5)))),
+                     outputs=tuple(text() for _ in range(draw(st.integers(1, 5)))))
+        for k in range(draw(st.integers(1, 6)))
+    ]
+
+
+def _oracle_matched_mean(weights):
+    n_out, n_ref = len(weights), len(weights[0])
+    if n_out == n_ref:
+        total = oracle_best_assignment(weights)[0]
+    else:
+        rows, cols = linear_sum_assignment(np.array(weights), maximize=True)
+        total = float(np.array(weights)[rows, cols].sum())
+    return total / min(n_out, n_ref)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    corpus=_oracle_corpora(),
+    sentence_order=st.integers(1, 6),
+    smooth=st.booleans(),
+    corpus_order=st.integers(1, 6),
+    char_order=st.integers(1, 8),
+    word_order=st.integers(0, 3),
+    beta=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_report_equals_the_oracle_composition(corpus, sentence_order, smooth, corpus_order, char_order, word_order, beta):
+    report = evaluate_all(
+        corpus,
+        sentence_bleu_config=BleuConfig(max_order=sentence_order, smoothing="add-one" if smooth else SMOOTH_NONE),
+        corpus_bleu_config=BleuConfig(max_order=corpus_order, smoothing=SMOOTH_NONE),
+        chrf_config=ChrfConfig(char_order=char_order, word_order=word_order, beta=beta),
+        allow_unequal=True,
+    )
+    rows = []
+    for inst in corpus:
+        bleu = [[oracle_sentence_bleu(o, [r], smooth=smooth, max_order=sentence_order) for r in inst.references]
+                for o in inst.outputs]
+        chrf = [[oracle_chrfpp(o, r, char_order, word_order, beta) for r in inst.references] for o in inst.outputs]
+        self_b = oracle_self_bleu(inst.outputs, sentence_order, smooth) if len(inst.outputs) > 1 else None
+        rows.append((inst.id, _oracle_matched_mean(bleu), _oracle_matched_mean(chrf), self_b))
+    assert len(report.per_instance) == len(rows)
+    for got, (inst_id, ms_b, ms_c, self_b) in zip(report.per_instance, rows):
+        assert got.id == inst_id
+        assert got.ms_bleu == pytest.approx(ms_b, abs=1e-9)
+        assert got.ms_chrf == pytest.approx(ms_c, abs=1e-9)
+        assert (got.self_bleu is None) == (self_b is None)
+        if self_b is not None:
+            assert got.self_bleu == pytest.approx(self_b, abs=1e-9)
+
+    slots = [[(inst.outputs[s], inst.references) for inst in corpus if len(inst.outputs) > s]
+             for s in range(max(len(inst.outputs) for inst in corpus))]
+    quality_bleu = sum(oracle_corpus_bleu(segments, corpus_order) for segments in slots) / len(slots)
+    quality_chrf = sum(oracle_corpus_chrfpp(segments, char_order, word_order, beta) for segments in slots) / len(slots)
+    selfs = [self_b for *_, self_b in rows if self_b is not None]
+    assert report.quality["bleu"] == pytest.approx(quality_bleu, abs=1e-9)
+    assert report.quality["chrfpp"] == pytest.approx(quality_chrf, abs=1e-9)
+    assert report.diversity["ms_bleu"] == pytest.approx(sum(r[1] for r in rows) / len(rows), abs=1e-9)
+    assert report.diversity["ms_chrf"] == pytest.approx(sum(r[2] for r in rows) / len(rows), abs=1e-9)
+    if selfs:
+        assert report.diversity["self_bleu"] == pytest.approx(sum(selfs) / len(selfs), abs=1e-9)
+    else:
+        assert report.diversity["self_bleu"] is None
