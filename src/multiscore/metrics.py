@@ -1,27 +1,26 @@
 """Sentence- and corpus-level quality metrics (BLEU, chrF++) plus Self-BLEU.
 
-All scores live on a 0-100 scale. Each metric extracts one segment's
-sufficient statistics (``_bleu_stats``, ``_chrf_stats``); a sentence score
-is computed from one segment's statistics, a corpus score from their sums,
-by the one BLEU and chrF++ formula of :mod:`multiscore.table`. Sentence-level
+All scores live on a 0-100 scale. These functions are the per-pair API,
+and every one of them takes its integer statistics from the count tables
+of :mod:`multiscore.table`, as :func:`~multiscore.evaluate_all` and
+:func:`~multiscore.corpus_multi_score` do: a segment is an instance with
+one output, and a call makes one table pass over its segments. A sentence
+score is one segment's statistics scored, a corpus score their sums, by
+the one BLEU and chrF++ formula of :mod:`multiscore.table`. Sentence-level
 scorers double as the pairwise metric consumed by the assignment-based set
 evaluation, via the :class:`SentenceMetric` adapters at the bottom of the
 module.
-
-These functions are the per-pair API. :func:`~multiscore.evaluate_all`,
-and :func:`~multiscore.corpus_multi_score` with a :class:`BleuMetric` or
-:class:`ChrfMetric`, take the same integer statistics from the count
-tables of :mod:`multiscore.table` instead, a block of them at a time.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .text import Sentence, overlap
+import numpy as np
+
+from .text import Sentence
 
 SentenceLike = Union[str, Sentence]
 
@@ -73,52 +72,67 @@ _CORPUS_BLEU_DEFAULT = BleuConfig(smoothing=SMOOTH_NONE)
 _CHRF_DEFAULT = ChrfConfig()
 
 
-def _segment(
-    hypothesis: SentenceLike, references: Sequence[SentenceLike]
-) -> tuple[Sentence | None, list[Sentence]]:
-    """One segment's hypothesis and references as :class:`Sentence`s. A
-    blank string hypothesis becomes ``None``: it has no n-grams."""
+class _Texts(NamedTuple):
+    """An instance of the count tables, its texts keyed under their own
+    casing, so the tables are read with ``lowercase=False``. Unlike an
+    :class:`~multiscore.EvalInstance`, an output may be blank (``""``): it
+    has no n-grams."""
+
+    outputs: tuple[str, ...]
+    references: tuple[str, ...]
+    id: str = ""
+
+
+def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike], instance_id: str = "") -> _Texts:
+    """Outputs against non-empty, non-blank references, each text keyed as
+    the count tables read it: a :class:`Sentence` under its own
+    ``lowercase``, a plain string lowercased."""
+    from .table import _key  # loaded on first use, like every table read
+
     if not references:
         raise ValueError("references must be non-empty")
-    refs = []
     for ref in references:
-        if not isinstance(ref, Sentence):
-            if not ref.strip():
-                raise ValueError("reference sentence must be non-empty")
-            ref = Sentence(ref)
-        refs.append(ref)
-    if isinstance(hypothesis, Sentence):
-        return hypothesis, refs
-    return (Sentence(hypothesis) if hypothesis.strip() else None), refs
+        if not isinstance(ref, Sentence) and not ref.strip():
+            raise ValueError("reference sentence must be non-empty")
+
+    def key(text):
+        return _key(text.raw, text.lowercase) if isinstance(text, Sentence) else _key(text, True)
+
+    return _Texts(tuple(map(key, outputs)), tuple(map(key, references)), instance_id)
 
 
-def _bleu_stats(hyp: Sentence | None, refs: Sequence[Sentence], max_order: int) -> list[int]:
-    """One segment's BLEU statistics: ``[hyp_len, ref_len, matched_1..N,
-    total_1..N]``. Matches are clipped against the per-gram maximum count
-    over the references; ``ref_len`` is the reference length closest to
-    ``hyp_len``, ties toward the shorter. A blank hypothesis has length 0
-    and no n-grams. Each distinct reference is read once: a repeat changes neither."""
-    refs = dict.fromkeys(refs)
-    hyp_len = len(hyp.tokens) if hyp is not None else 0
-    ref_len = min((len(r.tokens) for r in refs), key=lambda r: (abs(r - hyp_len), r))
-    matched, total = [0] * max_order, [0] * max_order
-    if hyp is not None:
-        for n in range(1, max_order + 1):
-            counts = hyp.word_profile(n)
-            cap: dict = {}  # shared n-gram -> its largest count in any one reference
-            for ref in refs:
-                profile = ref.word_profile(n)
-                for gram in counts.keys() & profile.keys():
-                    cap[gram] = max(cap.get(gram, 0), profile[gram])
-            matched[n - 1] = sum(min(counts[gram], count) for gram, count in cap.items())
-            total[n - 1] = sum(counts.values())
-    return [hyp_len, ref_len, *matched, *total]
+def _bleu(segments: Sequence[_Texts], config: BleuConfig) -> float:
+    """BLEU of the summed statistics of one-output ``segments``, each
+    output against all its references: matches clipped by the largest
+    count in any one reference, and the reference length closest to the
+    hypothesis length, ties toward the shorter. A blank hypothesis has
+    length 0 and no n-grams."""
+    from .table import _bleu_scores, count_blocks
+
+    totals = np.zeros(2 + 2 * config.max_order, dtype=np.int64)
+    for block in count_blocks(segments, False, slot_order=config.max_order):
+        totals += block.slot_bleu[:, 0].sum(axis=0)
+    return float(_bleu_scores(totals, config))
 
 
-def _bleu_score(stats: Sequence[int], config: BleuConfig) -> float:
-    from .table import _bleu_scores  # the one BLEU formula, loaded on first use
+def _chrf(segments: Sequence[_Texts], config: ChrfConfig) -> float:
+    """chrF++ of the summed statistics of one-output ``segments``, each of
+    its best reference: the first best-scoring one, as
+    :func:`~multiscore.evaluate_all` picks it, so a lone segment scores the
+    maximum over its references. A blank hypothesis scores 0 against every
+    reference and takes its shortest by characters, the first of them."""
+    from .table import _chrf_scores, count_blocks
 
-    return float(_bleu_scores(stats, config))
+    totals = np.zeros(3 * (config.char_order + config.word_order), dtype=np.int64)
+    for block in count_blocks(segments, False, char_order=config.char_order, word_order=config.word_order):
+        stats = block.pair_chrf[:, 0]  # (segment, reference, statistics)
+        # a column past a segment's references scores 0, after them all
+        best = _chrf_scores(stats, config.beta).argmax(axis=1)
+        n_refs = np.array([max(cols) + 1 for cols in block.ref_cols])
+        chars = np.where(np.arange(stats.shape[1]) < n_refs[:, None], stats[:, :, 2], np.iinfo(np.int64).max)
+        best = np.where(stats[:, 0, 1] == 0, chars.argmin(axis=1), best)
+        totals += stats[np.arange(len(stats)), best].sum(axis=0)
+    return float(_chrf_scores(totals, config.beta))
 
 
 def sentence_bleu(
@@ -140,7 +154,7 @@ def sentence_bleu(
     :return: score in [0, 100].
     """
     config = config or _SENTENCE_BLEU_DEFAULT
-    return _bleu_score(_bleu_stats(*_segment(hypothesis, references), config.max_order), config)
+    return _bleu([_texts([hypothesis], references)], config)
 
 
 def corpus_bleu(
@@ -161,44 +175,8 @@ def corpus_bleu(
     config = config or _CORPUS_BLEU_DEFAULT
     if not pairs:
         raise ValueError("corpus must contain at least one segment")
-    totals = [0] * (2 + 2 * config.max_order)
-    for hypothesis, references in pairs:
-        stats = _bleu_stats(*_segment(hypothesis, references), config.max_order)
-        totals = [a + b for a, b in zip(totals, stats)]
-    return _bleu_score(totals, config)
-
-
-def _chrf_profiles(sentence: Sentence, config: ChrfConfig) -> list[Counter]:
-    # character orders first, then word orders
-    return [sentence.char_profile(n) for n in range(1, config.char_order + 1)] + [
-        sentence.word_profile(n) for n in range(1, config.word_order + 1)
-    ]
-
-
-def _chrf_stats(hyp: Sentence | None, refs: Sequence[Sentence], config: ChrfConfig) -> list[int]:
-    """One segment's chrF++ statistics: ``(matched, hyp_total, ref_total)``
-    for every order, flattened. With several references these are the
-    statistics of the best-scoring one, the first on ties. A blank
-    hypothesis contributes the shortest reference's totals only."""
-    if hyp is None:
-        shortest = min(refs, key=lambda r: len(r.chars))
-        return [x for rp in _chrf_profiles(shortest, config) for x in (0, 0, sum(rp.values()))]
-    hyp_profiles = _chrf_profiles(hyp, config)
-    candidates = []
-    for ref in refs:
-        stats = []
-        for hp, rp in zip(hyp_profiles, _chrf_profiles(ref, config)):
-            stats += (overlap(hp, rp), sum(hp.values()), sum(rp.values()))
-        candidates.append(stats)
-    if len(candidates) == 1:
-        return candidates[0]
-    return max(candidates, key=lambda stats: _chrf_score(stats, config.beta))
-
-
-def _chrf_score(stats: Sequence[int], beta: float) -> float:
-    from .table import _chrf_scores  # the one chrF++ formula, loaded on first use
-
-    return float(_chrf_scores(stats, beta))
+    segments = [_texts([hypothesis], references) for hypothesis, references in pairs]
+    return _bleu(segments, config)
 
 
 def sentence_chrfpp(
@@ -216,7 +194,7 @@ def sentence_chrfpp(
     :return: score in [0, 100].
     """
     config = config or _CHRF_DEFAULT
-    return _chrf_score(_chrf_stats(*_segment(hypothesis, [reference]), config), config.beta)
+    return _chrf([_texts([hypothesis], [reference])], config)
 
 
 def corpus_chrfpp(
@@ -228,7 +206,8 @@ def corpus_chrfpp(
     Per-order matched/total statistics are summed over all segments, then
     the same mean-then-F computation as the sentence level is applied. A
     segment's reference may be a single sentence or a list; with a list the
-    segment contributes the statistics of its best-matching reference.
+    segment contributes the statistics of its best-matching reference, the
+    first on ties.
 
     :param pairs: non-empty list of (hypothesis, reference) segments.
     :return: score in [0, 100].
@@ -236,12 +215,11 @@ def corpus_chrfpp(
     config = config or _CHRF_DEFAULT
     if not pairs:
         raise ValueError("corpus must contain at least one segment")
-    totals = [0] * (3 * (config.char_order + config.word_order))
-    for hypothesis, reference in pairs:
-        references = [reference] if isinstance(reference, (str, Sentence)) else reference
-        stats = _chrf_stats(*_segment(hypothesis, references), config)
-        totals = [a + b for a, b in zip(totals, stats)]
-    return _chrf_score(totals, config.beta)
+    segments = [
+        _texts([hypothesis], [reference] if isinstance(reference, (str, Sentence)) else reference)
+        for hypothesis, reference in pairs
+    ]
+    return _chrf(segments, config)
 
 
 def self_bleu(outputs: Sequence[SentenceLike], config: BleuConfig | None = None) -> float:
@@ -254,15 +232,14 @@ def self_bleu(outputs: Sequence[SentenceLike], config: BleuConfig | None = None)
     if len(outputs) < 2:
         raise ValueError("self-BLEU needs at least 2 outputs")
     config = config or _SENTENCE_BLEU_DEFAULT
-    # one Sentence per distinct plain text; blank strings pass through
-    made = {o: Sentence(o) for o in dict.fromkeys(outputs) if isinstance(o, str) and o.strip()}
-    outputs = [made.get(o, o) for o in outputs]
-    # an output's "others" are the set less one copy of it: one score per text
-    scores: dict = {}
-    for i, out in enumerate(outputs):
-        if out not in scores:
-            scores[out] = sentence_bleu(out, outputs[:i] + outputs[i + 1 :], config)
-    return sum(scores[out] for out in outputs) / len(outputs)
+    from .table import _bleu_scores, count_blocks
+
+    # each output is a reference of the others, so none may be blank; an
+    # output's others are the set less one copy of it: one score per text
+    texts = _texts(outputs, outputs)
+    [block] = count_blocks([texts._replace(references=())], False, self_order=config.max_order)
+    scores = _bleu_scores(block.self_bleu[0], config).tolist()
+    return sum(scores[col] for col in block.out_cols[0]) / len(outputs)
 
 
 class SentenceMetric:
@@ -303,6 +280,4 @@ class ChrfMetric(SentenceMetric):
         self.config = config or _CHRF_DEFAULT
 
     def score(self, hypothesis, references):
-        if not references:
-            raise ValueError("references must be non-empty")
-        return max(sentence_chrfpp(hypothesis, r, self.config) for r in references)
+        return _chrf([_texts([hypothesis], references)], self.config)

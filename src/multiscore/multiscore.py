@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import Matching, ScoreMatrix, _enumerable, _matched_edges, max_weight_matching
-from .metrics import BleuMetric, ChrfMetric, SentenceMetric
+from .metrics import BleuMetric, ChrfMetric, SentenceMetric, _texts
 from .text import Sentence
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,9 @@ def _admit(instances: Sequence[EvalInstance], allow_unequal: bool) -> None:
 
 def _instance_sentences(instance: EvalInstance, lowercase: bool) -> tuple[tuple[Sentence, ...], tuple[Sentence, ...]]:
     """(outputs, references) of ``instance`` as :class:`Sentence` tuples
-    under one casing, one per distinct text, so equal texts share one set of
-    profiles. Nothing keeps them: they live as long as the caller holds them."""
+    under one casing, one per distinct text, so equal texts share one
+    sentence and its tokens. Nothing keeps them: they live as long as the
+    caller holds them."""
     made = {t: Sentence(t, lowercase=lowercase) for t in dict.fromkeys((*instance.outputs, *instance.references))}
     return tuple(made[o] for o in instance.outputs), tuple(made[r] for r in instance.references)
 
@@ -93,13 +94,20 @@ def score_matrix(outputs: Sequence, references: Sequence, metric: SentenceMetric
     """Pairwise score grid: entry (i, j) is ``metric`` applied to output i
     with reference j as its single reference.
 
-    ``metric.score`` is called once per distinct (output, reference) pair;
-    repeated texts, such as an n-best list's, copy that score to every cell
-    they occupy.
+    A :class:`~multiscore.BleuMetric` or :class:`~multiscore.ChrfMetric`
+    (exactly those classes) is scored from the count tables, each text
+    under its own casing, as :func:`corpus_multi_score` scores an instance.
+    Any other ``metric.score`` is called once per distinct (output,
+    reference) pair; repeated texts, such as an n-best list's, copy that
+    score to every cell they occupy.
     """
     if not len(outputs) or not len(references):
         raise ValueError("outputs and references must both be non-empty")
-    # one Sentence per distinct plain text, so its profiles are built once
+    if _built_in(metric):
+        # one instance: one block, of one shape, of one grid
+        [(_, [(_, [grid])])] = _table_grids([_texts(outputs, references)], metric, lowercase=False)
+        return ScoreMatrix(grid)
+    # one Sentence per distinct plain text, so its tokens are read once
     # rather than once per cell; blank strings pass through (a blank output
     # scores 0, a blank reference is rejected by the metric)
     made = {t: Sentence(t) for t in dict.fromkeys((*outputs, *references)) if isinstance(t, str) and t.strip()}
@@ -130,14 +138,19 @@ def multi_score(
     Builds the pairwise score matrix, solves the maximum-weight matching,
     and returns the average matched edge weight. Output and reference sets
     must be the same size unless ``allow_unequal`` is set, in which case the
-    matching covers the smaller side. Nothing is logged here:
-    :func:`corpus_multi_score` and :func:`~multiscore.evaluate_all` report
-    a permitted mismatch once per instance before scoring.
+    matching covers the smaller side. A built-in metric's grid comes from
+    the count tables, as in :func:`corpus_multi_score`. Nothing is logged
+    here: :func:`corpus_multi_score` and :func:`~multiscore.evaluate_all`
+    report a permitted mismatch once per instance before scoring.
 
     :return: a :class:`MultiScoreResult`; ``score`` lies in [0, 100].
     """
     _sizes_differ(len(outputs), len(references), allow_unequal, instance_id)
-    return _matched(instance_id, score_matrix(outputs, references, metric))
+    if not _built_in(metric) or not len(outputs) or not len(references):
+        # pair by pair; score_matrix also rejects an empty side
+        return _matched(instance_id, score_matrix(outputs, references, metric))
+    [result] = _table_results([_texts(outputs, references, instance_id)], metric, lowercase=False)
+    return result
 
 
 def _matched(instance_id: str, matrix: ScoreMatrix, edges=None) -> MultiScoreResult:
@@ -148,12 +161,20 @@ def _matched(instance_id: str, matrix: ScoreMatrix, edges=None) -> MultiScoreRes
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
 
 
-def _table_results(instances: Sequence[EvalInstance], metric: SentenceMetric, lowercase: bool):
-    """Yield the result of each instance under a built-in ``metric``, its
-    grid scored from the count tables: each distinct (output, reference)
-    pair's statistics, as ``metric.score`` would take them, become one
-    score, copied to every cell that pair occupies. A block's grids of one
-    shape are matched in one batch, unless they are too large to enumerate."""
+def _built_in(metric: SentenceMetric) -> bool:
+    """Whether ``metric`` is scored from the count tables: exactly a
+    :class:`BleuMetric` or :class:`ChrfMetric`, not a subclass, which may
+    override ``score``."""
+    return type(metric) in (BleuMetric, ChrfMetric)
+
+
+def _table_grids(instances: Sequence, metric: SentenceMetric, lowercase: bool):
+    """Yield each block's instances and the grids of a built-in ``metric``,
+    scored from the count tables: each distinct (output, reference) pair's
+    statistics, as ``metric.score`` would take them, become one score,
+    copied to every cell that pair occupies. A block's grids come as
+    ``(positions, grids)``, one stacked array per (outputs x references)
+    shape with the block positions of its instances."""
     # imported on first use, so that importing the package, as every
     # command does at start-up, does not load the table module
     from .table import _bleu_scores, _chrf_scores, count_blocks
@@ -165,12 +186,22 @@ def _table_results(instances: Sequence[EvalInstance], metric: SentenceMetric, lo
         blocks = count_blocks(instances, lowercase, char_order=config.char_order, word_order=config.word_order)
     for block in blocks:
         scores = _bleu_scores(block.pair_bleu, config) if bleu else _chrf_scores(block.pair_chrf, config.beta)
-        results = [None] * len(block.instances)
-        for positions, outs, refs in block.shapes():
-            grids = scores[positions[:, None, None], outs[:, :, None], refs[:, None, :]]
+        yield block.instances, (
+            (positions, scores[positions[:, None, None], outs[:, :, None], refs[:, None, :]])
+            for positions, outs, refs in block.shapes()
+        )
+
+
+def _table_results(instances: Sequence, metric: SentenceMetric, lowercase: bool):
+    """Yield the result of each instance under a built-in ``metric``, its
+    grid from :func:`_table_grids`. A block's grids of one shape are
+    matched in one batch, unless they are too large to enumerate."""
+    for block_instances, shapes in _table_grids(instances, metric, lowercase):
+        results = [None] * len(block_instances)
+        for positions, grids in shapes:
             batch = _matched_edges(grids) if _enumerable(*grids.shape[1:]) else [None] * len(grids)
             for b, grid, edges in zip(positions.tolist(), grids, batch):
-                results[b] = _matched(block.instances[b].id, ScoreMatrix(grid), edges)
+                results[b] = _matched(block_instances[b].id, ScoreMatrix(grid), edges)
         yield from results
 
 
@@ -201,7 +232,7 @@ def corpus_multi_score(
     same texts.
     """
     _admit(instances, allow_unequal)
-    if type(metric) in (BleuMetric, ChrfMetric):
+    if _built_in(metric):
         results = list(_table_results(instances, metric, lowercase))
     else:
         results = [

@@ -4,12 +4,14 @@ Quality is corpus BLEU / chrF++ averaged over the three output slots, each
 slot scored against the full multi-reference sets. Diversity is Self-BLEU
 (macro-averaged per instance) plus the assignment-based set scores MS-BLEU
 and MS-CHRF. Every integer statistic comes from the block-bounded n-gram
-count tables of :mod:`multiscore.table`, whose formulas score a block of
-them at once, each float as one segment's statistics alone give it; so a
-report equals, byte for byte, the one the per-pair functions of
-:mod:`multiscore.metrics` and :mod:`multiscore.multiscore` give. Scores are
-carried at full precision and rounded to two decimals (half-up) only when
-rendered.
+count tables of :mod:`multiscore.table`, the one engine behind every BLEU
+and chrF++ score of the package, whose formulas score a block of them at
+once, each float as one segment's statistics alone give it. A report is
+counted in one pass over the corpus, where the per-pair functions of
+:mod:`multiscore.metrics` and :mod:`multiscore.multiscore` would take one
+pass per call, and it equals, byte for byte, the numbers they give. Scores
+are carried at full precision and rounded to two decimals (half-up) only
+when rendered.
 """
 
 from __future__ import annotations

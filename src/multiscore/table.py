@@ -1,7 +1,8 @@
-"""Block-bounded n-gram count tables: every integer statistic behind
-:func:`~multiscore.evaluate_all`, and behind the built-in metrics' grids
-in :func:`~multiscore.corpus_multi_score`, and the BLEU and chrF++
-formulas that turn statistics into scores.
+"""Block-bounded n-gram count tables: every integer statistic behind a
+BLEU or chrF++ score, whether :func:`~multiscore.evaluate_all`,
+:func:`~multiscore.corpus_multi_score`, :func:`~multiscore.multi_score`
+or a per-pair function of :mod:`multiscore.metrics` asks for it, and the
+BLEU and chrF++ formulas that turn statistics into scores.
 
 The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
 Within a block, an instance's columns are its distinct casing-normalized
@@ -16,11 +17,12 @@ Every statistic is a column operation summed per instance with
 ``np.add.reduceat``: an output's overlap with one reference (chrF++ and
 BLEU pairs), its clip against the largest count in any reference (slot
 BLEU) or in any other output (Self-BLEU). Lengths and totals come from
-each text's symbol count. The statistics are the integer lists that
-``_bleu_stats`` and ``_chrf_stats`` return for the same texts, and
-:func:`_bleu_scores` and :func:`_chrf_scores` score a whole block's
-statistics together, element by element in the scalar formula's order, so
-every score is the float one statistics row alone gives.
+each text's symbol count. A BLEU statistics row is ``[hyp_len, ref_len,
+matched_1..N, total_1..N]``, a chrF++ row (matched, hypothesis total,
+reference total) per order, character orders first. :func:`_bleu_scores`
+and :func:`_chrf_scores` score a whole block's rows together, element by
+element in the scalar formula's order, so every score is the float one
+statistics row alone gives.
 
 An n-gram of order n is ranked from (its first n-1 symbols' rank, its
 last symbol), and order 0 is the instance. A key is at most (positions in
@@ -61,12 +63,14 @@ class Block(NamedTuple):
     ``out_cols[b][k]`` and ``ref_cols[b][j]`` are the columns of output k
     and reference j of ``instances[b]``; positions past an instance's own
     columns hold no statistic of it. ``pair_bleu[b, o, r]`` and
-    ``pair_chrf[b, o, r]`` are the ``_bleu_stats`` and ``_chrf_stats`` of
-    output o against reference r alone; ``slot_bleu[b, o]`` is o's
-    ``_bleu_stats`` against every reference. ``self_bleu[b, o]`` is o's
-    ``_bleu_stats`` against the other outputs, where a repeat of o's text
-    is one of the others; it means nothing for an instance with a single
-    output. A statistic whose order was 0 in :func:`count_blocks` is None.
+    ``pair_chrf[b, o, r]`` are the BLEU and chrF++ rows of output o against
+    reference r alone. ``slot_bleu[b, o]`` is o's BLEU row against every
+    reference: each n-gram clipped by its largest count in any one
+    reference, and ``ref_len`` the reference length closest to o's, ties
+    toward the shorter. ``self_bleu[b, o]`` is o's BLEU row against the
+    other outputs, where a repeat of o's text is one of the others; it
+    means nothing for an instance with a single output. A statistic whose
+    order was 0 in :func:`count_blocks` is None.
     """
 
     instances: list
@@ -100,7 +104,7 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
 
 
 def _bleu_scores(stats, config) -> np.ndarray:
-    """BLEU of each ``_bleu_stats`` row along the last axis of ``stats``:
+    """BLEU of each statistics row along the last axis of ``stats``:
     ``[hyp_len, ref_len, matched_1..N, total_1..N]``, N =
     ``config.max_order``. The log precisions are added order by order; a
     zero hypothesis length, or a zero matched or total count at any order,
@@ -121,7 +125,7 @@ def _bleu_scores(stats, config) -> np.ndarray:
 
 
 def _chrf_scores(stats, beta: float) -> np.ndarray:
-    """chrF++ of each ``_chrf_stats`` row along the last axis of ``stats``:
+    """chrF++ of each statistics row along the last axis of ``stats``:
     (matched, hypothesis total, reference total) per order. Each order's
     precision and recall are added in order; an order with no n-grams on
     either side adds nothing and is not counted. No counted order, or a

@@ -2,7 +2,9 @@
 
 Everything here is written directly from the metric definitions with
 collections.Counter and math, and deliberately shares no code with the
-library implementations it verifies.
+library implementations it verifies. The one exception is the library's
+word tokenizer in :func:`oracle_bleu_stats` and :func:`oracle_chrf_stats`,
+so that they read punctuation and any Unicode as the count tables do.
 """
 
 import math
@@ -11,6 +13,8 @@ from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from multiscore.text import tokenize_words
 
 
 def toks(s):
@@ -111,18 +115,16 @@ def oracle_chrfpp(hyp, ref, char_order=6, word_order=2, beta=2.0):
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
 
 
-def _chrfpp_stats(hyp, ref, char_order, word_order):
+def _order_stats(hyp_chars, ref_chars, hyp_tokens, ref_tokens, char_order, word_order):
     """(matched, hyp total, ref total) per order, character orders first,
-    flattened, over the same streams as :func:`oracle_chrfpp`."""
-    hs = "".join(hyp.lower().split())
-    rs = "".join(ref.lower().split())
+    flattened, of two character streams and two token lists."""
     stats = []
     for n in range(1, char_order + 1):
-        hg = Counter(hs[i : i + n] for i in range(len(hs) - n + 1))
-        rg = Counter(rs[i : i + n] for i in range(len(rs) - n + 1))
+        hg = Counter(hyp_chars[i : i + n] for i in range(len(hyp_chars) - n + 1))
+        rg = Counter(ref_chars[i : i + n] for i in range(len(ref_chars) - n + 1))
         stats += [sum((hg & rg).values()), sum(hg.values()), sum(rg.values())]
     for n in range(1, word_order + 1):
-        hg, rg = ngrams(toks(hyp), n), ngrams(toks(ref), n)
+        hg, rg = ngrams(hyp_tokens, n), ngrams(ref_tokens, n)
         stats += [sum((hg & rg).values()), sum(hg.values()), sum(rg.values())]
     return stats
 
@@ -135,7 +137,8 @@ def oracle_corpus_chrfpp(pairs, char_order=6, word_order=2, beta=2.0):
     for hyp, refs in pairs:
         scores = [oracle_chrfpp(hyp, ref, char_order, word_order, beta) for ref in refs]
         best = refs[scores.index(max(scores))]
-        totals = [a + b for a, b in zip(totals, _chrfpp_stats(hyp, best, char_order, word_order))]
+        stats = _order_stats("".join(toks(hyp)), "".join(toks(best)), toks(hyp), toks(best), char_order, word_order)
+        totals = [a + b for a, b in zip(totals, stats)]
     return oracle_chrf_score(totals, beta)
 
 
@@ -190,6 +193,45 @@ def oracle_chrf_score(stats, beta):
         return 0.0
     b2 = beta * beta
     return (1 + b2) * p * r / (b2 * p + r) * 100.0
+
+
+def oracle_bleu_stats(hyp, refs, max_order, lowercase=True):
+    """One segment's BLEU statistics, ``[hyp_len, ref_len, matched_1..N,
+    total_1..N]``, with ``Counter``s over the library's tokenizer (the
+    count tables draw punctuation and any Unicode): matches clipped by the
+    largest count in any one reference, ``ref_len`` the reference length
+    closest to ``hyp_len``, ties toward the shorter. The library's
+    per-segment statistics as they stood before the count tables replaced
+    them, frozen here."""
+    h = tokenize_words(hyp, lowercase)
+    rs = [tokenize_words(r, lowercase) for r in refs]
+    ref_len = min((len(r) for r in rs), key=lambda n: (abs(n - len(h)), n))
+    matched, total = [], []
+    for n in range(1, max_order + 1):
+        counts, cap = ngrams(h, n), Counter()
+        for r in rs:
+            cap |= ngrams(r, n)
+        matched.append(sum((counts & cap).values()))
+        total.append(sum(counts.values()))
+    return [len(h), ref_len, *matched, *total]
+
+
+def oracle_chrf_stats(hyp, refs, config, lowercase=True):
+    """One segment's chrF++ statistics under ``config``, with ``Counter``s
+    over the library's tokenizer: those of the reference whose statistics
+    score highest by :func:`oracle_chrf_score`, the first on ties. A blank
+    hypothesis takes the totals of its shortest reference by characters.
+    Frozen like :func:`oracle_bleu_stats`."""
+    def streams(text):
+        return "".join((text.lower() if lowercase else text).split()), tokenize_words(text, lowercase)
+
+    def stats(ref):
+        (hc, ht), (rc, rt) = streams(hyp), streams(ref)
+        return _order_stats(hc, rc, ht, rt, config.char_order, config.word_order)
+
+    if not hyp.strip():
+        return stats(min(refs, key=lambda r: len(streams(r)[0])))
+    return max(map(stats, refs), key=lambda s: oracle_chrf_score(s, config.beta))
 
 
 def oracle_score_matrix(outputs, references, metric):

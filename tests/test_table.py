@@ -1,6 +1,6 @@
-"""The block-bounded count tables behind evaluate_all and
-corpus_multi_score: their integer statistics and grids equal the per-pair
-functions', and a report does not depend on where the blocks are cut."""
+"""The block-bounded count tables behind every BLEU and chrF++ score:
+their integer statistics and grids equal the frozen Counter oracles', and
+a report does not depend on where the blocks are cut."""
 
 import tracemalloc
 from unittest import mock
@@ -12,21 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from multiscore import table
-from multiscore.metrics import (
-    SMOOTH_ADD_ONE,
-    SMOOTH_NONE,
-    BleuConfig,
-    BleuMetric,
-    ChrfConfig,
-    ChrfMetric,
-    _bleu_stats,
-    _chrf_score,
-    _chrf_stats,
-)
-from multiscore.multiscore import EvalInstance, _instance_sentences, corpus_multi_score, multi_score
+from multiscore.assignment import ScoreMatrix, max_weight_matching
+from multiscore.metrics import SMOOTH_ADD_ONE, SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
+from multiscore.multiscore import EvalInstance, corpus_multi_score
 from multiscore.report import evaluate_all, render
-from multiscore.text import Sentence
-from oracles import oracle_bleu_score, oracle_chrf_score
+from oracles import oracle_bleu_score, oracle_bleu_stats, oracle_chrf_score, oracle_chrf_stats
 
 # a small pool makes repeats common; case variants, punctuation, Cyrillic
 # and astral-plane words, and words over a wide alphabet (a 12-gram of
@@ -72,7 +62,7 @@ _WIDE = [EvalInstance(id="w", references=("".join(map(chr, range(0x400, 0x430)))
     cells=st.sampled_from([1, 200, 1 << 15]),
 )
 @example(corpus=_WIDE, lowercase=False, char_order=12, word_order=3, pair_order=9, slot_order=9, cells=1 << 15)
-def test_statistics_equal_the_per_pair_functions(corpus, lowercase, char_order, word_order, pair_order, slot_order, cells):
+def test_statistics_equal_the_oracles(corpus, lowercase, char_order, word_order, pair_order, slot_order, cells):
     chrf_config = ChrfConfig(char_order=char_order, word_order=word_order)
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
         blocks = list(table.count_blocks(corpus, lowercase, char_order=char_order, word_order=word_order,
@@ -80,35 +70,35 @@ def test_statistics_equal_the_per_pair_functions(corpus, lowercase, char_order, 
     assert [inst for block in blocks for inst in block.instances] == corpus
     for block in blocks:
         for b, inst in enumerate(block.instances):
-            outs = [Sentence(t, lowercase) for t in inst.outputs]
-            refs = [Sentence(t, lowercase) for t in inst.references]
+            outs, refs = inst.outputs, inst.references
             out_cols, ref_cols = block.out_cols[b], block.ref_cols[b]
             for out, o in zip(outs, out_cols):
                 for ref, r in zip(refs, ref_cols):
-                    assert block.pair_bleu[b, o, r].tolist() == _bleu_stats(out, [ref], pair_order)
-                    assert block.pair_chrf[b, o, r].tolist() == _chrf_stats(out, [ref], chrf_config)
-                assert block.slot_bleu[b, o].tolist() == _bleu_stats(out, refs, slot_order)
+                    assert block.pair_bleu[b, o, r].tolist() == oracle_bleu_stats(out, [ref], pair_order, lowercase)
+                    assert block.pair_chrf[b, o, r].tolist() == oracle_chrf_stats(out, [ref], chrf_config, lowercase)
+                assert block.slot_bleu[b, o].tolist() == oracle_bleu_stats(out, refs, slot_order, lowercase)
                 # the best reference, the first on ties, as evaluate_all picks it
                 best = max((block.pair_chrf[b, o, r].tolist() for r in ref_cols),
-                           key=lambda s: _chrf_score(s, chrf_config.beta))
-                assert best == _chrf_stats(out, refs, chrf_config)
+                           key=lambda s: oracle_chrf_score(s, chrf_config.beta))
+                assert best == oracle_chrf_stats(out, refs, chrf_config, lowercase)
             for k, (out, o) in enumerate(zip(outs, out_cols)):
                 if len(outs) >= 2:
-                    assert block.self_bleu[b, o].tolist() == _bleu_stats(out, outs[:k] + outs[k + 1:], pair_order)
+                    others = outs[:k] + outs[k + 1:]
+                    assert block.self_bleu[b, o].tolist() == oracle_bleu_stats(out, others, pair_order, lowercase)
 
 
 def test_only_the_statistics_asked_for_are_taken(monkeypatch):
     corpus = [EvalInstance(id="a", references=("x y", "Z, w"), outputs=("x y z", "x y z", "w"))]
     [bleu] = table.count_blocks(corpus, True, pair_order=2)
     assert bleu.pair_chrf is None and bleu.slot_bleu is None and bleu.self_bleu is None
-    outs, refs = _instance_sentences(corpus[0], True)
-    assert bleu.pair_bleu[0].tolist() == [[_bleu_stats(o, [r], 2) for r in refs] for o in dict.fromkeys(outs)]
+    outs, refs = ("x y z", "w"), corpus[0].references
+    assert bleu.pair_bleu[0].tolist() == [[oracle_bleu_stats(o, [r], 2) for r in refs] for o in outs]
     # character orders alone tokenize nothing
     monkeypatch.setattr(table.text, "tokenize_words", None)
     [chrf] = table.count_blocks(corpus, True, char_order=3)
     assert chrf.pair_bleu is None and chrf.slot_bleu is None and chrf.self_bleu is None
     config = ChrfConfig(char_order=3, word_order=0)
-    assert chrf.pair_chrf[0].tolist() == [[_chrf_stats(o, [r], config) for r in refs] for o in dict.fromkeys(outs)]
+    assert chrf.pair_chrf[0].tolist() == [[oracle_chrf_stats(o, [r], config) for r in refs] for o in outs]
     [nothing] = table.count_blocks(corpus, True)
     assert nothing[3:] == (None, None, None, None)
 
@@ -192,18 +182,24 @@ _metrics = st.one_of(
 
 @settings(deadline=None, max_examples=150)
 @given(corpus=_corpora(), lowercase=st.booleans(), metric=_metrics, cells=st.sampled_from([1, 200, 1 << 15]))
-def test_multiscore_grids_equal_the_per_pair_path(corpus, lowercase, metric, cells):
+def test_multiscore_grids_equal_the_oracle_grids(corpus, lowercase, metric, cells):
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
         mean, results = corpus_multi_score(corpus, metric, allow_unequal=True, lowercase=lowercase)
     assert [r.instance_id for r in results] == [inst.id for inst in corpus]
-    expected = [multi_score(*_instance_sentences(inst, lowercase), metric, allow_unequal=True, instance_id=inst.id)
-                for inst in corpus]
-    for got, want in zip(results, expected):
-        assert np.array_equal(got.matrix.weights, want.matrix.weights)
-        assert got.matching.edges == want.matching.edges
-        assert got.matching.edge_weights == want.matching.edge_weights
-        assert got.score == want.score
-    assert mean == sum(want.score for want in expected) / len(expected)
+    config = metric.config
+    for inst, got in zip(corpus, results):
+        if isinstance(metric, BleuMetric):
+            grid = [[oracle_bleu_score(oracle_bleu_stats(o, [r], config.max_order, lowercase), config)
+                     for r in inst.references] for o in inst.outputs]
+        else:
+            grid = [[oracle_chrf_score(oracle_chrf_stats(o, [r], config, lowercase), config.beta)
+                     for r in inst.references] for o in inst.outputs]
+        want = max_weight_matching(ScoreMatrix(np.array(grid)))
+        assert got.matrix.weights.tolist() == grid
+        assert got.matching.edges == want.edges
+        assert got.matching.edge_weights == want.edge_weights
+        assert got.score == want.total / len(want.edges)
+    assert mean == sum(got.score for got in results) / len(results)
 
 
 def _words_instance(rng, k, n_out, n_ref, vocab=("red", "Cat", "sat", "mat", "dog", "ran", "far", "big", ",", ".")):
