@@ -91,7 +91,7 @@ def evaluate_all(
         same rule as :func:`~multiscore.corpus_multi_score`.
     :param lowercase: evaluate case-insensitively (the default). Texts
         equal after casing and whitespace normalization are one column of
-        their instance, so each is tokenized and counted once.
+        their instance, so each is counted once.
     """
     # imported on first use, so that importing the package, as every
     # command does at start-up, does not load the table module

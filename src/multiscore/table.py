@@ -8,10 +8,15 @@ The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
 Within a block, an instance's columns are its distinct casing-normalized
 texts (:func:`_key`), outputs and references apart, in first-seen order.
 Each n-gram order has one table: a row per distinct (instance, n-gram) that
-one of the instance's outputs holds, and in each cell that column's count
-of the n-gram. An n-gram no output holds matches nothing, so it gets no
-row. Character tables run over code points, word tables over token ids;
-BLEU and chrF++ share the word tables.
+one of the instance's outputs and at least one other of its texts hold,
+and in each cell that column's count of the n-gram. Any other n-gram, held
+by no output or by one text alone, adds 0 to every overlap and clip, and
+so does each of its extensions (the apriori property: Agrawal & Srikant
+1994). So it gets no row, and its positions leave the stream before the
+next order is ranked; once no position is left, the remaining orders'
+tables are empty. Character tables run over code points, word tables over
+token ids, each distinct whitespace chunk of a block tokenized once; BLEU
+and chrF++ share the word tables.
 
 Every statistic is a column operation summed per instance with
 ``np.add.reduceat``: an output's overlap with one reference (chrF++ and
@@ -220,12 +225,21 @@ class _Layout:
 
     def words(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The word stream: token ids, each text's length, and the number
-        of distinct tokens. Each distinct key is tokenized once."""
+        of distinct tokens. A token never spans whitespace, so each
+        distinct whitespace chunk of the block is tokenized once."""
         vocab: dict = {}
-        tokens = {k: [vocab.setdefault(t, len(vocab)) for t in text.tokenize_words(k, lowercase=False)]
-                  for k in dict.fromkeys(self.keys)}
-        symbols = np.array([t for k in self.keys for t in tokens[k]], dtype=np.int64)
-        return symbols, np.array([len(tokens[k]) for k in self.keys], dtype=np.int64), max(len(vocab), 1)
+        chunks: dict = {}
+        stream, lengths = [], []
+        for key in self.keys:
+            start = len(stream)
+            for chunk in key.split():
+                ids = chunks.get(chunk)
+                if ids is None:
+                    ids = chunks[chunk] = [vocab.setdefault(t, len(vocab))
+                                           for t in text.tokenize_words(chunk, lowercase=False)]
+                stream += ids
+            lengths.append(len(stream) - start)
+        return np.array(stream, dtype=np.int64), np.array(lengths, dtype=np.int64), max(len(vocab), 1)
 
     def padded(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-text ``lengths`` as (instance, output) and (instance,
@@ -239,31 +253,52 @@ class _Layout:
     def tables(self, symbols: np.ndarray, lengths: np.ndarray, n_symbols: int, max_order: int):
         """Yield ``(out, ref, bounds)`` for orders 1..``max_order`` of a
         stream: the (row, output) and (row, reference) count tables, and
-        ``bounds``, where instance b owns rows ``bounds[b]:bounds[b + 1]``."""
+        ``bounds``, where instance b owns rows ``bounds[b]:bounds[b + 1]``.
+
+        A row is an n-gram that an output and at least one other text of
+        its instance hold; an output and a reference with equal text are
+        two texts. Any other n-gram adds 0 to every overlap and clip (a
+        repeated output's Self-BLEU takes its totals, not its clips), and
+        so does each of its extensions, so its positions are dropped
+        before the next order. Once none is left, the remaining orders get
+        empty tables without any ranking."""
+        width = self.width_out + self.width_ref
         owner = np.repeat(np.arange(len(lengths)), lengths)
-        inst, is_out, col = self.inst[owner], self.is_out[owner], self.col[owner]
+        # each position's table column: an instance's outputs, then its references
+        column = np.where(self.is_out, self.col, self.width_out + self.col)[owner]
+        inst = self.inst[owner]
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols to the text's end
         rank = inst.copy()  # order 0: the instance
-        at = np.arange(len(symbols))  # where an n-gram starts
+        at = np.arange(len(symbols))  # where a surviving n-gram starts
         for n in range(1, max_order + 1):
             at = at[left[at] >= n]
-            grams, ids = np.unique(rank[at] * n_symbols + symbols[at + n - 1], return_inverse=True)
-            rank[at] = ids
-            out, cols = is_out[at], col[at]
-            # rows: the n-grams some output holds, in rank order, so grouped by instance
-            used = np.zeros(len(grams), dtype=bool)
-            used[ids[out]] = True
-            row = np.cumsum(used) - 1
-            n_rows = int(used.sum())
-            out_table = np.bincount(row[ids[out]] * self.width_out + cols[out], minlength=n_rows * self.width_out)
-            ref_ids, ref_cols = ids[~out], cols[~out]
-            kept = used[ref_ids]
-            ref_table = np.bincount(row[ref_ids[kept]] * self.width_ref + ref_cols[kept],
-                                    minlength=n_rows * self.width_ref)
-            inst_of_gram = np.empty(len(grams), dtype=np.int64)
-            inst_of_gram[ids] = inst[at]
-            bounds = np.searchsorted(inst_of_gram[used], np.arange(self.n_inst + 1))
-            yield out_table.reshape(n_rows, self.width_out), ref_table.reshape(n_rows, self.width_ref), bounds
+            if not len(at):
+                counts = np.zeros((0, width), dtype=np.int64)
+                bounds = np.zeros(self.n_inst + 1, dtype=np.int64)
+                for _ in range(n, max_order + 1):
+                    yield counts[:, :self.width_out], counts[:, self.width_out:], bounds
+                return
+            keys = rank[at] * n_symbols + symbols[at + n - 1]
+            order = keys.argsort()
+            at, keys = at[order], keys[order]
+            new = np.empty(len(at), dtype=bool)
+            new[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            # an n-gram survives when its smallest column is an output's
+            # and its largest another text's
+            starts = new.nonzero()[0]
+            cols = column[at]
+            first = np.minimum.reduceat(cols, starts)
+            alive = (first < self.width_out) & (first != np.maximum.reduceat(cols, starts))
+            keep = alive[np.cumsum(new) - 1]
+            at, cols, new = at[keep], cols[keep], new[keep]
+            row = np.cumsum(new) - 1
+            rank[at] = row
+            n_rows = int(np.count_nonzero(alive))
+            counts = np.bincount(row * width + cols, minlength=n_rows * width).reshape(n_rows, width)
+            bounds = np.searchsorted(inst[at[new]], np.arange(self.n_inst + 1))
+            # contiguous copies: the pair sums run slower on strided views
+            yield counts[:, :self.width_out].copy(), counts[:, self.width_out:].copy(), bounds
 
 
 def _windows(lengths: np.ndarray, n: int) -> np.ndarray:

@@ -184,11 +184,13 @@ class TestEvaluateAll:
             def key(raw):
                 return " ".join((raw.lower() if lowercase else raw).split())
 
-            # each distinct text is tokenized once and is one row of statistics;
-            # under lowercasing the title-cased copy is its original's text
+            # each distinct whitespace chunk is tokenized once, and each
+            # distinct text is one row of statistics; under lowercasing the
+            # title-cased copy is its original's text
             distinct_outputs = {key(t) for t in inst.outputs}
             assert len(distinct_outputs) == (3 if lowercase else 4)
-            assert sorted(tokenized) == sorted(distinct_outputs | {key(t) for t in inst.references})
+            chunks = {c for t in inst.outputs + inst.references for c in key(t).split()}
+            assert sorted(tokenized) == sorted(chunks)
             [block] = counted
             assert block.pair_bleu.shape[1] == block.pair_chrf.shape[1] == block.self_bleu.shape[1] == len(distinct_outputs)
             assert len(block.out_cols[0]) == 12

@@ -62,6 +62,16 @@ _WIDE = [EvalInstance(id="w", references=("".join(map(chr, range(0x400, 0x430)))
     cells=st.sampled_from([1, 200, 1 << 15]),
 )
 @example(corpus=_WIDE, lowercase=False, char_order=12, word_order=3, pair_order=9, slot_order=9, cells=1 << 15)
+# no two texts share a symbol, so no position outlives order 1
+@example(corpus=[EvalInstance(id="d", references=("ef", "gh"), outputs=("ab", "cd"))],
+         lowercase=True, char_order=6, word_order=2, pair_order=4, slot_order=4, cells=1 << 15)
+# an output equal to a reference, beside a repeated output
+@example(corpus=[EvalInstance(id="e", references=("a dog ran", "the cat"), outputs=("the cat", "The  cat", "a dog ran"))],
+         lowercase=True, char_order=6, word_order=2, pair_order=4, slot_order=4, cells=1 << 15)
+@example(corpus=[EvalInstance(id="one", references=("the mat sat",), outputs=("the cat sat",))],
+         lowercase=False, char_order=6, word_order=2, pair_order=4, slot_order=4, cells=1)
+@example(corpus=[EvalInstance(id="astral", references=("😀x 𝔘𝔫𝔦𝔳", "𝔘𝔫"), outputs=("𝔘𝔫𝔦 😀x", "𝔘𝔫𝔦", "x😀"))],
+         lowercase=False, char_order=6, word_order=2, pair_order=4, slot_order=4, cells=1 << 15)
 def test_statistics_equal_the_oracles(corpus, lowercase, char_order, word_order, pair_order, slot_order, cells):
     chrf_config = ChrfConfig(char_order=char_order, word_order=word_order)
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
@@ -85,6 +95,25 @@ def test_statistics_equal_the_oracles(corpus, lowercase, char_order, word_order,
                 if len(outs) >= 2:
                     others = outs[:k] + outs[k + 1:]
                     assert block.self_bleu[b, o].tolist() == oracle_bleu_stats(out, others, pair_order, lowercase)
+
+
+@settings(deadline=None, max_examples=100)
+@given(corpus=_corpora(), lowercase=st.booleans(), cells=st.sampled_from([1, 200, 1 << 15]))
+@example(corpus=_WIDE, lowercase=False, cells=1 << 15)
+def test_every_table_row_is_held_by_an_output_and_another_text(corpus, lowercase, cells):
+    # an n-gram that only one text holds, or that no output holds, matches
+    # nothing; neither does any of its extensions, so it gets no row
+    with mock.patch.object(table, "_BLOCK_CELLS", cells):
+        blocks = list(table._blocks(corpus, lowercase))
+    for block in blocks:
+        layout = table._Layout(block)
+        for stream in (layout.chars(), layout.words()):
+            orders = list(layout.tables(*stream, 12))
+            assert len(orders) == 12
+            for out, ref, bounds in orders:
+                assert bounds[0] == 0 and bounds[-1] == len(out) == len(ref)
+                held = np.concatenate([out, ref], axis=1) > 0
+                assert (held[:, :out.shape[1]].any(axis=1) & (held.sum(axis=1) >= 2)).all()
 
 
 def test_only_the_statistics_asked_for_are_taken(monkeypatch):

@@ -15,17 +15,20 @@ sets (the generate runs are gate commands too), a title-cased copy of those
 sets, the benchmark's eval-small and eval-nbest inputs at the default seed
 (built by ``bench/workloads.py``), the two interleaved into one corpus, so
 that each wide n-best instance sits between runs of narrow ones, eval-nbest's
-inputs at seed 7 too, and ``tests/evaluate_golden/``. On each, ``evaluate --allow-unequal`` in every
-format and ``multiscore --allow-unequal --per-instance`` for both metrics
-and both formats, all at the default metric flags; then both commands at
-non-default ones (``--bleu-max-order 2``; ``--chrf-char-order 3
---chrf-word-order 0 --chrf-beta 1``), ``evaluate`` in json and table and
-``multiscore`` with the metric the flags set, in both formats. Each runs
-with and without ``--no-lowercase``: 394 commands. On top of those,
-``generate`` runs whose files land in ``results/generate/``: every strategy
-on the benchmark's generate training corpus at the default seed, and on the
-demo corpus at ``--seed 7`` with ``--add-k 0``, with ``--order 1`` and with
-``--no-lowercase``, and ``topk3`` with ``--topk 9``: 17 more, 411 in all.
+inputs at seed 7 too, the benchmark's Zipfian generate training corpus (300
+word types) against each of the four sets ``generate`` makes from it at the
+default seed, and ``tests/evaluate_golden/``. On each, ``evaluate
+--allow-unequal`` in every format and ``multiscore --allow-unequal
+--per-instance`` for both metrics and both formats, all at the default
+metric flags; then both commands at non-default ones (``--bleu-max-order
+2``; ``--chrf-char-order 3 --chrf-word-order 0 --chrf-beta 1``),
+``evaluate`` in json and table and ``multiscore`` with the metric the flags
+set, in both formats. Each runs with and without ``--no-lowercase``: 514
+commands. On top of those, ``generate`` runs whose files land in
+``results/generate/``: every strategy on the benchmark's generate training
+corpus at the default seed, and on the demo corpus at ``--seed 7`` with
+``--add-k 0``, with ``--order 1`` and with ``--no-lowercase``, and
+``topk3`` with ``--topk 9``: 17 more, 531 in all.
 """
 
 from __future__ import annotations
@@ -160,6 +163,9 @@ def build_inputs(repo, outdir):
         cases[f"demo-{strategy}-title"] = ["--data", demo, "--outputs", titled]
     workloads = _workloads()
     codes += _generate_runs(repo, outdir, demo, workloads)
+    for strategy in STRATEGIES:
+        cases[f"generate-{strategy}"] = ["--data", os.path.join("inputs", "generate", "train.jsonl"),
+                                         "--outputs", os.path.join("results", "generate", f"bench-{strategy}.jsonl")]
     for name, make, seed in (("eval-small", workloads.make_eval_small, workloads.DEFAULT_SEED),
                              ("eval-nbest", workloads.make_eval_nbest, workloads.DEFAULT_SEED),
                              ("eval-nbest-seed7", workloads.make_eval_nbest, 7)):
