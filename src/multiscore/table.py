@@ -48,14 +48,18 @@ from .metrics import SMOOTH_ADD_ONE
 
 # Cells per block: (output characters) x (distinct outputs + distinct
 # references), summed over the block's instances; it bounds the widest
-# table. Measured on eval-small (2,000 instances of 3 outputs and 2-4
-# references, 2-CPU VM): evaluate_all took 1.13 s at 2**12 cells, 0.71 s at
-# 2**14, 0.59 s at 2**15 and 0.55-0.62 s from 2**16 to 2**19 (medians of
-# five in-process runs); a cold `evaluate` peaked at 34.8 MB RSS at 2**15
-# (34.5 MB with one instance a block), 36.9 MB at 2**16, 41.1 MB at 2**17
-# and 50.4 MB at 2**18. An instance of 8 distinct outputs and 200
-# references takes about 2**16 cells, so it is a block of its own.
-_BLOCK_CELLS = 1 << 15
+# table. Reports do not depend on it. Measured on eval-small (2,000
+# instances of 3 outputs and 2-4 references), one pinned CPU of a 2-CPU
+# VM, at 2**15, 2**16, 2**17 and 2**18 cells (39, 20, 10 and 5 blocks):
+# a cold `evaluate --format json` took 0.67, 0.62, 0.60 and 0.55 s
+# (medians of 24 alternating runs, quartiles about 0.1 s apart) and
+# peaked at 34.9, 36.0, 38.7 and 44.5 MB RSS; the tracemalloc peak of
+# evaluate_all was 1.6, 2.7, 5.0 and 9.8 MiB. Each block pays a fixed
+# cost in numpy calls per order, so fewer blocks run faster. 2**18 is
+# left out for memory: its child RSS is above the ~42 MB the benchmark
+# harness reports for eval-small, and its tracemalloc peak above the 8e6
+# bound of test_allocation_peak_stays_within_a_few_blocks.
+_BLOCK_CELLS = 1 << 17
 
 _CODE_POINTS = 0x110000  # symbols of the character tables
 
@@ -235,8 +239,9 @@ class _Layout:
             for chunk in key.split():
                 ids = chunks.get(chunk)
                 if ids is None:
-                    ids = chunks[chunk] = [vocab.setdefault(t, len(vocab))
-                                           for t in text.tokenize_words(chunk, lowercase=False)]
+                    # letters and digits alone are one token, as tokenize_words gives them
+                    tokens = [chunk] if chunk.isalnum() else text.tokenize_words(chunk, lowercase=False)
+                    ids = chunks[chunk] = [vocab.setdefault(t, len(vocab)) for t in tokens]
                 stream += ids
             lengths.append(len(stream) - start)
         return np.array(stream, dtype=np.int64), np.array(lengths, dtype=np.int64), max(len(vocab), 1)

@@ -155,10 +155,10 @@ class TestEvaluateAll:
 
     def test_n_best_statistics_once_per_distinct_output(self, monkeypatch):
         rng = np.random.default_rng(28)
-        inst = make_instance(0, rng, n_refs=12)
+        inst = make_instance(0, rng, n_refs=10)
         outputs = make_instance(1, rng).outputs
         # an n-best list: three texts repeated, plus a title-cased copy of one
-        inst = EvalInstance(id=inst.id, references=inst.references,
+        inst = EvalInstance(id=inst.id, references=inst.references + ("big, red cat.", "sky big, dog"),
                             outputs=outputs * 3 + outputs[:2] + (outputs[0].title(),))
         assert len(set(inst.outputs)) == 4
         before = [render(evaluate_all([inst], lowercase=lowercase), "json") for lowercase in (True, False)]
@@ -184,13 +184,14 @@ class TestEvaluateAll:
             def key(raw):
                 return " ".join((raw.lower() if lowercase else raw).split())
 
-            # each distinct whitespace chunk is tokenized once, and each
-            # distinct text is one row of statistics; under lowercasing the
-            # title-cased copy is its original's text
+            # each distinct whitespace chunk is tokenized once, an
+            # alphanumeric one without a call, and each distinct text is one
+            # row of statistics; under lowercasing the title-cased copy is
+            # its original's text
             distinct_outputs = {key(t) for t in inst.outputs}
             assert len(distinct_outputs) == (3 if lowercase else 4)
             chunks = {c for t in inst.outputs + inst.references for c in key(t).split()}
-            assert sorted(tokenized) == sorted(chunks)
+            assert sorted(tokenized) == sorted(c for c in chunks if not c.isalnum()) == ["big,", "cat."]
             [block] = counted
             assert block.pair_bleu.shape[1] == block.pair_chrf.shape[1] == block.self_bleu.shape[1] == len(distinct_outputs)
             assert len(block.out_cols[0]) == 12

@@ -59,7 +59,7 @@ _WIDE = [EvalInstance(id="w", references=("".join(map(chr, range(0x400, 0x430)))
     word_order=st.integers(0, 3),
     pair_order=st.integers(1, 9),
     slot_order=st.integers(1, 9),
-    cells=st.sampled_from([1, 200, 1 << 15]),
+    cells=st.sampled_from([1, 200, 1 << 15, table._BLOCK_CELLS]),
 )
 @example(corpus=_WIDE, lowercase=False, char_order=12, word_order=3, pair_order=9, slot_order=9, cells=1 << 15)
 # no two texts share a symbol, so no position outlives order 1
@@ -98,7 +98,7 @@ def test_statistics_equal_the_oracles(corpus, lowercase, char_order, word_order,
 
 
 @settings(deadline=None, max_examples=100)
-@given(corpus=_corpora(), lowercase=st.booleans(), cells=st.sampled_from([1, 200, 1 << 15]))
+@given(corpus=_corpora(), lowercase=st.booleans(), cells=st.sampled_from([1, 200, 1 << 15, table._BLOCK_CELLS]))
 @example(corpus=_WIDE, lowercase=False, cells=1 << 15)
 def test_every_table_row_is_held_by_an_output_and_another_text(corpus, lowercase, cells):
     # an n-gram that only one text holds, or that no output holds, matches
@@ -210,7 +210,7 @@ _metrics = st.one_of(
 
 
 @settings(deadline=None, max_examples=150)
-@given(corpus=_corpora(), lowercase=st.booleans(), metric=_metrics, cells=st.sampled_from([1, 200, 1 << 15]))
+@given(corpus=_corpora(), lowercase=st.booleans(), metric=_metrics, cells=st.sampled_from([1, 200, 1 << 15, table._BLOCK_CELLS]))
 def test_multiscore_grids_equal_the_oracle_grids(corpus, lowercase, metric, cells):
     with mock.patch.object(table, "_BLOCK_CELLS", cells):
         mean, results = corpus_multi_score(corpus, metric, allow_unequal=True, lowercase=lowercase)
@@ -248,18 +248,25 @@ def test_reports_do_not_depend_on_the_block_cuts():
     corpus.insert(4, EvalInstance(id="nbest", references=nbest.references, outputs=tuple(outputs)))
     corpus += [_words_instance(rng, k, 3, 3) for k in range(9, 12)]
     for lowercase in (True, False):
+        # the default bound splits the corpus, the n-best instance in a block
+        # beside small ones (blocks of 8 and 4 instances at 2**17 cells)
+        blocks = [[inst.id for inst, _, _ in block] for block in table._blocks(corpus, lowercase)]
+        assert 1 < len(blocks) < len(corpus)
+        assert any("nbest" in ids and len(ids) > 1 for ids in blocks)
         rendered = []
-        for cells in (1, 10**12):  # one instance a block; the whole corpus in one
+        # one instance a block; the default bound; the whole corpus in one
+        for cells in (1, table._BLOCK_CELLS, 10**12):
             with mock.patch.object(table, "_BLOCK_CELLS", cells):
                 report = evaluate_all(corpus, allow_unequal=True, lowercase=lowercase)
             rendered.append([render(report, fmt) for fmt in ("json", "tsv", "table")])
-        assert rendered[0] == rendered[1]
+        assert rendered[0] == rendered[1] == rendered[2]
 
 
 def test_allocation_peak_stays_within_a_few_blocks():
     # eval-small's shape: 2,000 instances of 3 outputs and 2-4 references,
-    # 4-11 words each. Measured 2.1 MB at the default budget; one block for
-    # the whole corpus peaks at 51 MB
+    # 4-11 words each. Measured 5.2 MB at the default bound of 2**17 cells;
+    # 9.9 MB at 2**18, which this bound rules out; one block for the whole
+    # corpus peaks at 39 MB
     vocab = ("red", "cat", "sat", "mat", "dog", "ran", "far", "big", "sky", "old", "town", "blue")
     rng = np.random.default_rng(42)
 
