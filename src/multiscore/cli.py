@@ -17,7 +17,8 @@ import tempfile
 
 import numpy as np
 
-from .corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl
+from .corpus import Dataset, _load_bound, load_jsonl
+from .corpus import bind_outputs, load_outputs_jsonl  # unused here: bench/tracer.py patches these bindings
 from .decoding import (
     SET_SIZE,
     STRATEGY_BEAM,
@@ -65,16 +66,15 @@ def _write_atomic(path: str | None, payload: bytes) -> None:
 
 
 def _load_bound_dataset(data_path: str, outputs_path: str | None) -> Dataset:
-    dataset = load_jsonl(data_path)
     if outputs_path and outputs_path != "inline":
-        dataset = bind_outputs(dataset, load_outputs_jsonl(outputs_path))
-    else:
-        missing = [inst.id for inst in dataset if not inst.outputs]
-        if missing:
-            raise ValueError(
-                f"no outputs for instance ids {missing[:5]}"
-                f"{'...' if len(missing) > 5 else ''}; pass --outputs or embed them in --data"
-            )
+        return _load_bound(data_path, outputs_path)
+    dataset = load_jsonl(data_path)
+    missing = [inst.id for inst in dataset if not inst.outputs]
+    if missing:
+        raise ValueError(
+            f"no outputs for instance ids {missing[:5]}"
+            f"{'...' if len(missing) > 5 else ''}; pass --outputs or embed them in --data"
+        )
     return dataset
 
 

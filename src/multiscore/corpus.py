@@ -14,6 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,19 +59,27 @@ def _read_lines(path):
     and CRLF only, so a U+2028 or form feed inside a sentence stays in its
     line; each line is decoded on its own, so a decode error names its
     line."""
+    line_no = 0
     with open(path, "rb") as fh:
         # streamed in LF-ended chunks, each split again at a lone CR
-        for line_no, raw in enumerate((raw for chunk in fh for raw in chunk.splitlines()), start=1):
-            try:
-                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"line {line_no}: not valid UTF-8") from None
-            yield line_no, line
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                line_no += 1
+                try:
+                    line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"line {line_no}: not valid UTF-8") from None
+                yield line_no, line
 
 
-def _read_jsonl(path):
-    """Yield ``(line_no, parsed JSON value)`` for each line of a JSON Lines
-    file, so every error names its line."""
+def _records(path, fields, what):
+    """Yield ``(line_no, object, escaped)`` for each line of a JSON Lines
+    file, every error naming its line: a JSON object with no field outside
+    ``fields`` and a non-empty string ``id`` that no earlier line holds. An
+    empty file is an error, named ``what``. ``escaped`` tells whether the
+    line holds a ``\\u`` escape: strict UTF-8 decoding rejects an encoded
+    surrogate, so only such an escape can put one in a string."""
+    id_lines: dict[str, int] = {}
     for line_no, line in _read_lines(path):
         if not line.strip():
             raise ValueError(f"line {line_no}: empty line in JSONL file")
@@ -82,35 +91,27 @@ def _read_jsonl(path):
             raise ValueError(f"line {line_no}: malformed JSON (nested too deep)") from None
         except ValueError as exc:  # e.g. an integer literal beyond the digit limit
             raise ValueError(f"line {line_no}: malformed JSON ({exc})") from None
-        yield line_no, obj
-
-
-def _records(path, fields, what):
-    """Yield ``(line_no, object)`` for each record of a JSON Lines file:
-    a JSON object with no field outside ``fields`` and a non-empty string
-    ``id`` that no earlier line holds. An empty file is an error, named
-    ``what``."""
-    id_lines: dict[str, int] = {}
-    for line_no, obj in _read_jsonl(path):
         if not isinstance(obj, dict):
             raise ValueError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
-        unknown = set(obj) - fields
-        if unknown:
-            raise ValueError(f"line {line_no}: unknown fields {sorted(unknown)}")
-        if not isinstance(obj.get("id"), str):
+        if not obj.keys() <= fields:
+            raise ValueError(f"line {line_no}: unknown fields {sorted(set(obj) - fields)}")
+        inst_id = obj.get("id")
+        if not isinstance(inst_id, str):
             raise ValueError(f"line {line_no}: missing or non-string 'id'")
-        if not obj["id"]:
+        if not inst_id:
             raise ValueError(f"line {line_no}: instance id must be non-empty")
-        _check_unicode(line_no, "id", [obj["id"]])
-        if obj["id"] in id_lines:
-            raise ValueError(f"duplicate id {obj['id']!r} on lines {id_lines[obj['id']]} and {line_no}")
-        id_lines[obj["id"]] = line_no
-        yield line_no, obj
+        escaped = "\\u" in line
+        if escaped:
+            _check_unicode(line_no, "id", [inst_id])
+        if inst_id in id_lines:
+            raise ValueError(f"duplicate id {inst_id!r} on lines {id_lines[inst_id]} and {line_no}")
+        id_lines[inst_id] = line_no
+        yield line_no, obj, escaped
     if not id_lines:
         raise ValueError(f"{os.fspath(path)}: {what} is empty")
 
 
-def _sentences(line_no: int, obj: dict, field: str, required: bool) -> tuple[str, ...]:
+def _sentences(line_no: int, obj: dict, field: str, required: bool, escaped: bool) -> tuple[str, ...]:
     """The sentence array ``obj[field]``: strings that are valid Unicode and
     not blank. A required array must be present and non-empty; an optional
     one reads as empty when absent."""
@@ -119,13 +120,28 @@ def _sentences(line_no: int, obj: dict, field: str, required: bool) -> tuple[str
             raise ValueError(f"line {line_no}: missing {field!r}")
         return ()
     texts = obj[field]
-    if not isinstance(texts, list) or (required and not texts) or not all(isinstance(t, str) for t in texts):
+    if not isinstance(texts, list) or (required and not texts) or not all(map(isinstance, texts, repeat(str))):
         kind = "non-empty string array" if required else "string array"
         raise ValueError(f"line {line_no}: {field!r} must be a {kind}")
-    _check_unicode(line_no, field, texts)
-    if not all(t.strip() for t in texts):
+    if escaped:
+        _check_unicode(line_no, field, texts)
+    if not all(map(str.strip, texts)):
         raise ValueError(f"line {line_no}: instance {obj['id']!r}: empty {field[:-1]} sentence")
     return tuple(texts)
+
+
+def _dataset_records(path):
+    """Yield ``(id, references, outputs, category)`` for each record of a
+    dataset file, every field checked as :func:`load_jsonl` states."""
+    for line_no, obj, escaped in _records(path, {"id", "category", "references", "outputs"}, "dataset"):
+        references = _sentences(line_no, obj, "references", True, escaped)
+        outputs = _sentences(line_no, obj, "outputs", False, escaped)
+        category = obj.get("category")
+        if category is not None and not isinstance(category, str):
+            raise ValueError(f"line {line_no}: 'category' must be a string")
+        if escaped and category:
+            _check_unicode(line_no, "category", [category])
+        yield obj["id"], references, outputs, category
 
 
 def load_jsonl(path) -> Dataset:
@@ -135,19 +151,7 @@ def load_jsonl(path) -> Dataset:
     malformed JSON, unpaired surrogates, schema violations, or duplicate
     ids; I/O failures propagate as OSError.
     """
-    instances: list[EvalInstance] = []
-    for line_no, obj in _records(path, {"id", "category", "references", "outputs"}, "dataset"):
-        references = _sentences(line_no, obj, "references", required=True)
-        outputs = _sentences(line_no, obj, "outputs", required=False)
-        category = obj.get("category")
-        if category is not None and not isinstance(category, str):
-            raise ValueError(f"line {line_no}: 'category' must be a string")
-        _check_unicode(line_no, "category", [category or ""])
-        try:
-            instances.append(EvalInstance(id=obj["id"], references=references, outputs=outputs, category=category))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-    return Dataset(instances=tuple(instances))
+    return Dataset(instances=tuple(EvalInstance(*record) for record in _dataset_records(path)))
 
 
 def load_outputs_jsonl(path) -> dict[str, list[str]]:
@@ -157,8 +161,8 @@ def load_outputs_jsonl(path) -> dict[str, list[str]]:
     ignored; any other field is rejected. The record rules are those of
     :func:`load_jsonl`."""
     return {
-        obj["id"]: list(_sentences(line_no, obj, "outputs", required=True))
-        for line_no, obj in _records(path, {"id", "outputs", "strategy", "seed", "flags"}, "outputs file")
+        obj["id"]: list(_sentences(line_no, obj, "outputs", True, escaped))
+        for line_no, obj, escaped in _records(path, {"id", "outputs", "strategy", "seed", "flags"}, "outputs file")
     }
 
 
@@ -230,7 +234,20 @@ def bundled_json(name: str):
 def bind_outputs(dataset: Dataset, outputs: Mapping[str, Sequence[str]]) -> Dataset:
     """Attach one output list per instance id, replacing any existing
     outputs. Every dataset id must be covered and no unknown ids allowed."""
-    known = {inst.id for inst in dataset}
+    return _bound([(inst.id, inst.references, inst.outputs, inst.category) for inst in dataset], outputs)
+
+
+def _load_bound(data_path, outputs_path) -> Dataset:
+    """``bind_outputs(load_jsonl(data_path), load_outputs_jsonl(outputs_path))``,
+    with the same errors, but each instance built once."""
+    records = list(_dataset_records(data_path))
+    return _bound(records, load_outputs_jsonl(outputs_path))
+
+
+def _bound(records, outputs: Mapping[str, Sequence[str]]) -> Dataset:
+    """The dataset of ``(id, references, outputs, category)`` records, each
+    with its outputs replaced by ``outputs[id]``."""
+    known = {record[0] for record in records}
     unknown = set(outputs) - known
     if unknown:
         raise ValueError(f"outputs name unknown instance ids: {sorted(unknown)}")
@@ -238,11 +255,9 @@ def bind_outputs(dataset: Dataset, outputs: Mapping[str, Sequence[str]]) -> Data
     if missing:
         raise ValueError(f"outputs missing for instance ids: {sorted(missing)}")
     rebound = []
-    for inst in dataset:
-        outs = tuple(outputs[inst.id])
+    for inst_id, references, _, category in records:
+        outs = tuple(outputs[inst_id])
         if not outs:
-            raise ValueError(f"instance {inst.id!r}: bound output list is empty")
-        rebound.append(
-            EvalInstance(id=inst.id, references=inst.references, outputs=outs, category=inst.category)
-        )
+            raise ValueError(f"instance {inst_id!r}: bound output list is empty")
+        rebound.append(EvalInstance(inst_id, references, outs, category))
     return Dataset(instances=tuple(rebound))

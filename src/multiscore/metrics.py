@@ -87,7 +87,7 @@ def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike], 
     """Outputs against non-empty, non-blank references, each text keyed as
     the count tables read it: a :class:`Sentence` under its own
     ``lowercase``, a plain string lowercased."""
-    from .table import _key  # loaded on first use, like every table read
+    from .table import _keys  # loaded on first use, like every table read
 
     if not references:
         raise ValueError("references must be non-empty")
@@ -96,7 +96,8 @@ def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike], 
             raise ValueError("reference sentence must be non-empty")
 
     def key(text):
-        return _key(text.raw, text.lowercase) if isinstance(text, Sentence) else _key(text, True)
+        [keyed] = _keys([text.raw], text.lowercase) if isinstance(text, Sentence) else _keys([text], True)
+        return keyed
 
     return _Texts(tuple(map(key, outputs)), tuple(map(key, references)), instance_id)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +40,9 @@ class EvalInstance:
             raise ValueError("instance id must be non-empty")
         if not self.references:
             raise ValueError(f"instance {self.id!r}: references must be non-empty")
-        for text in self.references:
-            if not isinstance(text, str) or not text.strip():
-                raise ValueError(f"instance {self.id!r}: empty reference sentence")
-        for text in self.outputs:
-            if not isinstance(text, str) or not text.strip():
-                raise ValueError(f"instance {self.id!r}: empty output sentence")
+        for texts, kind in ((self.references, "reference"), (self.outputs, "output")):
+            if not (all(map(isinstance, texts, repeat(str))) and all(map(str.strip, texts))):
+                raise ValueError(f"instance {self.id!r}: empty {kind} sentence")
 
 
 def _sizes_differ(n_outputs: int, n_references: int, allow_unequal: bool, instance_id: str = "") -> bool:

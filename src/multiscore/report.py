@@ -20,6 +20,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring
 from typing import Sequence
 
 import numpy as np
@@ -167,9 +168,15 @@ def evaluate_all(
     )
 
 
+_CENT = Decimal("0.01")
+
+# a per-instance row of the JSON report, its keys sorted
+_JSON_ROW = '{{"id": {}, "ms_bleu": {}, "ms_chrf": {}, "self_bleu": {}}}'.format
+
+
 def round2(value: float) -> str:
     """Decimal string with exactly two digits, half-up (54.666... -> '54.67')."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(value))).quantize(_CENT, rounding=ROUND_HALF_UP))
 
 
 def _canonical_json(value) -> str:
@@ -203,13 +210,15 @@ def render(report: EvaluationReport, format: str = "table") -> bytes:
         row = "\t".join("-" if values[c] is None else round2(values[c]) for c in _TSV_COLUMNS)
         return (header + "\n" + row + "\n").encode("utf-8")
     if format == "json":
-        payload = {
-            "quality": report.quality,
-            "diversity": report.diversity,
-            "per_instance": [vars(s) for s in report.per_instance],
-            "config": report.config,
-        }
-        return (_canonical_json(payload) + "\n").encode("utf-8")
+        fields = {"quality": report.quality, "diversity": report.diversity, "config": report.config}
+        fields = {key: _canonical_json(value) for key, value in fields.items()}
+        # the per-instance rows, as _canonical_json would render them
+        fields["per_instance"] = "[" + ", ".join(
+            _JSON_ROW(encode_basestring(s.id), round2(s.ms_bleu), round2(s.ms_chrf),
+                      "null" if s.self_bleu is None else round2(s.self_bleu))
+            for s in report.per_instance
+        ) + "]"
+        return ("{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}\n").encode("utf-8")
     lines = ["metric    score", "------    -----"]
     for name in _TSV_COLUMNS:
         shown = "-" if values[name] is None else round2(values[name])

@@ -6,7 +6,7 @@ BLEU and chrF++ formulas that turn statistics into scores.
 
 The instances are cut into blocks of about ``_BLOCK_CELLS`` table cells.
 Within a block, an instance's columns are its distinct casing-normalized
-texts (:func:`_key`), outputs and references apart, in first-seen order.
+texts (:func:`_keys`), outputs and references apart, in first-seen order.
 Each n-gram order has one table: a row per distinct (instance, n-gram) that
 one of the instance's outputs and at least one other of its texts hold,
 and in each cell that column's count of the n-gram. Any other n-gram, held
@@ -30,10 +30,15 @@ element in the scalar formula's order, so every score is the float one
 statistics row alone gives.
 
 An n-gram of order n is ranked from (its first n-1 symbols' rank, its
-last symbol), and order 0 is the instance. A key is at most (positions in
-the block) x 0x110000, so it fits an int64 at every order, whatever the
-alphabet. Nothing outlives a block: each table is dropped once its
-statistics are taken.
+last symbol), and order 0 is the instance. Its sort key also carries the
+table column of the text it sits in, so that a gram's positions sort by
+column and its first and last hold its smallest and largest. A key is at
+most (positions in the block) x 0x110000 x (table width), so it fits an
+int64 at every order, whatever the alphabet, while positions x width stays
+below 2**63 / 0x110000, about 8e12; a wider block (say, one instance of a
+million distinct texts of eight characters) is an error, never a wrapped
+key. Nothing outlives a block: each table is dropped once its statistics
+are taken.
 """
 
 from __future__ import annotations
@@ -51,14 +56,14 @@ from .metrics import SMOOTH_ADD_ONE
 # table. Reports do not depend on it. Measured on eval-small (2,000
 # instances of 3 outputs and 2-4 references), one pinned CPU of a 2-CPU
 # VM, at 2**15, 2**16, 2**17 and 2**18 cells (39, 20, 10 and 5 blocks):
-# a cold `evaluate --format json` took 0.67, 0.62, 0.60 and 0.55 s
-# (medians of 24 alternating runs, quartiles about 0.1 s apart) and
-# peaked at 34.9, 36.0, 38.7 and 44.5 MB RSS; the tracemalloc peak of
-# evaluate_all was 1.6, 2.7, 5.0 and 9.8 MiB. Each block pays a fixed
-# cost in numpy calls per order, so fewer blocks run faster. 2**18 is
-# left out for memory: its child RSS is above the ~42 MB the benchmark
-# harness reports for eval-small, and its tracemalloc peak above the 8e6
-# bound of test_allocation_peak_stays_within_a_few_blocks.
+# a cold `evaluate --format json` took 0.64, 0.60, 0.57 and 0.57 s
+# (medians of 16 alternating runs, quartiles 0.05-0.1 s apart) and
+# peaked at 34.8, 36.1, 39.0 and 44.5 MB RSS; the tracemalloc peak of
+# evaluate_all was 1.6, 2.7, 5.1 and 10.0 MiB. Each block pays a fixed
+# cost in numpy calls per order, so fewer blocks run faster, up to
+# 2**17. 2**18 is left out for memory: its child RSS is above the ~42 MB
+# the benchmark harness reports for eval-small, and its tracemalloc peak
+# above the 8e6 bound of test_allocation_peak_stays_within_a_few_blocks.
 _BLOCK_CELLS = 1 << 17
 
 _CODE_POINTS = 0x110000  # symbols of the character tables
@@ -154,16 +159,21 @@ def _chrf_scores(stats, beta: float) -> np.ndarray:
     return np.divide((1 + b2) * p * r, b2 * p + r, out=np.zeros(shape), where=p + r != 0.0) * 100.0
 
 
-def _key(raw: str, lowercase: bool) -> str:
-    """The text as the metrics read it: its word tokens and its character
-    stream (the key without its spaces) are functions of this key alone."""
-    return " ".join((raw.lower() if lowercase else raw).split())
+def _keys(texts, lowercase: bool) -> list[str]:
+    """Each text as the metrics read it: its word tokens and its character
+    stream (the key without its spaces) are functions of its key alone."""
+    if lowercase:
+        return [" ".join(text.lower().split()) for text in texts]
+    return [" ".join(text.split()) for text in texts]
 
 
 def _columns(keys) -> tuple[list[int], list[str]]:
     """Each key's column, and the distinct keys in first-seen order."""
-    index: dict = {}
-    return [index.setdefault(k, len(index)) for k in keys], list(index)
+    distinct = list(dict.fromkeys(keys))
+    if len(distinct) == len(keys):
+        return list(range(len(keys))), distinct
+    index = {key: col for col, key in enumerate(distinct)}
+    return [index[key] for key in keys], distinct
 
 
 def _blocks(instances, lowercase):
@@ -172,8 +182,8 @@ def _blocks(instances, lowercase):
     own), each instance with its output and reference columns."""
     block, chars, widths = [], 0, (0, 0)
     for inst in instances:
-        outs = _columns([_key(t, lowercase) for t in inst.outputs])
-        refs = _columns([_key(t, lowercase) for t in inst.references])
+        outs = _columns(_keys(inst.outputs, lowercase))
+        refs = _columns(_keys(inst.references, lowercase))
         inst_chars = sum(map(len, outs[1]))  # bounds the instance's rows
         grown = (max(widths[0], len(outs[1])), max(widths[1], len(refs[1])))
         if block and (chars + inst_chars) * sum(grown) > _BLOCK_CELLS:
@@ -202,23 +212,18 @@ class _Layout:
     its distinct references, one text after another in a symbol stream."""
 
     def __init__(self, block):
+        self.block = block
         self.n_inst = len(block)
-        self.width_out = max(len(outs[1]) for _, outs, _ in block)
-        self.width_ref = max(len(refs[1]) for _, _, refs in block)
-        self.keys, inst, is_out, col = [], [], [], []
-        # copies[b, o]: how many of instance b's outputs have text o
-        self.copies = np.zeros((self.n_inst, self.width_out), dtype=np.int64)
-        for b, (_, outs, refs) in enumerate(block):
-            for side, distinct in ((True, outs[1]), (False, refs[1])):
-                self.keys += distinct
-                inst += [b] * len(distinct)
-                is_out += [side] * len(distinct)
-                col += range(len(distinct))
-            for o in outs[0]:
-                self.copies[b, o] += 1
-        self.inst = np.array(inst, dtype=np.int64)
-        self.is_out = np.array(is_out, dtype=bool)
-        self.col = np.array(col, dtype=np.int64)
+        self.keys = [key for _, outs, refs in block for key in (*outs[1], *refs[1])]
+        # distinct texts per (instance, side): an instance's outputs, then its references
+        sizes = [len(side[1]) for _, outs, refs in block for side in (outs, refs)]
+        self.width_out, self.width_ref = max(sizes[0::2]), max(sizes[1::2])
+        sizes = np.array(sizes)
+        self.inst = np.arange(self.n_inst).repeat(sizes[0::2] + sizes[1::2])
+        # each text's table column: an instance's outputs from 0, its references from width_out
+        starts = sizes.cumsum() - sizes
+        starts[1::2] -= self.width_out
+        self.column = np.arange(len(self.keys)) - starts.repeat(sizes)
 
     def chars(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The character stream: code points, each text's length, and the
@@ -249,11 +254,18 @@ class _Layout:
     def padded(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-text ``lengths`` as (instance, output) and (instance,
         reference) arrays, 0 where an instance has fewer columns."""
-        out = np.zeros((self.n_inst, self.width_out), dtype=np.int64)
-        ref = np.zeros((self.n_inst, self.width_ref), dtype=np.int64)
-        out[self.inst[self.is_out], self.col[self.is_out]] = lengths[self.is_out]
-        ref[self.inst[~self.is_out], self.col[~self.is_out]] = lengths[~self.is_out]
-        return out, ref
+        padded = np.zeros((self.n_inst, self.width_out + self.width_ref), dtype=np.int64)
+        padded[self.inst, self.column] = lengths
+        return padded[:, :self.width_out], padded[:, self.width_out:]
+
+    def repeated(self) -> np.ndarray:
+        """(instance, output): whether several of the instance's outputs
+        have that output's text."""
+        out_cols = [outs[0] for _, outs, _ in self.block]
+        owner = np.arange(self.n_inst).repeat([len(cols) for cols in out_cols])
+        outputs = np.fromiter((col for cols in out_cols for col in cols), dtype=np.int64, count=len(owner))
+        copies = np.bincount(owner * self.width_out + outputs, minlength=self.n_inst * self.width_out)
+        return copies.reshape(self.n_inst, self.width_out) > 1
 
     def tables(self, symbols: np.ndarray, lengths: np.ndarray, n_symbols: int, max_order: int):
         """Yield ``(out, ref, bounds)`` for orders 1..``max_order`` of a
@@ -268,42 +280,57 @@ class _Layout:
         before the next order. Once none is left, the remaining orders get
         empty tables without any ranking."""
         width = self.width_out + self.width_ref
-        owner = np.repeat(np.arange(len(lengths)), lengths)
-        # each position's table column: an instance's outputs, then its references
-        column = np.where(self.is_out, self.col, self.width_out + self.col)[owner]
-        inst = self.inst[owner]
-        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols to the text's end
+        if len(symbols) * n_symbols * width >= 1 << 63:
+            raise ValueError(f"a block of {len(symbols)} symbols and {width} table columns is too wide to count")
+        owner = np.arange(len(lengths)).repeat(lengths)
+        inst = self.inst.take(owner)
+        left = lengths.cumsum().take(owner) - np.arange(len(symbols))  # symbols to the text's end
+        # a position's symbol and its text's table column as the low part of
+        # a key, so that a gram's positions sort by column
+        tail = symbols * width + self.column.take(owner)
+        del owner  # held through every yield otherwise
         rank = inst.copy()  # order 0: the instance
         at = np.arange(len(symbols))  # where a surviving n-gram starts
         for n in range(1, max_order + 1):
-            at = at[left[at] >= n]
+            at = at.take((left.take(at) >= n).nonzero()[0])
             if not len(at):
                 counts = np.zeros((0, width), dtype=np.int64)
                 bounds = np.zeros(self.n_inst + 1, dtype=np.int64)
                 for _ in range(n, max_order + 1):
                     yield counts[:, :self.width_out], counts[:, self.width_out:], bounds
                 return
-            keys = rank[at] * n_symbols + symbols[at + n - 1]
-            order = keys.argsort()
-            at, keys = at[order], keys[order]
-            new = np.empty(len(at), dtype=bool)
-            new[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=new[1:])
-            # an n-gram survives when its smallest column is an output's
-            # and its largest another text's
-            starts = new.nonzero()[0]
-            cols = column[at]
-            first = np.minimum.reduceat(cols, starts)
-            alive = (first < self.width_out) & (first != np.maximum.reduceat(cols, starts))
-            keep = alive[np.cumsum(new) - 1]
-            at, cols, new = at[keep], cols[keep], new[keep]
-            row = np.cumsum(new) - 1
-            rank[at] = row
-            n_rows = int(np.count_nonzero(alive))
-            counts = np.bincount(row * width + cols, minlength=n_rows * width).reshape(n_rows, width)
-            bounds = np.searchsorted(inst[at[new]], np.arange(self.n_inst + 1))
-            # contiguous copies: the pair sums run slower on strided views
-            yield counts[:, :self.width_out].copy(), counts[:, self.width_out:].copy(), bounds
+            # the ranking's temporaries die with the call, before the yield
+            at, out, ref, bounds = self._ranked(at, rank.take(at) * (n_symbols * width) + tail.take(at + (n - 1)),
+                                                rank, inst)
+            yield out, ref, bounds
+
+    def _ranked(self, at, keys, rank, inst):
+        """One order's tables from ``keys`` of the n-grams starting at
+        ``at``: the starts of the surviving n-grams, in row order, the
+        (row, output) and (row, reference) tables, and their bounds. Each
+        surviving start's ``rank`` becomes its row."""
+        width = self.width_out + self.width_ref
+        order = keys.argsort()
+        at = at.take(order)
+        gram, cols = np.divmod(keys.take(order), width)
+        del keys, order
+        # each gram's entries run edges[g]:edges[g + 1], and its first and
+        # last hold its smallest and largest column; it survives when the
+        # first is an output's and the last another text's
+        edges = np.concatenate(([0], (gram[1:] != gram[:-1]).nonzero()[0] + 1, [len(at)]))
+        first = cols.take(edges[:-1])
+        alive = ((first < self.width_out) & (first != cols.take(edges[1:] - 1))).nonzero()[0]
+        firsts = edges.take(alive)
+        sizes = edges.take(alive + 1) - firsts
+        row = np.arange(len(alive)).repeat(sizes)
+        # the surviving grams' entries, run after run
+        kept = np.arange(len(row)) + (firsts - (sizes.cumsum() - sizes)).repeat(sizes)
+        bounds = inst.take(at.take(firsts)).searchsorted(np.arange(self.n_inst + 1))
+        at = at.take(kept)
+        rank[at] = row
+        counts = np.bincount(row * width + cols.take(kept), minlength=len(alive) * width).reshape(-1, width)
+        # contiguous copies: the pair sums run slower on strided views
+        return at, counts[:, :self.width_out].copy(), counts[:, self.width_out:].copy(), bounds
 
 
 def _windows(lengths: np.ndarray, n: int) -> np.ndarray:
@@ -320,9 +347,11 @@ def _closest(lengths: np.ndarray, allowed: np.ndarray, hyp: np.ndarray) -> np.nd
     return np.where(allowed, cost, np.iinfo(np.int64).max).min(axis=-1) % big
 
 
-def _pairs(out: np.ndarray, ref: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """(instance, output, reference) overlaps of one order's tables."""
-    return np.stack([_sums(np.minimum(out[:, [o]], ref), bounds) for o in range(out.shape[1])], axis=1)
+def _pairs(out: np.ndarray, ref: np.ndarray, bounds: np.ndarray, into: np.ndarray) -> None:
+    """Fill ``into[b, o, r]`` with one order's (instance, output,
+    reference) overlaps."""
+    for o in range(out.shape[1]):
+        into[:, o] = _sums(np.minimum(out[:, [o]], ref), bounds)
 
 
 def count_blocks(instances, lowercase: bool, *, char_order: int = 0, word_order: int = 0,
@@ -341,34 +370,49 @@ def count_blocks(instances, lowercase: bool, *, char_order: int = 0, word_order:
         yield _count(block, char_order, word_order, pair_order, slot_order, self_order)
 
 
-def _chrf_orders(overlaps, out_len: np.ndarray, ref_len: np.ndarray) -> list:
-    """chrF++'s (matched, hypothesis total, reference total) arrays for
-    each order's (instance, output, reference) overlaps, from order 1."""
-    parts = []
-    for n, matched in enumerate(overlaps, start=1):
-        parts += [matched, _windows(out_len, n)[:, :, None], _windows(ref_len, n)[:, None, :]]
-    return parts
+def _chrf_totals(into: np.ndarray, n: int, out_len: np.ndarray, ref_len: np.ndarray) -> None:
+    """Fill chrF++'s hypothesis and reference totals of order n,
+    ``into[b, o, r, 1]`` and ``into[b, o, r, 2]``."""
+    into[..., 1] = _windows(out_len, n)[:, :, None]
+    into[..., 2] = _windows(ref_len, n)[:, None, :]
 
 
 def _count(block, char_order, word_order, pair_order, slot_order, self_order) -> Block:
     layout = _Layout(block)
+    shape = (layout.n_inst, layout.width_out, layout.width_ref)
     # chrF++: (matched, hypothesis total, reference total) per order,
     # character orders first
-    chrf_parts = []
+    chrf = np.empty(shape + (char_order + word_order, 3), dtype=np.int64)
     if char_order:
         chars = layout.chars()
-        char_pairs = [_pairs(*tables) for tables in layout.tables(*chars, char_order)]
-        chrf_parts += _chrf_orders(char_pairs, *layout.padded(chars[1]))
+        char_out, char_ref = layout.padded(chars[1])
+        for n, (out, ref, bounds) in enumerate(layout.tables(*chars, char_order), start=1):
+            _pairs(out, ref, bounds, chrf[..., n - 1, 0])
+            _chrf_totals(chrf[..., n - 1, :], n, char_out, char_ref)
 
     pair_bleu = slot_bleu = self_bleu = None
     n_words = max(word_order, pair_order, slot_order, self_order)
     if n_words:
         words = layout.words()
         word_out, word_ref = layout.padded(words[1])
-        word_pairs, slot_clips, self_clips = [], [], []
+        totals = [_windows(word_out, n) for n in range(1, n_words + 1)]
+        if pair_order:
+            # BLEU: hypothesis length, reference length, matches and totals per order
+            pair_bleu = np.empty(shape + (2 + 2 * pair_order,), dtype=np.int64)
+            pair_bleu[..., 0] = word_out[:, :, None]
+            pair_bleu[..., 1] = word_ref[:, None, :]
+        slot_clips, self_clips = [], []
         for n, (out, ref, bounds) in enumerate(layout.tables(*words, n_words), start=1):
-            if n <= max(word_order, pair_order):
-                word_pairs.append(_pairs(out, ref, bounds))
+            if n <= pair_order:
+                _pairs(out, ref, bounds, pair_bleu[..., 1 + n])
+                pair_bleu[..., 1 + pair_order + n] = totals[n - 1][:, :, None]
+            if n <= word_order:
+                chrf_n = chrf[..., char_order + n - 1, :]
+                if n <= pair_order:
+                    chrf_n[..., 0] = pair_bleu[..., 1 + n]
+                else:
+                    _pairs(out, ref, bounds, chrf_n[..., 0])
+                _chrf_totals(chrf_n, n, word_out, word_ref)
             if n <= slot_order:
                 slot_clips.append(_sums(np.minimum(out, ref.max(axis=1, keepdims=True)), bounds))
             if n <= self_order:
@@ -378,14 +422,6 @@ def _count(block, char_order, word_order, pair_order, slot_order, self_order) ->
                 first = out.argmax(axis=1)[:, None] == np.arange(out.shape[1])
                 second = np.where(first, 0, out).max(axis=1, keepdims=True, initial=0)
                 self_clips.append(_sums(np.minimum(out, second), bounds))
-        chrf_parts += _chrf_orders(word_pairs[:word_order], word_out, word_ref)
-        # BLEU: hypothesis length, reference length, matches and totals per order
-        totals = [_windows(word_out, n) for n in range(1, n_words + 1)]
-        if pair_order:
-            pair_bleu = np.stack(np.broadcast_arrays(
-                word_out[:, :, None], word_ref[:, None, :],
-                *word_pairs[:pair_order], *(total[:, :, None] for total in totals[:pair_order]),
-            ), axis=-1)
         if slot_order:
             n_refs = np.array([len(refs[1]) for _, _, refs in block])
             valid_ref = np.arange(layout.width_ref) < n_refs[:, None]
@@ -396,19 +432,18 @@ def _count(block, char_order, word_order, pair_order, slot_order, self_order) ->
             # output's text is one of its own others, all of whose n-grams
             # it matches
             n_outs = np.array([len(outs[1]) for _, outs, _ in block])
-            repeated = layout.copies > 1
+            repeated = layout.repeated()
             others = (np.arange(layout.width_out) < n_outs[:, None])[:, None, :]
             others = others & (~np.eye(layout.width_out, dtype=bool) | repeated[:, :, None])
             self_len = _closest(word_out[:, None, :], others, word_out)
             self_matched = [np.where(repeated, total, clips) for total, clips in zip(totals, self_clips)]
             self_bleu = np.stack([word_out, self_len, *self_matched, *totals[:self_order]], axis=-1)
-    pair_chrf = np.stack(np.broadcast_arrays(*chrf_parts), axis=-1) if chrf_parts else None
     return Block(
         instances=[inst for inst, _, _ in block],
         out_cols=[outs[0] for _, outs, _ in block],
         ref_cols=[refs[0] for _, _, refs in block],
         pair_bleu=pair_bleu,
-        pair_chrf=pair_chrf,
+        pair_chrf=chrf.reshape(shape + (-1,)) if char_order or word_order else None,
         slot_bleu=slot_bleu,
         self_bleu=self_bleu,
     )

@@ -128,6 +128,21 @@ class TestLineErrors:
         with pytest.raises(ValueError, match=rf"^line 2: '{field}' is not valid Unicode \(unpaired surrogate\)$"):
             loader(p)
 
+    @pytest.mark.parametrize("escaped_id", [b'"\\uDC80"', b'"b\\ud800"', b'"\\ud83d\\ude00\\udc80"'],
+                             ids=["upper-hex", "after-text", "after-a-pair"])
+    def test_unpaired_surrogate_in_id_names_line_2(self, tmp_path, loader, first_line, escaped_id):
+        # the id holds line 2's only \u escape
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + first_line.replace(b'"a"', escaped_id))
+        with pytest.raises(ValueError, match=r"^line 2: 'id' is not valid Unicode \(unpaired surrogate\)$"):
+            loader(p)
+
+    def test_escapes_of_other_code_points_are_accepted(self, tmp_path, loader, first_line):
+        # an escaped letter, and an escaped backslash before a "u"
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(first_line + first_line.replace(b'"a"', b'"\\u00e9 \\\\ud800"'))
+        assert len(loader(p)) == 2
+
     def test_paired_surrogates_accepted(self, tmp_path, loader, first_line):
         p = tmp_path / "d.jsonl"
         p.write_bytes(first_line.replace(b'"x"', b'"x \\ud83d\\ude00"'))

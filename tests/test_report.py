@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -380,3 +380,48 @@ def test_report_equals_the_oracle_composition(corpus, sentence_order, smooth, co
         assert report.diversity["self_bleu"] == pytest.approx(sum(selfs) / len(selfs), abs=1e-9)
     else:
         assert report.diversity["self_bleu"] is None
+
+
+# Greek capital sigma lowercases by its neighbours: to final "ς" after a
+# cased letter and before no cased letter, to "σ" elsewhere. Each text is
+# lowercased on its own, as the oracles do, so a Σ at a text's start or
+# end, or beside whitespace inside it, reads as that text alone gives it.
+_SIGMA_WORDS = ["Σ", "ΣΑ", "ΑΣ", "ΑΣΑ", "ΟΔΟΣ", "ΣΟΦΟΣ", "σοφος"]
+_SIGMA_SEPARATORS = [" ", "\n", "\t", "\u2028", "\u00a0"]
+
+
+@st.composite
+def _sigma_corpora(draw):
+    def text():
+        words = draw(st.lists(st.sampled_from(_SIGMA_WORDS), min_size=1, max_size=5))
+        body = words[0] + "".join(draw(st.sampled_from(_SIGMA_SEPARATORS)) + word for word in words[1:])
+        return draw(st.sampled_from(["", "Σ", "\n"])) + body + draw(st.sampled_from(["", "Σ", "\u2028"]))
+
+    pool = [text() for _ in range(draw(st.integers(1, 6)))]
+    return [
+        EvalInstance(id=f"i{k}", references=tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))),
+                     outputs=tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+
+
+def test_sigma_lowercases_per_text():
+    assert table._keys(["ΑΣ\nΒ", "Σ", "ΑΣ\u2028", "\tΣΑ", "ΑΣ\u00a0ΣΑ"], True) == ["ας β", "σ", "ας", "σα", "ας σα"]
+
+
+@settings(deadline=None, max_examples=100)
+@given(corpus=_sigma_corpora())
+@example(corpus=[EvalInstance(id="edges", references=("ΣΑΣ", "ΟΔΟΣ\u2028ΣΟΦΟΣ", "ΑΣ\u00a0ΣΑ"),
+                              outputs=("ΑΣ\nΣ", "Σ\tΑΣΑΣ", "\nΣΑ ΑΣ\u2028"))])
+def test_sigma_at_text_edges_scores_as_the_oracles(corpus):
+    report = evaluate_all(corpus, allow_unequal=True)
+    assert report.config["lowercase"] is True
+    for got, inst in zip(report.per_instance, corpus, strict=True):
+        bleu = [[oracle_sentence_bleu(o, [r]) for r in inst.references] for o in inst.outputs]
+        chrf = [[oracle_chrfpp(o, r) for r in inst.references] for o in inst.outputs]
+        assert got.ms_bleu == pytest.approx(_oracle_matched_mean(bleu), abs=1e-9)
+        assert got.ms_chrf == pytest.approx(_oracle_matched_mean(chrf), abs=1e-9)
+        if len(inst.outputs) > 1:
+            assert got.self_bleu == pytest.approx(oracle_self_bleu(inst.outputs), abs=1e-9)
+        else:
+            assert got.self_bleu is None

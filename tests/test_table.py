@@ -116,6 +116,41 @@ def test_every_table_row_is_held_by_an_output_and_another_text(corpus, lowercase
                 assert (held[:, :out.shape[1]].any(axis=1) & (held.sum(axis=1) >= 2)).all()
 
 
+def test_wide_instance_near_the_last_code_point_equals_the_oracles():
+    # keys carry the column: (positions) x 0x110000 x (table width), here
+    # with symbols just below U+10FFFF in a 61 x 60 instance, width 121
+    rng = np.random.default_rng(17)
+    alphabet = [chr(0x10FFFD - k) for k in range(4)]
+
+    def texts(n):
+        made = set()
+        while len(made) < n:
+            made.add(" ".join("".join(rng.choice(alphabet, size=rng.integers(1, 4)))
+                              for _ in range(rng.integers(2, 5))))
+        return sorted(made)
+
+    outs, refs = texts(61), texts(60)
+    inst = EvalInstance(id="wide", references=tuple(refs), outputs=tuple(outs))
+    config = ChrfConfig()
+    [block] = table.count_blocks([inst], False, char_order=6, word_order=2, pair_order=4, slot_order=4,
+                                 self_order=4)
+    assert (block.out_cols, block.ref_cols) == ([list(range(61))], [list(range(60))])
+    for o, out in enumerate(outs):
+        for r, ref in enumerate(refs):
+            assert block.pair_bleu[0, o, r].tolist() == oracle_bleu_stats(out, [ref], 4, False)
+            assert block.pair_chrf[0, o, r].tolist() == oracle_chrf_stats(out, [ref], config, False)
+        assert block.slot_bleu[0, o].tolist() == oracle_bleu_stats(out, refs, 4, False)
+        assert block.self_bleu[0, o].tolist() == oracle_bleu_stats(out, outs[:o] + outs[o + 1:], 4, False)
+
+
+def test_a_key_that_would_pass_int64_is_an_error():
+    [block] = table._blocks([EvalInstance(id="a", references=("x y",), outputs=("x z",))], True)
+    layout = table._Layout(block)
+    symbols, lengths, _ = layout.chars()
+    with pytest.raises(ValueError, match="too wide to count"):
+        next(layout.tables(symbols, lengths, (1 << 63) // (2 * len(symbols)) + 1, 1))
+
+
 def test_only_the_statistics_asked_for_are_taken(monkeypatch):
     corpus = [EvalInstance(id="a", references=("x y", "Z, w"), outputs=("x y z", "x y z", "w"))]
     [bleu] = table.count_blocks(corpus, True, pair_order=2)

@@ -17,18 +17,21 @@ sets, the benchmark's eval-small and eval-nbest inputs at the default seed
 that each wide n-best instance sits between runs of narrow ones, eval-nbest's
 inputs at seed 7 too, the benchmark's Zipfian generate training corpus (300
 word types) against each of the four sets ``generate`` makes from it at the
-default seed, and ``tests/evaluate_golden/``. On each, ``evaluate
+default seed, a Unicode-edge corpus (Greek capital sigma at text edges,
+astral-plane symbols, punctuation-only chunks, and tab, U+2028 and U+00A0
+inside texts; outputs written with ``\\u`` escapes) and a title-cased copy
+of its outputs, and ``tests/evaluate_golden/``. On each, ``evaluate
 --allow-unequal`` in every format and ``multiscore --allow-unequal
 --per-instance`` for both metrics and both formats, all at the default
 metric flags; then both commands at non-default ones (``--bleu-max-order
 2``; ``--chrf-char-order 3 --chrf-word-order 0 --chrf-beta 1``),
 ``evaluate`` in json and table and ``multiscore`` with the metric the flags
-set, in both formats. Each runs with and without ``--no-lowercase``: 514
+set, in both formats. Each runs with and without ``--no-lowercase``: 574
 commands. On top of those, ``generate`` runs whose files land in
 ``results/generate/``: every strategy on the benchmark's generate training
 corpus at the default seed, and on the demo corpus at ``--seed 7`` with
 ``--add-k 0``, with ``--order 1`` and with ``--no-lowercase``, and
-``topk3`` with ``--topk 9``: 17 more, 531 in all.
+``topk3`` with ``--topk 9``: 17 more, 591 in all.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -110,6 +114,34 @@ def _title_cased(src, dst):
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+# the Unicode-edge corpus: Greek capital sigma at text edges, astral-plane
+# symbols, punctuation-only chunks, and tab, U+2028 and U+00A0 inside texts
+EDGE_WORDS = ("ΟΔΟΣ", "ΣΟΦΟΣ", "Σ", "ΑΣ", "σας", "𝔘𝔫𝔦", "😀", "x😀y", "𐍈𐍉", "...", "—", "«»", "!?",
+              "don't", "Baku", "BAKU", "e\u0301", "ǅ", "İstanbul", "ß")
+EDGE_SEPARATORS = (" ", " ", "\t", "\u2028", "\u00a0", "  ")
+EDGE_INSTANCES = 40
+
+
+def _edge_corpus(dst):
+    """Write refs.jsonl and outs.jsonl of the Unicode-edge corpus into
+    ``dst``: references raw UTF-8, outputs \\u-escaped, astral symbols as
+    surrogate pairs."""
+    rng = random.Random(11)
+
+    def text():
+        words = [rng.choice(EDGE_WORDS) for _ in range(rng.randint(1, 6))]
+        body = words[0] + "".join(rng.choice(EDGE_SEPARATORS) + word for word in words[1:])
+        return rng.choice(("", "Σ", "ΑΣ ")) + body + rng.choice(("", "Σ", " Σ", "\u2028"))
+
+    os.makedirs(dst)
+    with open(os.path.join(dst, "refs.jsonl"), "w", encoding="utf-8", newline="\n") as refs, \
+            open(os.path.join(dst, "outs.jsonl"), "w", encoding="utf-8", newline="\n") as outs:
+        for k in range(EDGE_INSTANCES):
+            references = [text() for _ in range(rng.randint(2, 4))]
+            refs.write(json.dumps({"id": f"u{k}", "references": references}, ensure_ascii=False) + "\n")
+            outs.write(json.dumps({"id": f"u{k}", "outputs": [text() for _ in range(3)]}) + "\n")
+
+
 def _interleaved(narrow, wide, dst):
     """Write refs.jsonl and outs.jsonl into ``dst`` with the instances of
     ``wide`` spread evenly between those of ``narrow``."""
@@ -177,6 +209,11 @@ def build_inputs(repo, outdir):
                  os.path.join(inputs, "eval-mixed"))
     cases["eval-mixed"] = ["--data", os.path.join("inputs", "eval-mixed", "refs.jsonl"),
                            "--outputs", os.path.join("inputs", "eval-mixed", "outs.jsonl")]
+    edge = os.path.join("inputs", "unicode-edge")
+    _edge_corpus(os.path.join(outdir, edge))
+    _title_cased(os.path.join(outdir, edge, "outs.jsonl"), os.path.join(outdir, edge, "outs-title.jsonl"))
+    for name, outs in (("unicode-edge", "outs.jsonl"), ("unicode-edge-title", "outs-title.jsonl")):
+        cases[name] = ["--data", os.path.join(edge, "refs.jsonl"), "--outputs", os.path.join(edge, outs)]
     golden = os.path.join("inputs", "evaluate_golden.jsonl")
     shutil.copyfile(os.path.join(HERE, "tests", "evaluate_golden", "evaluate.jsonl"), os.path.join(outdir, golden))
     cases["evaluate-golden"] = ["--data", golden]
