@@ -9,72 +9,64 @@ diversity baseline, and a toy n-gram decoding harness round out the
 package.
 """
 
-from .assignment import Matching, ScoreMatrix, brute_force_matching, max_weight_matching
-from .corpus import Dataset, bind_outputs, load_jsonl, load_outputs_jsonl, load_parallel_text
-from .decoding import (
-    GenerationSet,
-    NGramLM,
-    generate_ensemble,
-    generate_random,
-    generate_top3_beam,
-    generate_topk_random,
-    train_ngram,
-)
-from .metrics import (
-    BleuConfig,
-    BleuMetric,
-    ChrfConfig,
-    ChrfMetric,
-    SentenceMetric,
-    corpus_bleu,
-    corpus_chrfpp,
-    self_bleu,
-    sentence_bleu,
-    sentence_chrfpp,
-)
-from .multiscore import EvalInstance, MultiScoreResult, corpus_multi_score, multi_score, score_matrix
-from .report import EvaluationReport, evaluate_all, render
-from .text import Sentence, tokenize_words
+import importlib
 
 __version__ = "0.1.0"
 
-# the one list of public names; README.md's "Public API" section names the
-# same set, and tests/test_packaging.py keeps the two equal
-__all__ = [
-    "BleuConfig",
-    "BleuMetric",
-    "ChrfConfig",
-    "ChrfMetric",
-    "Dataset",
-    "EvalInstance",
-    "EvaluationReport",
-    "GenerationSet",
-    "Matching",
-    "MultiScoreResult",
-    "NGramLM",
-    "ScoreMatrix",
-    "Sentence",
-    "SentenceMetric",
-    "bind_outputs",
-    "brute_force_matching",
-    "corpus_bleu",
-    "corpus_chrfpp",
-    "corpus_multi_score",
-    "evaluate_all",
-    "generate_ensemble",
-    "generate_random",
-    "generate_top3_beam",
-    "generate_topk_random",
-    "load_jsonl",
-    "load_outputs_jsonl",
-    "load_parallel_text",
-    "max_weight_matching",
-    "multi_score",
-    "render",
-    "score_matrix",
-    "self_bleu",
-    "sentence_bleu",
-    "sentence_chrfpp",
-    "tokenize_words",
-    "train_ngram",
-]
+# the one list of public names, each with the module that defines it;
+# README.md's "Public API" section names the same set, and
+# tests/test_packaging.py keeps the two equal. A name's module is imported
+# on the name's first use (PEP 562), so ``from multiscore import
+# max_weight_matching`` loads the matcher and nothing else
+_MODULE_OF = {
+    "BleuConfig": "metrics",
+    "BleuMetric": "metrics",
+    "ChrfConfig": "metrics",
+    "ChrfMetric": "metrics",
+    "Dataset": "corpus",
+    "EvalInstance": "multiscore",
+    "EvaluationReport": "report",
+    "GenerationSet": "decoding",
+    "Matching": "assignment",
+    "MultiScoreResult": "multiscore",
+    "NGramLM": "decoding",
+    "ScoreMatrix": "assignment",
+    "Sentence": "text",
+    "SentenceMetric": "metrics",
+    "bind_outputs": "corpus",
+    "brute_force_matching": "assignment",
+    "corpus_bleu": "metrics",
+    "corpus_chrfpp": "metrics",
+    "corpus_multi_score": "multiscore",
+    "evaluate_all": "report",
+    "generate_ensemble": "decoding",
+    "generate_random": "decoding",
+    "generate_top3_beam": "decoding",
+    "generate_topk_random": "decoding",
+    "load_jsonl": "corpus",
+    "load_outputs_jsonl": "corpus",
+    "load_parallel_text": "corpus",
+    "max_weight_matching": "assignment",
+    "multi_score": "multiscore",
+    "render": "report",
+    "score_matrix": "multiscore",
+    "self_bleu": "metrics",
+    "sentence_bleu": "metrics",
+    "sentence_chrfpp": "metrics",
+    "tokenize_words": "text",
+    "train_ngram": "decoding",
+}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

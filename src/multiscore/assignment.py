@@ -35,6 +35,14 @@ sum to its distance below the optimum. So, with n the larger side:
 Each augmenting path ends at the first free column among those at minimum
 distance, and the tie-break is an iterative search, so tie-heavy input
 (all-equal or small-integer weights) costs about what random input does.
+
+A second optimum differs from the solver's along alternating cycles of the
+tight subgraph, so a row on none of them keeps its column in every optimum.
+On a square input whose rows are all distinct, rows that cannot lie on a
+cycle are peeled away first, and the tie-break searches only the rest: on
+random input no row is left, and the solver's matching is the answer. Padded
+or repeated rows are one class tight on all its columns, which makes the
+tight subgraph dense, so those inputs skip the peel and search every row.
 """
 
 from __future__ import annotations
@@ -58,9 +66,11 @@ _BRUTE_FORCE_LIMIT = 8
 
 def _check_weights(w: np.ndarray) -> None:
     """Reject weights outside [0, 100], non-finite ones first."""
-    if not np.all(np.isfinite(w)):
-        raise ValueError("score matrix contains non-finite weights")
-    if w.min() < 0.0 or w.max() > 100.0:
+    # NaN and +-inf fail the range test too, so finiteness is only read to
+    # pick the message
+    if not (w.min() >= 0.0 and w.max() <= 100.0):
+        if not np.isfinite(w).all():
+            raise ValueError("score matrix contains non-finite weights")
         raise ValueError("score matrix weights must lie in [0, 100]")
 
 
@@ -226,7 +236,9 @@ def _solve_min_cost(
     settled at that distance and ``b`` is relaxed once, so a search takes
     at most (number of classes + 1) steps and O(k n) work for k classes.
     Distances are kept relative to the search's start, and the duals move
-    once, when a free column is reached (Crouse 2016).
+    once, when a free column is reached (Crouse 2016). No predecessor is
+    kept per column: the path is rebuilt once the search ends, from the
+    class and offset of each step.
     """
     k, n = len(reps), w.shape[1]
     rows = [w[r] for r in reps.tolist()]
@@ -251,8 +263,9 @@ def _solve_min_cost(
 
     dist = np.empty(n)
     neg_v_open = np.empty(n)
-    way = np.empty(n, dtype=np.intp)  # way[j]: the class that last relaxed column j
+    slack = np.empty(n)
     via = np.empty(k, dtype=np.intp)  # via[b]: the column b was reached through
+    relaxed = np.empty(k, dtype=np.intp)  # relaxed[b]: steps made before b was reached
     for start in range(k):
         for _ in range(supply[start] - have[start]):
             dist.fill(np.inf)
@@ -267,15 +280,21 @@ def _solve_min_cost(
                 neg_v_open[mine] = np.inf
                 groups.append((start, mine, 0.0))
             b, base = start, 0.0
+            # the class relaxed at each step, and the offset it added
+            steps, offsets = [], []
             while True:
-                slack = neg_v_open - rows[b]
-                slack += base - u[b]
-                better = slack < dist
-                np.copyto(way, b, where=better)
+                # scalars are read with .item(): a Python float or int, no
+                # numpy scalar built on each of the search's steps
+                np.subtract(neg_v_open, rows[b], out=slack)
+                offset = base - u.item(b)
+                slack += offset
+                steps.append(b)
+                offsets.append(offset)
                 np.minimum(dist, slack, out=dist)
                 j = int(dist.argmin())
-                base = float(dist[j])
-                if owner[j] >= 0:
+                base = dist.item(j)
+                b = owner.item(j)
+                if b >= 0:
                     # any column at the minimum is a valid Dijkstra step; ending
                     # at a free one keeps tie-heavy solves to O(n) steps instead
                     # of walking every tied assigned column first (Crouse 2016);
@@ -283,13 +302,13 @@ def _solve_min_cost(
                     # the search, so dist holds their distances
                     if free_cols is None:
                         free_cols = np.flatnonzero(owner < 0)
-                    f = int(dist[free_cols].argmin())
-                    if dist[free_cols[f]] == base:
-                        j = int(free_cols[f])
-                b = int(owner[j])
+                    f = free_cols.item(dist[free_cols].argmin())
+                    if dist.item(f) == base:
+                        j, b = f, -1
                 if b < 0:
                     break
                 via[b] = j
+                relaxed[b] = len(steps)
                 if have[b] == 1:
                     settled.append(j)
                     settled_dist.append(base)
@@ -300,6 +319,29 @@ def _solve_min_cost(
                     dist[theirs] = np.inf
                     neg_v_open[theirs] = np.inf
                     groups.append((b, theirs, base))
+            # the alternating path, from the free column back to the start:
+            # a column's predecessor is the class of the first step that gave
+            # it its final distance, so its slack at every step before it was
+            # settled is recomputed, from the same floats in the same order
+            # as the search's, and the first minimum taken. Cheaper than
+            # recording the predecessor of every column at every step. A
+            # column settled after one step was reached from the start
+            path, t = [], len(steps)
+            if t > 1:
+                step_rows = reps[steps]
+                offsets = np.array(offsets)
+            while True:
+                if t == 1:
+                    b = start
+                else:
+                    slacks = -v.item(j) - w[step_rows[:t], j]
+                    slacks += offsets[:t]
+                    b = steps[int(slacks.argmin())]
+                path.append((j, b))
+                if b == start:
+                    break
+                j = via.item(b)
+                t = relaxed.item(b)
             # dual update for the whole search: every settled column and its
             # class move by how much closer than the free column they were
             if not have[start]:
@@ -312,22 +354,60 @@ def _solve_min_cost(
             for c, cols, d in groups:
                 u[c] += base - d
                 v[cols] -= base - d
-            # augment along the alternating path: each class on it takes the
-            # column after it and gives up the one it was reached through
-            while True:
-                b = int(way[j])
+            # augment: each class on the path takes the column after it and
+            # gives up the one it was reached through
+            for j, b in path:
                 owner[j] = b
-                if b == start:
-                    break
-                j = int(via[b])
             have[start] += 1
     return owner, u, v
+
+
+def _cycle_rows(tight: np.ndarray, row_of_col: np.ndarray) -> np.ndarray:
+    """The rows of a perfect matching inside a square tight subgraph that
+    may move to another perfect matching, ascending; every other row keeps
+    its column in all of them.
+
+    Two perfect matchings differ along alternating cycles. With each
+    matched (row, column) pair contracted into one node and an edge
+    r -> r' when row r is tight on the column r' holds, those are the
+    directed cycles, so a row on none of them keeps its column. Nodes with
+    no out-edge or no in-edge lie on no cycle: they are peeled away, round
+    after round, and the rows that survive are returned.
+    """
+    n = tight.shape[0]
+    # the matched edges are cleared while peeling, so that any() reads
+    # whether a node has an edge to or from another node
+    matched = (row_of_col, np.arange(n))
+    tight[matched] = False
+    alive = tight.any(axis=1)
+    alive[row_of_col] &= tight.any(axis=0)
+    rows = np.flatnonzero(alive)
+    if 0 < rows.size < n:  # with no node peeled, every node has both edges
+        # later rounds read the edges among surviving nodes; flatnonzero
+        # and divmod take a tenth of the time of a 2-D nonzero
+        src, cols = divmod(np.flatnonzero(tight[rows]), n)
+        src, dst = rows[src], row_of_col[cols]
+        keep = alive[dst]
+        src, dst = src[keep], dst[keep]
+        while True:
+            live = np.bincount(src, minlength=n) > 0
+            live &= np.bincount(dst, minlength=n) > 0
+            survivors = np.flatnonzero(live)
+            if survivors.size == rows.size:
+                break
+            rows = survivors
+            keep = live[src]
+            keep &= live[dst]
+            src, dst = src[keep], dst[keep]
+    tight[matched] = True
+    return rows
 
 
 def _lex_min_tight_matching(
     tight: np.ndarray,
     row_of_col: np.ndarray,
     n_real_rows: int,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight
     subgraph, starting from a known perfect matching.
@@ -338,15 +418,25 @@ def _lex_min_tight_matching(
     path to ``c0`` through open columns. One backwards breadth-first search
     from ``c0`` finds every such ``c`` at once, so each row costs O(n^2)
     vectorised work and no recursion.
+
+    ``rows``, when given, are the real rows that may move (ascending, as
+    :func:`_cycle_rows` returns them); every other real row keeps its
+    column, which is fixed before the first search.
     """
     n = tight.shape[0]
     col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
     fixed_cols = np.zeros(n, dtype=bool)
+    if rows is None:
+        rows = range(n_real_rows)
+    else:
+        fixed_cols[col_of_row[:n_real_rows]] = True
+        fixed_cols[col_of_row[rows]] = False
+        rows = rows.tolist()
     # next_col[c]: the column the owner of c moves to when c is taken
     next_col = np.empty(n, dtype=np.intp)
 
-    for row in range(n_real_rows):
+    for row in rows:
         # keeping the current column is always feasible, so only tight open
         # columns strictly below it are candidates (ascending index order is
         # the preference order: real columns come before padded ones)
@@ -418,7 +508,12 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
             tight[class_of_row == b] = tight[r]
     tight[row_of_col, np.arange(n)] = True
 
-    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr)
+    # only rows on an alternating cycle can move, and on a square input of
+    # distinct rows there are usually few (on random input, none). With
+    # padded or repeated rows, one class is tight on all its columns, and
+    # the peel would visit every one of those edges
+    rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else None
+    col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, rows)
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
 
 

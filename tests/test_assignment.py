@@ -19,6 +19,8 @@ from oracles import oracle_lex_min_assignment
 
 from multiscore.assignment import (
     ScoreMatrix,
+    _check_weights,
+    _cycle_rows,
     _enumerated_edges,
     _lex_min_tight_matching,
     _matched_edges,
@@ -61,6 +63,26 @@ class TestScoreMatrix:
         m = ScoreMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.weights[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("w", [[[np.nan, -1.0]], [[-np.inf]], [[np.inf, 101.0]]], ids=["nan", "-inf", "inf"])
+def test_non_finite_weights_are_named_before_the_range(w):
+    # each of these is out of range too: the message names the worse fault
+    with pytest.raises(ValueError, match="non-finite"):
+        _check_weights(np.array(w))
+
+
+@pytest.mark.parametrize("w", [[[-0.5]], [[100.5]]])
+def test_out_of_range_weights_name_the_range(w):
+    with pytest.raises(ValueError, match=r"\[0, 100\]"):
+        _check_weights(np.array(w))
+
+
+def test_batched_matching_names_a_non_finite_grid():
+    grids = np.full((2, 3, 3), 50.0)
+    grids[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _matched_edges(grids)
 
 
 class TestMaxWeightMatching:
@@ -236,6 +258,61 @@ def test_lex_min_tie_break_on_long_alternating_path():
     row_of_col[(rows + 1) % n] = rows
     col_of_row = _lex_min_tight_matching(tight, row_of_col, n)
     assert np.array_equal(col_of_row, rows)
+
+
+def test_acyclic_tight_chain_comes_back_unchanged():
+    # row i holds column i and is tight on column i-1 as well: each row
+    # points at the one below it, no row lies on a cycle, so the peel
+    # leaves none to search and the matching is returned as it is
+    n = 500
+    rows = np.arange(n)
+    tight = np.zeros((n, n), dtype=bool)
+    tight[rows, rows] = True
+    tight[rows[1:], rows[:-1]] = True
+    before = tight.copy()
+    survivors = _cycle_rows(tight, rows.copy())
+    assert survivors.size == 0
+    assert np.array_equal(tight, before)
+    assert np.array_equal(_lex_min_tight_matching(tight, rows.copy(), n, survivors), rows)
+
+
+def test_cycle_at_the_end_of_a_dag_still_moves_its_rows():
+    # rows 0-496 hold their own columns and are tight on random lower
+    # ones (a DAG); rows 497-499 hold columns 499, 497 and 498 and form a
+    # 3-cycle, whose rotation gives each its own column
+    n = 500
+    rng = np.random.default_rng(5)
+    col_of_row = np.arange(n)
+    col_of_row[-3:] = [n - 1, n - 3, n - 2]
+    tight = np.zeros((n, n), dtype=bool)
+    tight[np.arange(n), col_of_row] = True
+    for row in range(1, n):
+        tight[row, col_of_row[rng.choice(row, size=min(row, 3), replace=False)]] = True
+    tight[n - 3, n - 3] = tight[n - 2, n - 2] = tight[n - 1, n - 1] = True
+    row_of_col = np.empty(n, dtype=np.intp)
+    row_of_col[col_of_row] = np.arange(n)
+    survivors = _cycle_rows(tight, row_of_col.copy())
+    assert survivors.tolist() == [n - 3, n - 2, n - 1]
+    peeled = _lex_min_tight_matching(tight, row_of_col.copy(), n, survivors)
+    assert np.array_equal(peeled, np.arange(n))
+    assert np.array_equal(peeled, _lex_min_tight_matching(tight, row_of_col.copy(), n))
+
+
+def _distinct_row_squares():
+    def square(n):
+        row = st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n).map(tuple)
+        return st.lists(row, min_size=n, max_size=n, unique=True).map(np.array)
+
+    return st.integers(6, 12).flatmap(square)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_distinct_row_squares())
+def test_peeled_tie_break_matches_the_oracle(w):
+    # square, every row its own class, above the enumeration bound: the
+    # tie-break searches only the rows on an alternating cycle
+    assert len(_row_classes(w)[1]) == w.shape[0]
+    assert list(max_weight_matching(w).edges) == oracle_lex_min_assignment(w)
 
 
 def _tie_heavy(max_side):

@@ -1,6 +1,7 @@
 """A built install carries every bundled data file and exports exactly the
-public names README documents, no module keeps a process-global memo, and
-start-up does not load the count tables."""
+public names README documents, no module keeps a process-global memo,
+start-up does not load the count tables, and the package loads a public
+name's module only when the name is used."""
 
 import ast
 import fnmatch
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import multiscore
 
@@ -70,13 +73,44 @@ def test_no_module_memoizes_with_functools():
     assert not found, f"functools memo in {found}"
 
 
+def loaded_modules(statement):
+    """The package modules a fresh interpreter has loaded after running
+    ``statement``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith('multiscore')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out)
+
+
 def test_start_up_does_not_load_the_count_tables():
     # every command imports multiscore.cli first; the table module is
     # imported inside the functions that count, so a command that counts
     # nothing does not pay for it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = "import sys, multiscore.cli; print(sorted(m for m in sys.modules if m.startswith('multiscore')))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert "'multiscore.cli'" in loaded
-    assert "'multiscore.table'" not in loaded
+    loaded = loaded_modules("import multiscore.cli")
+    assert "multiscore.cli" in loaded
+    assert "multiscore.table" not in loaded
+
+
+def test_start_up_loads_exactly_the_modules_commands_need():
+    # the package imports nothing itself, and the CLI's own imports load
+    # the modules every command needs, no more and no fewer
+    assert loaded_modules("import multiscore.cli") == [
+        "multiscore", "multiscore.assignment", "multiscore.cli", "multiscore.corpus", "multiscore.decoding",
+        "multiscore.metrics", "multiscore.multiscore", "multiscore.report", "multiscore.text",
+    ]
+
+
+def test_importing_the_matcher_loads_only_the_matcher():
+    # a user with a metric of their own pays for no other module
+    loaded = loaded_modules("from multiscore import max_weight_matching")
+    assert loaded == ["multiscore", "multiscore.assignment"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    for name in multiscore.__all__:
+        value = getattr(multiscore, name)
+        assert value.__module__.startswith("multiscore."), name
+    assert set(multiscore.__all__) <= set(dir(multiscore))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        multiscore.no_such_name

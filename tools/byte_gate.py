@@ -31,7 +31,13 @@ commands. On top of those, ``generate`` runs whose files land in
 ``results/generate/``: every strategy on the benchmark's generate training
 corpus at the default seed, and on the demo corpus at ``--seed 7`` with
 ``--add-k 0``, with ``--order 1`` and with ``--no-lowercase``, and
-``topk3`` with ``--topk 9``: 17 more, 591 in all.
+``topk3`` with ``--topk 9``: 17 more. A matcher section also calls
+``max_weight_matching`` directly and writes each matrix's edges and total
+as JSON to ``results/matcher/INPUT.stdout``, one process per input: the
+benchmark's match-grid matrices at the default seed and at seeds 7 and 11,
+the five shapes of ``tests/matching_golden/``, the long, thin 1x5000,
+5000x1 and 3x2000, and n-best-like grids of repeated rows: 6 more, 597 in
+all.
 """
 
 from __future__ import annotations
@@ -81,6 +87,59 @@ COMMANDS = [
 ]
 
 
+# seeds of the benchmark's match-grid inputs the matcher section solves, on
+# top of the default one
+MATCH_GRID_SEEDS = (7, 11)
+
+# solves every matrix of the .npz file argv[1] (a 3-D array is a stack of
+# matrices, named KEY:INDEX) and prints {name: {"edges", "total"}}
+MATCHER = """
+import json, sys
+import numpy as np
+from multiscore.assignment import max_weight_matching
+results = {}
+with np.load(sys.argv[1]) as npz:
+    for key in npz.files:
+        grids = npz[key]
+        named = [(key, grids)] if grids.ndim == 2 else [(f"{key}:{i}", g) for i, g in enumerate(grids)]
+        for name, w in named:
+            m = max_weight_matching(w)
+            results[name] = {"edges": [list(e) for e in m.edges], "total": m.total}
+json.dump(results, sys.stdout)
+"""
+
+
+def _matcher_inputs(matcher, workloads):
+    """Write the matcher section's .npz inputs under ``matcher``; return
+    {name: path relative to ``matcher``}."""
+    import numpy as np
+
+    inputs = {}
+    for seed in (workloads.DEFAULT_SEED, *MATCH_GRID_SEEDS):
+        os.makedirs(os.path.join(matcher, f"match-grid-{seed}"))
+        workloads.make_match_grid(seed, os.path.join(matcher, f"match-grid-{seed}"))
+        inputs[f"match-grid-{seed}"] = os.path.join(f"match-grid-{seed}", "grid.npz")
+    # the shapes and seeds of tests/test_assignment.py's golden edges
+    np.savez(os.path.join(matcher, "golden.npz"), **{
+        "random-300x300": np.random.default_rng(300).uniform(0, 100, (300, 300)),
+        "integers-0-2-300x300": np.random.default_rng(302).integers(0, 3, (300, 300)).astype(float),
+        "all-equal-200x200": np.full((200, 200), 50.0),
+        "random-60x180": np.random.default_rng(60).uniform(0, 100, (60, 180)),
+        "random-180x60": np.random.default_rng(180).uniform(0, 100, (180, 60)),
+    })
+    rng = np.random.default_rng(11)
+    np.savez(os.path.join(matcher, "long-thin.npz"),
+             **{f"{r}x{c}": rng.uniform(0, 100, (r, c)) for r, c in ((1, 5000), (5000, 1), (3, 2000))})
+    # 8 distinct rows repeated to the grid's height, as in an n-best list
+    rng = np.random.default_rng(14)
+    repeats = {}
+    for rows, cols in ((200, 200), (170, 150), (150, 170), (1000, 1000)):
+        repeats[f"uniform-{rows}x{cols}"] = rng.uniform(0, 100, (8, cols))[np.arange(rows) % 8]
+        repeats[f"integers-0-2-{rows}x{cols}"] = rng.integers(0, 3, (8, cols)).astype(float)[rng.integers(0, 8, rows)]
+    np.savez(os.path.join(matcher, "nbest.npz"), **repeats)
+    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest")}
+
+
 def _workloads():
     """bench/workloads.py of this checkout, imported without writing
     bytecode next to it."""
@@ -91,13 +150,13 @@ def _workloads():
     return workloads
 
 
-def _run(repo, outdir, name, args):
-    """Run ``multiscore ARGS`` in OUTDIR and record its stdout, stderr and
-    exit code under ``results/NAME``. Paths are relative to OUTDIR, so
-    a message that names a file reads the same in every OUTDIR."""
+def _run(repo, outdir, name, args, python_args=("-m", "multiscore.cli")):
+    """Run ``multiscore ARGS`` (or ``python PYTHON_ARGS ARGS``) in OUTDIR and
+    record its stdout, stderr and exit code under ``results/NAME``. Paths
+    are relative to OUTDIR, so a message that names a file reads the same in
+    every OUTDIR."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    proc = subprocess.run([sys.executable, "-m", "multiscore.cli", *args], cwd=outdir, env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, *python_args, *args], cwd=outdir, env=env, capture_output=True)
     base = os.path.join(outdir, "results", name)
     os.makedirs(os.path.dirname(base), exist_ok=True)
     for suffix, data in (("stdout", proc.stdout), ("stderr", proc.stderr), ("exit", b"%d\n" % proc.returncode)):
@@ -214,6 +273,9 @@ def build_inputs(repo, outdir):
     _title_cased(os.path.join(outdir, edge, "outs.jsonl"), os.path.join(outdir, edge, "outs-title.jsonl"))
     for name, outs in (("unicode-edge", "outs.jsonl"), ("unicode-edge-title", "outs-title.jsonl")):
         cases[name] = ["--data", os.path.join(edge, "refs.jsonl"), "--outputs", os.path.join(edge, outs)]
+    matcher = os.path.join("inputs", "matcher")
+    for name, path in _matcher_inputs(os.path.join(outdir, matcher), workloads).items():
+        codes.append(_run(repo, outdir, f"matcher/{name}", [os.path.join(matcher, path)], python_args=("-c", MATCHER)))
     golden = os.path.join("inputs", "evaluate_golden.jsonl")
     shutil.copyfile(os.path.join(HERE, "tests", "evaluate_golden", "evaluate.jsonl"), os.path.join(outdir, golden))
     cases["evaluate-golden"] = ["--data", golden]
