@@ -1,12 +1,16 @@
 """Maximum-weight bipartite matching with a brute-force permutation
 oracle for verification.
 
-Two paths, chosen by the number of injective assignments of the smaller
+Every matching goes through :func:`_matched_edges`, which takes a stack
+of same-shape grids (one grid for :func:`max_weight_matching`) and picks
+one of two paths by the number of injective assignments of the smaller
 side into the larger, ``math.perm(max side, min side)``:
 
 * at most ``_ENUMERATE_LIMIT`` = 120 (every shape up to 5x5, 4x5, 3x6, 2x11
-  and 1x120, either way round): every assignment is scored with one numpy
-  gather-and-sum;
+  and 1x120, either way round): every assignment of every grid in the
+  stack is scored with one numpy gather-and-sum. The assignments come in
+  the order of their edge lists, so each grid takes the first one within
+  1e-9 of its best total;
 * more: shortest augmenting paths over dual potentials (the Hungarian
   method in the form of Jonker & Volgenant 1987 and Crouse 2016), in its
   transportation form: bit-for-bit equal rows are one row class whose
@@ -42,7 +46,8 @@ On a square input whose rows are all distinct, rows that cannot lie on a
 cycle are peeled away first, and the tie-break searches only the rest: on
 random input no row is left, and the solver's matching is the answer. Padded
 or repeated rows are one class tight on all its columns, which makes the
-tight subgraph dense, so those inputs skip the peel and search every row.
+tight subgraph dense, so those inputs skip the peel and the tie-break is
+given every real row to search.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ _TIE_TOL = 1e-9
 # two are close at 360 (4x6) and the solver wins at 720 (5x6, 6x6)
 _ENUMERATE_LIMIT = 120
 
-_BRUTE_FORCE_LIMIT = 8
+# brute_force_matching refuses matrices with more assignments than an 8x8
+_BRUTE_FORCE_LIMIT = math.factorial(8)
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -122,48 +128,35 @@ def _coerce(matrix) -> ScoreMatrix:
     return matrix if isinstance(matrix, ScoreMatrix) else ScoreMatrix(np.asarray(matrix))
 
 
-def _enumerable(nr: int, nc: int) -> bool:
-    """Whether an nr x nc matrix has at most ``_ENUMERATE_LIMIT`` injective
+def _enumerable(nr: int, nc: int, limit: int = _ENUMERATE_LIMIT) -> bool:
+    """Whether an nr x nc matrix has at most ``limit`` injective
     assignments."""
     n = max(nr, nc)
     # math.perm(n, k) >= n for k >= 1, so testing n first is exact and keeps
     # a large matrix from computing a huge count
-    return n <= _ENUMERATE_LIMIT and math.perm(n, min(nr, nc)) <= _ENUMERATE_LIMIT
+    return n <= limit and math.perm(n, min(nr, nc)) <= limit
 
 
 def _assignments(nr: int, nc: int) -> np.ndarray:
     """Every injective assignment of the smaller side into the larger:
     row a, slot s holds the larger side's index on slot s of the smaller
-    side, rows in lexicographic order."""
+    side, rows in the order of their edge lists sorted by row, then
+    column, so that the first of a set of tied assignments is the tie
+    rule's answer."""
     k, m = min(nr, nc), max(nr, nc)
     count = math.perm(m, k)
-    return np.fromiter(
+    perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(m), k)), dtype=np.intp, count=count * k
     ).reshape(count, k)
-
-
-def _enumerated_edges(w: np.ndarray) -> list[tuple[int, int]]:
-    """Best assignment of a tiny matrix by trying every one of them.
-
-    Every injective assignment of the smaller side into the larger is
-    scored with one gather-and-sum; among those whose total is within
-    ``_TIE_TOL`` of the best, the lexicographically smallest edge list
-    wins.
-    """
-    nr, nc = w.shape
-    perms = _assignments(nr, nc)
-    slots = np.arange(min(nr, nc))
-    # at most _ENUMERATE_LIMIT totals: plain Python selects among them faster
     if nr <= nc:
-        totals = w[slots, perms].sum(axis=1).tolist()
-        floor = max(totals) - _TIE_TOL
-        # permutation order is the edge-list order: the first tie wins
-        best = next(a for a, total in enumerate(totals) if total >= floor)
-        return list(enumerate(perms[best].tolist()))
-    totals = w[perms, slots].sum(axis=1).tolist()
-    floor = max(totals) - _TIE_TOL
-    tied = [rows for rows, total in zip(perms.tolist(), totals) if total >= floor]
-    return min(sorted(zip(rows, range(nc))) for rows in tied)
+        # row r's column is slot r: permutation order is edge-list order
+        return perms
+    # each assignment's column by row, nc for an unmatched row, compares as
+    # its edge list does: at the first row where two differ, a matched row
+    # comes first, and between two matched ones the smaller column
+    col_of_row = np.full((count, nr), nc)
+    col_of_row[np.arange(count)[:, None], perms] = np.arange(nc)
+    return perms[np.lexsort(col_of_row.T[::-1])]
 
 
 # rows hashed per chunk of about this many cells, so that hashing never
@@ -407,7 +400,7 @@ def _lex_min_tight_matching(
     tight: np.ndarray,
     row_of_col: np.ndarray,
     n_real_rows: int,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight
     subgraph, starting from a known perfect matching.
@@ -419,24 +412,20 @@ def _lex_min_tight_matching(
     from ``c0`` finds every such ``c`` at once, so each row costs O(n^2)
     vectorised work and no recursion.
 
-    ``rows``, when given, are the real rows that may move (ascending, as
-    :func:`_cycle_rows` returns them); every other real row keeps its
+    ``rows`` are the real rows that may move, ascending (all of them, or
+    those :func:`_cycle_rows` returns); every other real row keeps its
     column, which is fixed before the first search.
     """
     n = tight.shape[0]
     col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
     fixed_cols = np.zeros(n, dtype=bool)
-    if rows is None:
-        rows = range(n_real_rows)
-    else:
-        fixed_cols[col_of_row[:n_real_rows]] = True
-        fixed_cols[col_of_row[rows]] = False
-        rows = rows.tolist()
+    fixed_cols[col_of_row[:n_real_rows]] = True
+    fixed_cols[col_of_row[rows]] = False
     # next_col[c]: the column the owner of c moves to when c is taken
     next_col = np.empty(n, dtype=np.intp)
 
-    for row in rows:
+    for row in rows.tolist():
         # keeping the current column is always feasible, so only tight open
         # columns strictly below it are candidates (ascending index order is
         # the preference order: real columns come before padded ones)
@@ -512,9 +501,34 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     # distinct rows there are usually few (on random input, none). With
     # padded or repeated rows, one class is tight on all its columns, and
     # the peel would visit every one of those edges
-    rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else None
+    rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else np.arange(nr)
     col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, rows)
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
+
+
+def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The maximum-weight assignment of each of a stack of same-shape
+    grids, as its edges sorted by row; ties resolve as the module docstring
+    states.
+
+    Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
+    with one gather over :func:`_assignments`, and each takes the first
+    assignment within ``_TIE_TOL`` of its best total; larger grids are
+    solved one at a time.
+    """
+    _check_weights(grids)
+    _, nr, nc = grids.shape
+    if not _enumerable(nr, nc):
+        return [_solved_edges(w) for w in grids]
+    perms = _assignments(nr, nc)
+    slots = np.arange(min(nr, nc))
+    # totals[g, a]: the total assignment a gives grid g
+    totals = (grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]).sum(axis=2)
+    tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
+    first = perms[tied.argmax(axis=1)].tolist()
+    if nr <= nc:
+        return [list(enumerate(a)) for a in first]
+    return [sorted(zip(a, range(nc))) for a in first]
 
 
 def max_weight_matching(matrix) -> Matching:
@@ -529,35 +543,8 @@ def max_weight_matching(matrix) -> Matching:
     :return: the optimal :class:`Matching`.
     """
     w = _coerce(matrix).weights
-    edges = _enumerated_edges(w) if _enumerable(*w.shape) else _solved_edges(w)
+    [edges] = _matched_edges(w[None])
     return Matching.from_edges(edges, w)
-
-
-def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
-    """The edges :func:`max_weight_matching` gives each of a stack of
-    same-shape grids, sorted by row, without building a :class:`Matching`.
-
-    Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
-    with one gather over the assignment table, and each takes its first
-    tied assignment when that is the only one. A grid whose best total is
-    tied, within ``_TIE_TOL``, by a second assignment takes
-    :func:`_enumerated_edges`, which breaks the tie; larger grids are
-    solved one at a time.
-    """
-    _check_weights(grids)
-    _, nr, nc = grids.shape
-    if not _enumerable(nr, nc):
-        return [_solved_edges(w) for w in grids]
-    perms = _assignments(nr, nc)
-    slots = np.arange(min(nr, nc))
-    # totals[g, a]: the total assignment a gives grid g
-    totals = (grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]).sum(axis=2)
-    tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
-    first = perms[tied.argmax(axis=1)].tolist()
-    return [
-        (list(enumerate(a)) if nr <= nc else sorted(zip(a, range(nc)))) if unique else _enumerated_edges(w)
-        for w, a, unique in zip(grids, first, (tied.sum(axis=1) == 1).tolist())
-    ]
 
 
 def _matched_totals(grids: np.ndarray) -> list[float]:
@@ -573,14 +560,18 @@ def brute_force_matching(matrix) -> Matching:
     of the smaller side into the larger and keeps the maximum, breaking
     exact ties toward the lexicographically smallest edge list.
 
-    Refuses matrices whose smaller dimension exceeds 8.
+    Refuses matrices with more assignments than an 8x8 has (8! = 40,320):
+    ``math.perm(max side, min side)`` bounds its work.
     """
-    matrix = _coerce(matrix)
-    w = matrix.weights
+    w = _coerce(matrix).weights
     nr, nc = w.shape
-    if min(nr, nc) > _BRUTE_FORCE_LIMIT:
+    if not _enumerable(nr, nc, _BRUTE_FORCE_LIMIT):
+        n, k = max(nr, nc), min(nr, nc)
+        # log10 of math.perm(n, k), a count that may be too large to print
+        digits = (math.lgamma(n + 1) - math.lgamma(n - k + 1)) / math.log(10)
+        count = f"{math.perm(n, k):,}" if digits < 15 else f"about 1e{digits:.0f}"
         raise ValueError(
-            f"brute force limited to min dimension <= {_BRUTE_FORCE_LIMIT}, got {min(nr, nc)}"
+            f"brute force limited to {_BRUTE_FORCE_LIMIT:,} assignments, got {count} ({nr}x{nc})"
         )
     best_edges = None
     best_total = -np.inf

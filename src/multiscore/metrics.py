@@ -80,10 +80,9 @@ class _Texts(NamedTuple):
 
     outputs: tuple[str, ...]
     references: tuple[str, ...]
-    id: str = ""
 
 
-def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike], instance_id: str = "") -> _Texts:
+def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike]) -> _Texts:
     """Outputs against non-empty, non-blank references, each text keyed as
     the count tables read it: a :class:`Sentence` under its own
     ``lowercase``, a plain string lowercased."""
@@ -99,7 +98,7 @@ def _texts(outputs: Sequence[SentenceLike], references: Sequence[SentenceLike], 
         [keyed] = _keys([text.raw], text.lowercase) if isinstance(text, Sentence) else _keys([text], True)
         return keyed
 
-    return _Texts(tuple(map(key, outputs)), tuple(map(key, references)), instance_id)
+    return _Texts(tuple(map(key, outputs)), tuple(map(key, references)))
 
 
 def _bleu(segments: Sequence[_Texts], config: BleuConfig) -> float:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import Matching, ScoreMatrix, _enumerable, _matched_edges, max_weight_matching
+from .assignment import Matching, ScoreMatrix, _matched_edges, max_weight_matching
 from .metrics import BleuMetric, ChrfMetric, SentenceMetric, _texts
 from .text import Sentence
 
@@ -94,10 +94,10 @@ def score_matrix(outputs: Sequence, references: Sequence, metric: SentenceMetric
 
     A :class:`~multiscore.BleuMetric` or :class:`~multiscore.ChrfMetric`
     (exactly those classes) is scored from the count tables, each text
-    under its own casing, as :func:`corpus_multi_score` scores an instance.
-    Any other ``metric.score`` is called once per distinct (output,
-    reference) pair; repeated texts, such as an n-best list's, copy that
-    score to every cell they occupy.
+    under its own casing, as :func:`corpus_multi_score` scores an instance:
+    the same texts give the same grid. Any other ``metric.score`` is called
+    once per distinct (output, reference) pair; repeated texts, such as an
+    n-best list's, copy that score to every cell they occupy.
     """
     if not len(outputs) or not len(references):
         raise ValueError("outputs and references must both be non-empty")
@@ -133,28 +133,25 @@ def multi_score(
 ) -> MultiScoreResult:
     """Score an output set against a reference set under ``metric``.
 
-    Builds the pairwise score matrix, solves the maximum-weight matching,
-    and returns the average matched edge weight. Output and reference sets
-    must be the same size unless ``allow_unequal`` is set, in which case the
-    matching covers the smaller side. A built-in metric's grid comes from
-    the count tables, as in :func:`corpus_multi_score`. Nothing is logged
-    here: :func:`corpus_multi_score` and :func:`~multiscore.evaluate_all`
-    report a permitted mismatch once per instance before scoring.
+    Builds the pairwise score matrix with :func:`score_matrix`, solves the
+    maximum-weight matching, and returns the average matched edge weight.
+    Output and reference sets must be the same size unless
+    ``allow_unequal`` is set, in which case the matching covers the smaller
+    side. The result is the one :func:`corpus_multi_score` gives for the
+    same texts. Nothing is logged here: :func:`corpus_multi_score` and
+    :func:`~multiscore.evaluate_all` report a permitted mismatch once per
+    instance before scoring.
 
     :return: a :class:`MultiScoreResult`; ``score`` lies in [0, 100].
     """
     _sizes_differ(len(outputs), len(references), allow_unequal, instance_id)
-    if not _built_in(metric) or not len(outputs) or not len(references):
-        # pair by pair; score_matrix also rejects an empty side
-        return _matched(instance_id, score_matrix(outputs, references, metric))
-    [result] = _table_results([_texts(outputs, references, instance_id)], metric, lowercase=False)
-    return result
+    matrix = score_matrix(outputs, references, metric)
+    return _matched(instance_id, matrix, max_weight_matching(matrix))
 
 
-def _matched(instance_id: str, matrix: ScoreMatrix, edges=None) -> MultiScoreResult:
-    """The result of matching ``matrix``, or of ``edges`` if given: its mean
-    matched edge weight."""
-    matching = max_weight_matching(matrix) if edges is None else Matching.from_edges(edges, matrix.weights)
+def _matched(instance_id: str, matrix: ScoreMatrix, matching: Matching) -> MultiScoreResult:
+    """The result of ``matching`` on ``matrix``: its mean matched edge
+    weight."""
     score = matching.total / len(matching.edges)
     return MultiScoreResult(instance_id=instance_id, matrix=matrix, matching=matching, score=score)
 
@@ -193,13 +190,13 @@ def _table_grids(instances: Sequence, metric: SentenceMetric, lowercase: bool):
 def _table_results(instances: Sequence, metric: SentenceMetric, lowercase: bool):
     """Yield the result of each instance under a built-in ``metric``, its
     grid from :func:`_table_grids`. A block's grids of one shape are
-    matched in one batch, unless they are too large to enumerate."""
+    matched in one :func:`_matched_edges` call."""
     for block_instances, shapes in _table_grids(instances, metric, lowercase):
         results = [None] * len(block_instances)
         for positions, grids in shapes:
-            batch = _matched_edges(grids) if _enumerable(*grids.shape[1:]) else [None] * len(grids)
-            for b, grid, edges in zip(positions.tolist(), grids, batch):
-                results[b] = _matched(block_instances[b].id, ScoreMatrix(grid), edges)
+            for b, grid, edges in zip(positions.tolist(), grids, _matched_edges(grids)):
+                matrix = ScoreMatrix(grid)
+                results[b] = _matched(block_instances[b].id, matrix, Matching.from_edges(edges, matrix.weights))
         yield from results
 
 

@@ -19,9 +19,10 @@ from oracles import oracle_lex_min_assignment
 
 from multiscore.assignment import (
     ScoreMatrix,
+    _assignments,
     _check_weights,
     _cycle_rows,
-    _enumerated_edges,
+    _enumerable,
     _lex_min_tight_matching,
     _matched_edges,
     _matched_totals,
@@ -189,6 +190,15 @@ class TestBruteForceGuard:
         m = brute_force_matching(np.zeros((8, 8)))
         assert len(m.edges) == 8
 
+    @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
+    def test_refuses_a_small_side_with_too_many_assignments(self, shape):
+        # math.perm(30, 8) = 2.4e11 assignments: refused before the first
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="%dx%d" % shape) as refused:
+            brute_force_matching(np.zeros(shape))
+        assert time.perf_counter() - start < 1.0
+        assert "235,989,936,000" in str(refused.value)
+
 
 class TestProperties:
     def test_permutation_equivariance(self):
@@ -256,7 +266,7 @@ def test_lex_min_tie_break_on_long_alternating_path():
     tight[rows, (rows + 1) % n] = True
     row_of_col = np.empty(n, dtype=np.intp)
     row_of_col[(rows + 1) % n] = rows
-    col_of_row = _lex_min_tight_matching(tight, row_of_col, n)
+    col_of_row = _lex_min_tight_matching(tight, row_of_col, n, np.arange(n))
     assert np.array_equal(col_of_row, rows)
 
 
@@ -295,7 +305,7 @@ def test_cycle_at_the_end_of_a_dag_still_moves_its_rows():
     assert survivors.tolist() == [n - 3, n - 2, n - 1]
     peeled = _lex_min_tight_matching(tight, row_of_col.copy(), n, survivors)
     assert np.array_equal(peeled, np.arange(n))
-    assert np.array_equal(peeled, _lex_min_tight_matching(tight, row_of_col.copy(), n))
+    assert np.array_equal(peeled, _lex_min_tight_matching(tight, row_of_col.copy(), n, np.arange(n)))
 
 
 def _distinct_row_squares():
@@ -315,19 +325,47 @@ def test_peeled_tie_break_matches_the_oracle(w):
     assert list(max_weight_matching(w).edges) == oracle_lex_min_assignment(w)
 
 
-def _tie_heavy(max_side):
-    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+_ENUMERATED_SHAPES = [(nr, nc) for nr in range(1, 121) for nc in range(1, 121) if _enumerable(nr, nc)]
+
+# the enumerated shapes with a side over 5, 1x6..1x120, 2x6..2x11 and 3x6
+# either way round: the tall ones are enumerated in an order other than
+# permutation order
+_THIN_SHAPES = [shape for shape in _ENUMERATED_SHAPES if max(shape) > 5]
+
+
+def _sides(max_side):
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+
+
+def _tie_heavy(shapes):
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0])))
 
 
-@settings(deadline=None)
-@given(_tie_heavy(7))
+def test_assignments_come_in_edge_list_order():
+    # the first tied assignment is the lexicographically smallest edge list
+    # only if every shape's assignments are sorted by their edge lists
+    assert len(_ENUMERATED_SHAPES) == 269
+    for nr, nc in _ENUMERATED_SHAPES:
+        perms = _assignments(nr, nc)
+        assert perms.shape == (math.perm(max(nr, nc), min(nr, nc)), min(nr, nc))
+        if nr <= nc:
+            lists = [list(enumerate(a)) for a in perms.tolist()]
+        else:
+            lists = [sorted(zip(a, range(nc))) for a in perms.tolist()]
+        assert all(a < b for a, b in zip(lists, lists[1:])), (nr, nc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tie_heavy(st.one_of(_sides(7), st.sampled_from(_THIN_SHAPES))))
+# an 11x2 tied between rows (1, 10) and rows (10, 0) on columns (0, 1): the
+# first in permutation order is not the lexicographically smallest edge list
+@example(np.array([[0.0, 1.0], [1.0, 0.0]] + [[0.0, 0.0]] * 8 + [[2.0, 2.0]]))
 def test_tie_heavy_edges_match_brute_force(w):
     assert max_weight_matching(w).edges == brute_force_matching(w).edges
 
 
 @settings(deadline=None)
-@given(_tie_heavy(40))
+@given(_tie_heavy(_sides(40)))
 def test_tie_heavy_totals_match_scipy(w):
     assert max_weight_matching(w).total == scipy_total(w)
 
@@ -411,7 +449,7 @@ _ROUNDING_POOLS = [
 
 
 def _small_matrices():
-    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    shapes = st.one_of(_sides(5), st.sampled_from(_THIN_SHAPES))
     integers = shapes.flatmap(lambda s: arrays(np.float64, s, elements=st.sampled_from([0.0, 1.0, 2.0])))
     pooled = st.tuples(shapes, st.sampled_from(_ROUNDING_POOLS)).flatmap(
         lambda sp: arrays(np.float64, sp[0], elements=st.sampled_from(sp[1]))
@@ -427,8 +465,8 @@ def _small_matrices():
 def test_enumeration_and_solver_pick_the_same_edges(w):
     # max_weight_matching enumerates these shapes, so the solver is checked
     # on them here, against the enumeration and in both orientations
-    assert _enumerated_edges(w) == _solved_edges(w)
-    assert _enumerated_edges(w.T) == _solved_edges(w.T)
+    assert _matched_edges(w[None])[0] == _solved_edges(w)
+    assert _matched_edges(w.T[None])[0] == _solved_edges(w.T)
 
 
 def _grid_stacks():
@@ -444,7 +482,7 @@ def _grid_stacks():
 
 @settings(deadline=None, max_examples=200)
 @given(_grid_stacks())
-# three tied assignments, of which the first in enumeration order, rows
+# three tied assignments, of which the first in permutation order, rows
 # (1, 2) on columns (0, 1), is not the lexicographically smallest edge list
 @example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]]))
 def test_batched_edges_and_totals_equal_one_matching_each(grids):

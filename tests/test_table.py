@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from multiscore import table
 from multiscore.assignment import ScoreMatrix, max_weight_matching
 from multiscore.metrics import SMOOTH_ADD_ONE, SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
-from multiscore.multiscore import EvalInstance, corpus_multi_score
+from multiscore.multiscore import EvalInstance, corpus_multi_score, multi_score
 from multiscore.report import evaluate_all, render
+from multiscore.text import Sentence
 from oracles import oracle_bleu_score, oracle_bleu_stats, oracle_chrf_score, oracle_chrf_stats
 
 # a small pool makes repeats common; case variants, punctuation, Cyrillic
@@ -263,6 +264,12 @@ def test_multiscore_grids_equal_the_oracle_grids(corpus, lowercase, metric, cell
         assert got.matching.edges == want.edges
         assert got.matching.edge_weights == want.edge_weights
         assert got.score == want.total / len(want.edges)
+        # one instance on its own, its texts as sentences under the casing
+        single = multi_score([Sentence(o, lowercase=lowercase) for o in inst.outputs],
+                             [Sentence(r, lowercase=lowercase) for r in inst.references], metric, allow_unequal=True)
+        assert single.matrix.weights.tolist() == grid
+        assert single.matching == got.matching
+        assert single.score == got.score
     assert mean == sum(got.score for got in results) / len(results)
 
 

@@ -36,14 +36,17 @@ corpus at the default seed, and on the demo corpus at ``--seed 7`` with
 as JSON to ``results/matcher/INPUT.stdout``, one process per input: the
 benchmark's match-grid matrices at the default seed and at seeds 7 and 11,
 the five shapes of ``tests/matching_golden/``, the long, thin 1x5000,
-5000x1 and 3x2000, and n-best-like grids of repeated rows: 6 more, 597 in
-all.
+5000x1 and 3x2000, n-best-like grids of repeated rows, and seeded stacks of
+{0, 1, 2} grids (uniform, and {0, 1} with one row of 2s) and rounding-pool
+grids of every shape the matcher enumerates (at most 120 assignments),
+either way round: 7 more, 598 in all.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import shutil
@@ -91,6 +94,17 @@ COMMANDS = [
 # top of the default one
 MATCH_GRID_SEEDS = (7, 11)
 
+# the matcher enumerates every assignment of a shape with at most this many
+ENUMERATE_LIMIT = 120
+
+# weights whose distinct sums differ by rounding only (those of
+# tests/test_assignment.py): ties that only the 1e-9 tie band sees
+ROUNDING_POOLS = (
+    (0.1, 0.2, 0.3, 0.7),
+    tuple(k * 100 / 3 for k in range(4)) + tuple(k * 100 / 6 for k in range(7)),
+    (33.33333333333333, 33.333333333333336, 100 / 3, 16.666666666666668, 66.66666666666667, 50.0),
+)
+
 # solves every matrix of the .npz file argv[1] (a 3-D array is a stack of
 # matrices, named KEY:INDEX) and prints {name: {"edges", "total"}}
 MATCHER = """
@@ -137,7 +151,23 @@ def _matcher_inputs(matcher, workloads):
         repeats[f"uniform-{rows}x{cols}"] = rng.uniform(0, 100, (8, cols))[np.arange(rows) % 8]
         repeats[f"integers-0-2-{rows}x{cols}"] = rng.integers(0, 3, (8, cols)).astype(float)[rng.integers(0, 8, rows)]
     np.savez(os.path.join(matcher, "nbest.npz"), **repeats)
-    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest")}
+    # every enumerated shape, either way round: six {0, 1, 2} grids, ten
+    # {0, 1} grids with one row of 2s (which every optimum of a tall grid
+    # uses, so that its ties differ in which other row they take; uniform
+    # {0, 1, 2} grids rarely tie so), and two grids from each rounding pool
+    rng = np.random.default_rng(23)
+    enumerated = {}
+    for nr in range(1, ENUMERATE_LIMIT + 1):
+        for nc in range(1, ENUMERATE_LIMIT + 1):
+            if math.perm(max(nr, nc), min(nr, nc)) <= ENUMERATE_LIMIT:
+                enumerated[f"integers-0-2-{nr}x{nc}"] = rng.integers(0, 3, (6, nr, nc)).astype(float)
+                grids = rng.integers(0, 2, (10, nr, nc)).astype(float)
+                grids[np.arange(10), rng.integers(0, nr, 10)] = 2.0
+                enumerated[f"row-of-2s-{nr}x{nc}"] = grids
+                enumerated[f"pools-{nr}x{nc}"] = np.stack([rng.choice(pool, (nr, nc))
+                                                          for pool in ROUNDING_POOLS for _ in range(2)])
+    np.savez(os.path.join(matcher, "enumerated.npz"), **enumerated)
+    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest", "enumerated")}
 
 
 def _workloads():
