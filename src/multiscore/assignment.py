@@ -18,7 +18,11 @@ side into the larger, ``math.perm(max side, min side)``:
   so it costs O(k n) for k distinct rows, and the at most n searches
   O(k n^2) (O(n^3) without repeats). Rectangular inputs are squared by
   zero-weight padding (a wide input's padded rows are one class); padded
-  edges never appear in results.
+  edges never appear in results. A square input starts warm: column
+  reduction and a greedy match, then, when its rows are all distinct, a
+  few rounds in which every free row bids for its best column at once (the
+  Jacobi form of Bertsekas's auction), so that fewer rows reach the
+  searches.
 
 The rule counts assignments, not the smaller side: a 3x2000 input has
 8e9 of them and goes to the solver.
@@ -33,8 +37,8 @@ sum to its distance below the optimum. So, with n the larger side:
 
 * an assignment within 1e-9 of the optimum total is tied on both paths;
 * one more than n * 1e-9 below it is tied on neither;
-* in between, the solver's answer depends on its duals, and the two paths
-  may disagree.
+* in between, the solver's answer depends on its duals (the warm start and
+  its bids included), and the two paths may disagree.
 
 Each augmenting path ends at the first free column among those at minimum
 distance, and the tie-break is an iterative search, so tie-heavy input
@@ -65,6 +69,15 @@ _TIE_TOL = 1e-9
 # 20-65 us up to 120 assignments, 2-5x less than through the solver; the
 # two are close at 360 (4x6) and the solver wins at 720 (5x6, 6x6)
 _ENUMERATE_LIMIT = 120
+
+# at most this many rounds of bids follow the greedy warm start (see
+# _warm_start). On match-grid's random 500x500 and 1000x1000, the free rows
+# left for the searches and the in-process solve time against no rounds:
+# none 112 + 225 rows; 8 rounds 48 + 97, 0.76-0.78; 16 rounds 30 + 61, 0.67;
+# 32 rounds 20 + 42, 0.69; 64 and 128 rounds 0.66; bidding until no row
+# can bid leaves 2 + 4 rows but takes 8.5x, as rows that value the same
+# columns alike outbid each other by ever smaller steps
+_BID_ROUNDS = 16
 
 # brute_force_matching refuses matrices with more assignments than an 8x8
 _BRUTE_FORCE_LIMIT = math.factorial(8)
@@ -159,9 +172,9 @@ def _assignments(nr: int, nc: int) -> np.ndarray:
     return perms[np.lexsort(col_of_row.T[::-1])]
 
 
-# rows hashed per chunk of about this many cells, so that hashing never
-# holds a temporary the size of the matrix
-_HASH_CHUNK_CELLS = 1 << 16
+# rows are hashed, bid and tested for tight edges in bands of about this
+# many cells, so that no temporary the size of the matrix is made
+_BAND_CELLS = 1 << 16
 
 
 def _row_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +196,7 @@ def _row_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mix ^= mix >> np.uint64(shift)
         mix *= np.uint64(factor)
     mix ^= mix >> np.uint64(31)
-    step = max(1, _HASH_CHUNK_CELLS // nc)
+    step = max(1, _BAND_CELLS // nc)
     hashes = np.empty(nr, dtype=np.uint64)
     for lo in range(0, nr, step):
         # fold the high half of each cell into the low half, so that cells
@@ -203,6 +216,100 @@ def _row_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return class_of_row, reps
 
 
+def _reduced_minima(
+    w: np.ndarray, rows: np.ndarray, neg_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of ``rows``, the column of its smallest reduced cost
+    ``-v - w[r]``, that cost and the second smallest (the smallest over the
+    other columns). The reduced costs are built in bands of ``_BAND_CELLS``
+    and overwritten in place."""
+    f, n = len(rows), w.shape[1]
+    j1 = np.empty(f, dtype=np.intp)
+    u1 = np.empty(f)
+    u2 = np.empty(f)
+    step = max(1, _BAND_CELLS // n)
+    for lo in range(0, f, step):
+        band = w[rows[lo:lo + step]]
+        np.subtract(neg_v, band, out=band)
+        at = np.arange(len(band))
+        best = band.argmin(axis=1)
+        j1[lo:lo + step] = best
+        u1[lo:lo + step] = band[at, best]
+        band[at, best] = np.inf
+        band.min(axis=1, out=u2[lo:lo + step])
+    return j1, u1, u2
+
+
+def _warm_start(
+    w: np.ndarray, reps: np.ndarray, supply: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """A partial transportation and feasible duals, tight on every owned
+    edge, for :func:`_solve_min_cost` to finish: (owner, u, v, have), with
+    ``have`` the number of columns each class owns.
+
+    Column reduction sets v to the column minimum of the costs ``-w``, and
+    each class, in order, takes up to its supply of the free columns where
+    its reduced cost is minimal (Jonker & Volgenant 1987). When every row is
+    its own class, up to ``_BID_ROUNDS`` rounds of bids follow, the Jacobi
+    form of Bertsekas's auction, which does for all free rows at once what
+    augmenting row reduction does row by row. In each round every free row
+    finds its smallest reduced cost ``u1``, at column ``j1``, and its second
+    smallest ``u2``; a row with ``u2 > u1`` bids, lowering ``v[j1]`` so that
+    its own reduced cost there becomes ``u2``. Each column goes to the bid
+    that lowers ``v`` most (the lowest row on ties), whose ``u`` becomes
+    ``u2``; the column's previous owner is freed. Lowering ``v`` keeps every
+    ``u`` feasible, and only columns that change hands move, so owned edges
+    stay tight. Rounds end early when no row can bid; then each free row's
+    ``u`` is set to its smallest reduced cost.
+    """
+    k, n = len(reps), w.shape[1]
+    u = np.empty(k)
+    owner = np.full(n, -1, dtype=np.intp)
+    have = np.zeros(k, dtype=np.intp)
+    # -v: the column maximum of w, so that reduced costs are -v - w[r]
+    neg_v = w.max(axis=0)
+    v = -neg_v
+    free = np.ones(n, dtype=bool)
+    for b, r in enumerate(reps.tolist()):
+        reduced = neg_v - w[r]
+        u[b] = reduced.min()
+        hit = reduced == u[b]
+        hit &= free
+        taken = np.flatnonzero(hit)[:supply[b]]
+        owner[taken] = b
+        free[taken] = False
+        have[b] = taken.size
+    if k == n:
+        unmatched = np.flatnonzero(have == 0)
+        for round_ in range(_BID_ROUNDS + 1):
+            if not unmatched.size:
+                break
+            j1, u1, u2 = _reduced_minima(w, reps[unmatched], -v)
+            bid = u2 > u1
+            # a pass after the last round only reads the minima
+            if round_ == _BID_ROUNDS or not bid.any():
+                u[unmatched] = u1
+                break
+            bidders, cols, u2 = unmatched[bid], j1[bid], u2[bid]
+            # the v each bid sets: the bidder's cost at j1 less u2
+            price = -w[reps[bidders], cols]
+            price -= u2
+            # per column, the lowest v first, then the lowest row
+            order = np.lexsort((bidders, price, cols))
+            first = np.ones(order.size, dtype=bool)
+            np.not_equal(cols[order[1:]], cols[order[:-1]], out=first[1:])
+            won = order[first]
+            cols, winners = cols[won], bidders[won]
+            lost = owner[cols]
+            have[lost[lost >= 0]] = 0
+            owner[cols] = winners
+            have[winners] = 1
+            v[cols] = price[won]
+            u[winners] = u2[won]
+            unmatched = np.flatnonzero(have == 0)
+    return owner, u, v, have.tolist()
+
+
 def _solve_min_cost(
     w: np.ndarray, reps: np.ndarray, supply: list[int], warm_start: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,10 +325,11 @@ def _solve_min_cost(
     problem, so an input without repeated rows is solved exactly as the
     row-by-row Hungarian method would.
 
-    With ``warm_start``, v starts at the column minimum and each class, in
-    order, takes up to its supply of the free columns where its reduced
-    cost is minimal (Jonker & Volgenant 1987); it pays off on square inputs
-    only, since a padded input's zero rows leave most rows free after it.
+    With ``warm_start``, the searches start from :func:`_warm_start`'s
+    partial matching and duals (column reduction, a greedy match and, when
+    every row is its own class, bidding rounds), so only the rows it leaves
+    free are searched for; it pays off on square inputs only, since a
+    padded input's zero rows leave most rows free after it.
 
     Each search sends one unit from a class with unmet supply to a free
     column. The start class's own columns are settled at distance 0; when
@@ -235,24 +343,13 @@ def _solve_min_cost(
     """
     k, n = len(reps), w.shape[1]
     rows = [w[r] for r in reps.tolist()]
-    u = np.zeros(k)
-    v = np.zeros(n)
-    owner = np.full(n, -1, dtype=np.intp)
-    have = [0] * k  # columns each class owns
     if warm_start:
-        # -v: the column maximum of w, so that reduced costs are -v - w[r]
-        neg_v = w.max(axis=0)
-        np.negative(neg_v, out=v)
-        free = np.ones(n, dtype=bool)
-        for b, row in enumerate(rows):
-            reduced = neg_v - row
-            u[b] = reduced.min()
-            hit = reduced == u[b]
-            hit &= free
-            taken = np.flatnonzero(hit)[:supply[b]]
-            owner[taken] = b
-            free[taken] = False
-            have[b] = taken.size
+        owner, u, v, have = _warm_start(w, reps, supply)
+    else:
+        u = np.zeros(k)
+        v = np.zeros(n)
+        owner = np.full(n, -1, dtype=np.intp)
+        have = [0] * k  # columns each class owns
 
     dist = np.empty(n)
     neg_v_open = np.empty(n)
@@ -484,17 +581,22 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     row_of_col[np.argsort(owner, kind="stable")] = np.argsort(class_of_row, kind="stable")
 
     # optimal assignments live inside the tight subgraph (complementary
-    # slackness); matched edges are included regardless of rounding. Class
-    # by class, so that no n x n float temporary is made
+    # slackness); matched edges are included regardless of rounding. Each
+    # class's first row is tested, in bands of classes, so that no n x n
+    # float temporary is made; then the other rows of a repeated class copy
+    # its first
     neg_v = -v
     tight = np.empty((n, n), dtype=bool)
-    for b, r in enumerate(reps.tolist()):
-        reduced = wp[r] + u[b]
-        np.subtract(neg_v, reduced, out=reduced)
-        np.less_equal(reduced, _TIE_TOL, out=tight[r])
-        if supply[b] > 1:
-            tight[r, owner == b] = True
-            tight[class_of_row == b] = tight[r]
+    step = max(1, _BAND_CELLS // n)
+    for lo in range(0, len(reps), step):
+        band = wp[reps[lo:lo + step]]
+        band += u[lo:lo + step, None]
+        np.subtract(neg_v, band, out=band)
+        tight[reps[lo:lo + step]] = band <= _TIE_TOL
+    for b in np.flatnonzero(np.array(supply) > 1).tolist():
+        r = reps[b]
+        tight[r, owner == b] = True
+        tight[class_of_row == b] = tight[r]
     tight[row_of_col, np.arange(n)] = True
 
     # only rows on an alternating cycle can move, and on a square input of
@@ -517,6 +619,11 @@ def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     solved one at a time.
     """
     _check_weights(grids)
+    return _best_edges(grids)
+
+
+def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
+    """:func:`_matched_edges` on weights already checked."""
     _, nr, nc = grids.shape
     if not _enumerable(nr, nc):
         return [_solved_edges(w) for w in grids]
@@ -542,8 +649,9 @@ def max_weight_matching(matrix) -> Matching:
     :param matrix: a :class:`ScoreMatrix` or anything convertible to one.
     :return: the optimal :class:`Matching`.
     """
+    # ScoreMatrix has checked the weights
     w = _coerce(matrix).weights
-    [edges] = _matched_edges(w[None])
+    [edges] = _best_edges(w[None])
     return Matching.from_edges(edges, w)
 
 

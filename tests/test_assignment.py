@@ -29,6 +29,7 @@ from multiscore.assignment import (
     _row_classes,
     _solve_min_cost,
     _solved_edges,
+    _warm_start,
     brute_force_matching,
     max_weight_matching,
 )
@@ -84,6 +85,15 @@ def test_batched_matching_names_a_non_finite_grid():
     grids[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         _matched_edges(grids)
+
+
+@pytest.mark.parametrize("side", [3, 6], ids=["enumerated", "solved"])
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (100.5, r"\[0, 100\]")], ids=["nan", "range"])
+def test_batched_totals_check_the_weights_first(side, bad, message):
+    grids = np.full((2, side, side), 50.0)
+    grids[1, side - 1, 0] = bad
+    with pytest.raises(ValueError, match=message):
+        _matched_totals(grids)
 
 
 class TestMaxWeightMatching:
@@ -400,6 +410,7 @@ def _seeded_matrix(kind, shape, seed):
 @example("permutation", (12, 12), 0, True)
 @example("uniform", (10, 30), 0, False)
 @example("repeated-rows", (30, 30), 0, True)
+@example("uniform", (200, 200), 0, True)
 def test_solver_duals_certify_optimality(kind, shape, seed, warm_start):
     # the returned duals must prove the transportation optimal: feasible,
     # tight on every matched edge, and summing to the matching's cost
@@ -416,6 +427,33 @@ def test_solver_duals_certify_optimality(kind, shape, seed, warm_start):
     assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
     assert np.abs(cost[owner, cols] - u[owner] - v).max() <= 1e-9
     assert abs(supply @ u + v.sum() - cost[owner, cols].sum()) <= n * 1e-9
+
+
+def _bid_grid(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(0, 100, (n, n))
+    if kind == "integers-0-2":
+        return rng.integers(0, 3, (n, n)).astype(float)
+    return rng.integers(0, 1001, (n, n)) / 10  # one decimal: near-ties are common
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["uniform", "integers-0-2", "one-decimal"]), st.integers(6, 80), st.integers(0, 2**32 - 1))
+def test_bidding_rounds_keep_the_search_invariant(kind, n, seed):
+    # the searches start from the warm start's duals and partial matching:
+    # the duals must be feasible, every owned edge tight, and have must
+    # count each class's columns, each column held by one class at most
+    w = _bid_grid(kind, n, seed)
+    class_of_row, reps = _row_classes(w)
+    supply = np.bincount(class_of_row)
+    owner, u, v, have = _warm_start(w, reps, supply.tolist())
+    cost = -w[reps]
+    assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+    cols = np.flatnonzero(owner >= 0)
+    assert np.abs(cost[owner[cols], cols] - u[owner[cols]] - v[cols]).max(initial=0.0) <= 1e-9
+    assert have == np.bincount(owner[cols], minlength=len(reps)).tolist()
+    assert (np.array(have) <= supply).all()
 
 
 def test_row_classes_group_equal_rows_in_first_seen_order():

@@ -401,6 +401,21 @@ class TestCorpusMultiScore:
         with pytest.raises(AssertionError, match="Sentence built"):
             corpus_multi_score([inst], CountingMetric(metric))
 
+    @pytest.mark.parametrize("side", [3, 6], ids=["enumerated", "solved"])
+    @pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (100.5, r"\[0, 100\]")],
+                             ids=["nan", "range"])
+    def test_bad_weights_are_refused_before_matching(self, side, bad, message, monkeypatch):
+        # a custom metric's grid is checked as a ScoreMatrix, a built-in
+        # metric's stack of grids by the batched matcher
+        texts = [f"t{i} u{i}" for i in range(side)]
+        inst = EvalInstance(id="a", references=tuple(texts), outputs=tuple(texts))
+        lookup = {(a, b): bad if (a, b) == (texts[-1], texts[0]) else 50.0 for a in texts for b in texts}
+        with pytest.raises(ValueError, match=message):
+            corpus_multi_score([inst], TableMetric(lookup))
+        monkeypatch.setattr(table, "_bleu_scores", lambda stats, config: np.full(stats.shape[:-1], bad))
+        with pytest.raises(ValueError, match=message):
+            corpus_multi_score([inst], BleuMetric())
+
     def test_bleu_subclass_scores_each_distinct_pair_once(self):
         class CountingBleu(BleuMetric):
             """Overrides ``score``, so the count tables may not stand in for it."""

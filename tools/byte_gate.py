@@ -39,7 +39,9 @@ the five shapes of ``tests/matching_golden/``, the long, thin 1x5000,
 5000x1 and 3x2000, n-best-like grids of repeated rows, and seeded stacks of
 {0, 1, 2} grids (uniform, and {0, 1} with one row of 2s) and rounding-pool
 grids of every shape the matcher enumerates (at most 120 assignments),
-either way round: 7 more, 598 in all.
+either way round, and square grids of distinct rows that the solver's
+bidding rounds see (one-decimal and {0..9} weights at sides 6, 20, 60 and
+200, and uniform at 300): 8 more, 599 in all.
 """
 
 from __future__ import annotations
@@ -167,7 +169,17 @@ def _matcher_inputs(matcher, workloads):
                 enumerated[f"pools-{nr}x{nc}"] = np.stack([rng.choice(pool, (nr, nc))
                                                           for pool in ROUNDING_POOLS for _ in range(2)])
     np.savez(os.path.join(matcher, "enumerated.npz"), **enumerated)
-    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest", "enumerated")}
+    # square grids of distinct rows, where the solver's warm start bids and
+    # its duals decide answers inside the tie band: one-decimal and {0..9}
+    # weights, whose near-ties are common, and uniform ones
+    rng = np.random.default_rng(29)
+    bids = {}
+    for n in (6, 20, 60, 200):
+        bids[f"one-decimal-{n}"] = rng.integers(0, 1001, (n, n)) / 10
+        bids[f"integers-0-9-{n}"] = rng.integers(0, 10, (n, n)).astype(float)
+    bids["uniform-300"] = rng.uniform(0, 100, (300, 300))
+    np.savez(os.path.join(matcher, "bids.npz"), **bids)
+    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest", "enumerated", "bids")}
 
 
 def _workloads():
