@@ -2,30 +2,27 @@
 oracle for verification.
 
 Every matching goes through :func:`_matched_edges`, which takes a stack
-of same-shape grids (one grid for :func:`max_weight_matching`) and picks
-one of two paths by the number of injective assignments of the smaller
-side into the larger, ``math.perm(max side, min side)``:
+of same-shape grids and picks one of two paths by the number of injective
+assignments of the smaller side into the larger, ``math.perm(max side,
+min side)`` (so a 3x2000 grid, with 8e9 of them, goes to the solver):
 
 * at most ``_ENUMERATE_LIMIT`` = 120 (every shape up to 5x5, 4x5, 3x6, 2x11
-  and 1x120, either way round): every assignment of every grid in the
-  stack is scored with one numpy gather-and-sum. The assignments come in
-  the order of their edge lists, so each grid takes the first one within
+  and 1x120, either way round): every assignment is scored, a stack with
+  one numpy gather-and-sum and a lone grid in plain Python, to the same
+  floats. Each grid takes the first assignment, in edge-list order, within
   1e-9 of its best total;
 * more: shortest augmenting paths over dual potentials (the Hungarian
   method in the form of Jonker & Volgenant 1987 and Crouse 2016), in its
   transportation form: bit-for-bit equal rows are one row class whose
   supply is its row count, and each search settles a whole class at once,
   so it costs O(k n) for k distinct rows, and the at most n searches
-  O(k n^2) (O(n^3) without repeats). Rectangular inputs are squared by
-  zero-weight padding (a wide input's padded rows are one class); padded
-  edges never appear in results. A square input starts warm: column
-  reduction and a greedy match, then, when its rows are all distinct, a
-  few rounds in which every free row bids for its best column at once (the
-  Jacobi form of Bertsekas's auction), so that fewer rows reach the
-  searches.
-
-The rule counts assignments, not the smaller side: a 3x2000 input has
-8e9 of them and goes to the solver.
+  O(k n^2). Rectangular inputs are squared by zero-weight padding (a wide
+  input's padded rows are one class); padded edges never appear in
+  results. A square input starts warm: column reduction and a greedy
+  match, found for all classes in one banded pass, then, when its rows
+  are all distinct and at least ``_BID_FLOOR`` = 64, a few rounds in which
+  every free row bids for its best column at once (the Jacobi form of
+  Bertsekas's auction), so that fewer rows reach the searches.
 
 Tie rule: among the tied assignments, the lexicographically smallest edge
 list (sorted by row, then column) is returned, so results are
@@ -33,31 +30,27 @@ reproducible across runs and platforms. Enumeration ties every
 assignment whose total is within 1e-9 of the best. The solver ties every
 assignment inside its tight subgraph, the edges whose reduced cost under
 its optimal duals is within 1e-9 of zero; an assignment's reduced costs
-sum to its distance below the optimum. So, with n the larger side:
-
-* an assignment within 1e-9 of the optimum total is tied on both paths;
-* one more than n * 1e-9 below it is tied on neither;
-* in between, the solver's answer depends on its duals (the warm start and
-  its bids included), and the two paths may disagree.
+sum to its distance below the optimum. So, with n the larger side, an
+assignment within 1e-9 of the optimum is tied on both paths, one more than
+n * 1e-9 below it on neither, and in between the solver's answer depends
+on its duals (the warm start and its bids included).
 
 Each augmenting path ends at the first free column among those at minimum
-distance, and the tie-break is an iterative search, so tie-heavy input
-(all-equal or small-integer weights) costs about what random input does.
-
-A second optimum differs from the solver's along alternating cycles of the
-tight subgraph, so a row on none of them keeps its column in every optimum.
-On a square input whose rows are all distinct, rows that cannot lie on a
-cycle are peeled away first, and the tie-break searches only the rest: on
-random input no row is left, and the solver's matching is the answer. Padded
-or repeated rows are one class tight on all its columns, which makes the
-tight subgraph dense, so those inputs skip the peel and the tie-break is
-given every real row to search.
+distance, so tie-heavy input costs about what random input does. A second
+optimum differs from the solver's along alternating cycles of the tight
+subgraph, so a row on none of them keeps its column in every optimum. On a
+square input of distinct rows, rows that cannot lie on a cycle are peeled
+away first (on random input, all of them); padded or repeated rows make
+the tight subgraph dense, so those inputs skip the peel. The tie-break
+then searches only the rows with a tight open column below their own,
+told apart by a few operations on Python integers used as bit sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,29 +58,50 @@ import numpy as np
 # slack below this counts as a tie when selecting among optimal assignments
 _TIE_TOL = 1e-9
 
-# enumerate every assignment when there are at most this many: a call takes
-# 20-65 us up to 120 assignments, 2-5x less than through the solver; the
-# two are close at 360 (4x6) and the solver wins at 720 (5x6, 6x6)
+# enumerate every assignment when there are at most this many: a lone call
+# takes 6-18 us up to 24 and 12-53 us up to 120, 3-85x less than the
+# solver's 80-2900; enumeration still wins at 360 (4x6) and ties at 720
+# (5x6, 6x6), but a higher bound would move which path decides near-ties
 _ENUMERATE_LIMIT = 120
 
-# at most this many rounds of bids follow the greedy warm start (see
-# _warm_start). On match-grid's random 500x500 and 1000x1000, the free rows
-# left for the searches and the in-process solve time against no rounds:
-# none 112 + 225 rows; 8 rounds 48 + 97, 0.76-0.78; 16 rounds 30 + 61, 0.67;
-# 32 rounds 20 + 42, 0.69; 64 and 128 rounds 0.66; bidding until no row
-# can bid leaves 2 + 4 rows but takes 8.5x, as rows that value the same
-# columns alike outbid each other by ever smaller steps
+# at most this many rounds of bids follow the greedy warm start. On random
+# 500x500 and 1000x1000 grids, the rows left for the searches and the solve
+# time against no rounds: none 112 + 225 rows; 8 rounds 48 + 97, 0.76-0.78;
+# 16 rounds 30 + 61, 0.67; 32 rounds 20 + 42, 0.69; 64 and 128 rounds 0.66;
+# until no row can bid 2 + 4 rows but 8.5x, by ever smaller overbids
 _BID_ROUNDS = 16
+
+# the rounds run on grids of at least this many rows only. Solve time with
+# them against without, on uniform and one-decimal square grids of distinct
+# rows: sides 6-40 1.3-2.2x, 48 and 56 0.83-1.04x, 64 0.96-1.00x, 72-128
+# 0.67-0.94x, 200-500 0.65-0.83x
+_BID_FLOOR = 64
 
 # brute_force_matching refuses matrices with more assignments than an 8x8
 _BRUTE_FORCE_LIMIT = math.factorial(8)
 
 
+def _weights(matrix) -> np.ndarray:
+    """The weights of a :class:`ScoreMatrix`, or ``matrix`` as a 2-D float
+    array checked as :class:`ScoreMatrix` requires, neither copied."""
+    if isinstance(matrix, ScoreMatrix):
+        return matrix.weights
+    w = np.asarray(matrix, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
+        raise ValueError(f"score matrix must be 2-D and non-empty, got shape {w.shape}")
+    _check_weights(w)
+    return w
+
+
 def _check_weights(w: np.ndarray) -> None:
     """Reject weights outside [0, 100], non-finite ones first."""
     # NaN and +-inf fail the range test too, so finiteness is only read to
-    # pick the message
-    if not (w.min() >= 0.0 and w.max() <= 100.0):
+    # pick the message; up to 16 cells a Python pass beats two reductions
+    if w.size <= 16:
+        ok = all(0.0 <= x <= 100.0 for x in w.ravel().tolist())
+    else:
+        ok = w.min() >= 0.0 and w.max() <= 100.0
+    if not ok:
         if not np.isfinite(w).all():
             raise ValueError("score matrix contains non-finite weights")
         raise ValueError("score matrix weights must lie in [0, 100]")
@@ -101,11 +115,7 @@ class ScoreMatrix:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-            raise ValueError(f"score matrix must be 2-D and non-empty, got shape {w.shape}")
-        _check_weights(w)
-        w = w.copy()
+        w = _weights(self.weights).copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -130,15 +140,10 @@ class Matching:
     @classmethod
     def from_edges(cls, edges, weights: np.ndarray) -> "Matching":
         edges = tuple(sorted(edges))
-        edge_weights = tuple(float(weights[r, c]) for r, c in edges)
-        # fsum: the total is independent of summation order, so permuting
-        # rows/columns of the input permutes the matching without moving
-        # the total by even one ulp
+        edge_weights = tuple(weights.item(r, c) for r, c in edges)
+        # fsum: permuting the input's rows or columns permutes the matching
+        # without moving the total by even one ulp
         return cls(edges=edges, edge_weights=edge_weights, total=math.fsum(edge_weights))
-
-
-def _coerce(matrix) -> ScoreMatrix:
-    return matrix if isinstance(matrix, ScoreMatrix) else ScoreMatrix(np.asarray(matrix))
 
 
 def _enumerable(nr: int, nc: int, limit: int = _ENUMERATE_LIMIT) -> bool:
@@ -175,6 +180,13 @@ def _assignments(nr: int, nc: int) -> np.ndarray:
 # rows are hashed, bid and tested for tight edges in bands of about this
 # many cells, so that no temporary the size of the matrix is made
 _BAND_CELLS = 1 << 16
+
+
+def _row_bits(mask: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python integer, bit j set when column j is."""
+    m = (mask.shape[1] + 7) // 8
+    data = np.packbits(mask, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i:i + m], "little") for i in range(0, len(data), m)]
 
 
 def _row_classes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,37 +261,47 @@ def _warm_start(
 
     Column reduction sets v to the column minimum of the costs ``-w``, and
     each class, in order, takes up to its supply of the free columns where
-    its reduced cost is minimal (Jonker & Volgenant 1987). When every row is
-    its own class, up to ``_BID_ROUNDS`` rounds of bids follow, the Jacobi
-    form of Bertsekas's auction, which does for all free rows at once what
-    augmenting row reduction does row by row. In each round every free row
-    finds its smallest reduced cost ``u1``, at column ``j1``, and its second
-    smallest ``u2``; a row with ``u2 > u1`` bids, lowering ``v[j1]`` so that
-    its own reduced cost there becomes ``u2``. Each column goes to the bid
-    that lowers ``v`` most (the lowest row on ties), whose ``u`` becomes
-    ``u2``; the column's previous owner is freed. Lowering ``v`` keeps every
-    ``u`` feasible, and only columns that change hands move, so owned edges
-    stay tight. Rounds end early when no row can bid; then each free row's
-    ``u`` is set to its smallest reduced cost.
+    its reduced cost is minimal (Jonker & Volgenant 1987): one banded pass
+    finds those columns as :func:`_row_bits`, and the walk over the classes
+    makes no numpy call. When every row is its own class and there are at
+    least ``_BID_FLOOR``, up to ``_BID_ROUNDS`` rounds of bids follow (the
+    Jacobi form of Bertsekas's auction). In each, every free row finds its
+    smallest reduced cost ``u1``, at column ``j1``, and its second smallest
+    ``u2``; a row with ``u2 > u1`` bids, lowering ``v[j1]`` so that its own
+    reduced cost there becomes ``u2``. Each column goes to the bid that
+    lowers ``v`` most (the lowest row on ties), whose ``u`` becomes ``u2``,
+    and frees its previous owner. Lowering ``v`` keeps every ``u`` feasible,
+    and only columns that change hands move, so owned edges stay tight.
+    Then each row still free gets ``u`` = its smallest reduced cost.
     """
     k, n = len(reps), w.shape[1]
     u = np.empty(k)
-    owner = np.full(n, -1, dtype=np.intp)
-    have = np.zeros(k, dtype=np.intp)
     # -v: the column maximum of w, so that reduced costs are -v - w[r]
     neg_v = w.max(axis=0)
     v = -neg_v
-    free = np.ones(n, dtype=bool)
-    for b, r in enumerate(reps.tolist()):
-        reduced = neg_v - w[r]
-        u[b] = reduced.min()
-        hit = reduced == u[b]
+    # each class's smallest reduced cost, and the columns that reach it
+    ties = []
+    step = max(1, _BAND_CELLS // n)
+    for lo in range(0, k, step):
+        band = w[reps[lo:lo + step]]
+        np.subtract(neg_v, band, out=band)
+        band.min(axis=1, out=u[lo:lo + step])
+        ties += _row_bits(band == u[lo:lo + step, None])
+    free = (1 << n) - 1
+    cols, classes = [], []
+    for b, (s, hit) in enumerate(zip(supply, ties)):
         hit &= free
-        taken = np.flatnonzero(hit)[:supply[b]]
-        owner[taken] = b
-        free[taken] = False
-        have[b] = taken.size
-    if k == n:
+        while hit and s:
+            low = hit & -hit
+            hit ^= low
+            free ^= low
+            s -= 1
+            cols.append(low.bit_length() - 1)
+            classes.append(b)
+    owner = np.full(n, -1, dtype=np.intp)
+    owner[cols] = classes
+    have = np.bincount(classes, minlength=k)
+    if k == n >= _BID_FLOOR:
         unmatched = np.flatnonzero(have == 0)
         for round_ in range(_BID_ROUNDS + 1):
             if not unmatched.size:
@@ -321,15 +343,9 @@ def _solve_min_cost(
     (owner, u, v) where owner[j] is the class matched to column j, each
     class owning ``supply[b]`` columns, and u (per class), v (per column)
     are feasible dual potentials with u[b] + v[j] <= -w[reps[b], j], tight
-    on matched edges. A class of one row is a row of the assignment
-    problem, so an input without repeated rows is solved exactly as the
-    row-by-row Hungarian method would.
-
-    With ``warm_start``, the searches start from :func:`_warm_start`'s
-    partial matching and duals (column reduction, a greedy match and, when
-    every row is its own class, bidding rounds), so only the rows it leaves
-    free are searched for; it pays off on square inputs only, since a
-    padded input's zero rows leave most rows free after it.
+    on matched edges. With ``warm_start``, only the rows that
+    :func:`_warm_start` leaves free are searched for; it pays off on square
+    inputs only, since a padded input's zero rows leave most rows free.
 
     Each search sends one unit from a class with unmet supply to a free
     column. The start class's own columns are settled at distance 0; when
@@ -373,8 +389,7 @@ def _solve_min_cost(
             # the class relaxed at each step, and the offset it added
             steps, offsets = [], []
             while True:
-                # scalars are read with .item(): a Python float or int, no
-                # numpy scalar built on each of the search's steps
+                # .item() reads a Python scalar, building no numpy one per step
                 np.subtract(neg_v_open, rows[b], out=slack)
                 offset = base - u.item(b)
                 slack += offset
@@ -386,10 +401,9 @@ def _solve_min_cost(
                 b = owner.item(j)
                 if b >= 0:
                     # any column at the minimum is a valid Dijkstra step; ending
-                    # at a free one keeps tie-heavy solves to O(n) steps instead
-                    # of walking every tied assigned column first (Crouse 2016);
-                    # free columns are never settled, since reaching one ends
-                    # the search, so dist holds their distances
+                    # at a free one keeps tie-heavy solves to O(n) steps
+                    # (Crouse 2016). Free columns are never settled, so dist
+                    # holds their distances
                     if free_cols is None:
                         free_cols = np.flatnonzero(owner < 0)
                     f = free_cols.item(dist[free_cols].argmin())
@@ -411,11 +425,10 @@ def _solve_min_cost(
                     groups.append((b, theirs, base))
             # the alternating path, from the free column back to the start:
             # a column's predecessor is the class of the first step that gave
-            # it its final distance, so its slack at every step before it was
-            # settled is recomputed, from the same floats in the same order
-            # as the search's, and the first minimum taken. Cheaper than
-            # recording the predecessor of every column at every step. A
-            # column settled after one step was reached from the start
+            # it its final distance, so its slack at each step before it was
+            # settled is recomputed (same floats, same order as the search's)
+            # and the first minimum taken; one settled after one step was
+            # reached from the start
             path, t = [], len(steps)
             if t > 1:
                 step_rows = reps[steps]
@@ -494,10 +507,7 @@ def _cycle_rows(tight: np.ndarray, row_of_col: np.ndarray) -> np.ndarray:
 
 
 def _lex_min_tight_matching(
-    tight: np.ndarray,
-    row_of_col: np.ndarray,
-    n_real_rows: int,
-    rows: np.ndarray,
+    tight: np.ndarray, row_of_col: np.ndarray, n_real_rows: int, rows: np.ndarray
 ) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight
     subgraph, starting from a known perfect matching.
@@ -511,7 +521,8 @@ def _lex_min_tight_matching(
 
     ``rows`` are the real rows that may move, ascending (all of them, or
     those :func:`_cycle_rows` returns); every other real row keeps its
-    column, which is fixed before the first search.
+    column, fixed before the first search. Each row is tested for a
+    candidate on :func:`_row_bits`, so only rows with one make numpy calls.
     """
     n = tight.shape[0]
     col_of_row = np.empty(n, dtype=np.intp)
@@ -521,22 +532,19 @@ def _lex_min_tight_matching(
     fixed_cols[col_of_row[rows]] = False
     # next_col[c]: the column the owner of c moves to when c is taken
     next_col = np.empty(n, dtype=np.intp)
-
-    for row in rows.tolist():
+    [open_bits] = _row_bits(~fixed_cols[None])
+    for row, tight_bits in zip(rows.tolist(), _row_bits(tight[rows])):
         # keeping the current column is always feasible, so only tight open
-        # columns strictly below it are candidates (ascending index order is
-        # the preference order: real columns come before padded ones)
-        current = int(col_of_row[row])
-        candidates = np.flatnonzero(tight[row, :current])
-        if candidates.size:  # usually empty: skip the filter then
-            candidates = candidates[~fixed_cols[candidates]]
-        if candidates.size:
+        # columns below it are candidates (real columns come before padded)
+        current = col_of_row.item(row)
+        if tight_bits & open_bits & ((1 << current) - 1):
+            candidates = np.flatnonzero(tight[row, :current] & ~fixed_cols[:current])
             reached = fixed_cols.copy()
             reached[current] = True
             frontier = np.array([current])
             while frontier.size and not reached[candidates[0]]:
                 open_cols = np.flatnonzero(~reached)
-                hits = tight[np.ix_(row_of_col[open_cols], frontier)]
+                hits = tight[row_of_col[open_cols]][:, frontier]
                 found = hits.any(axis=1)
                 next_col[open_cols[found]] = frontier[hits[found].argmax(axis=1)]
                 frontier = open_cols[found]
@@ -549,7 +557,9 @@ def _lex_min_tight_matching(
                     row_of_col[col], col_of_row[mover] = mover, col
                     col, mover = int(next_col[col]), displaced
                 row_of_col[current], col_of_row[mover] = mover, current
-        fixed_cols[col_of_row[row]] = True
+                current = col_of_row.item(row)
+        fixed_cols[current] = True
+        open_bits ^= 1 << current
     return col_of_row
 
 
@@ -581,10 +591,8 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     row_of_col[np.argsort(owner, kind="stable")] = np.argsort(class_of_row, kind="stable")
 
     # optimal assignments live inside the tight subgraph (complementary
-    # slackness); matched edges are included regardless of rounding. Each
-    # class's first row is tested, in bands of classes, so that no n x n
-    # float temporary is made; then the other rows of a repeated class copy
-    # its first
+    # slackness), matched edges included regardless of rounding. Each class's
+    # first row is tested, in bands, and a repeated class's other rows copy it
     neg_v = -v
     tight = np.empty((n, n), dtype=bool)
     step = max(1, _BAND_CELLS // n)
@@ -599,10 +607,9 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
         tight[class_of_row == b] = tight[r]
     tight[row_of_col, np.arange(n)] = True
 
-    # only rows on an alternating cycle can move, and on a square input of
-    # distinct rows there are usually few (on random input, none). With
-    # padded or repeated rows, one class is tight on all its columns, and
-    # the peel would visit every one of those edges
+    # only rows on an alternating cycle can move (on random input, none).
+    # With padded or repeated rows, one class is tight on all its columns,
+    # and the peel would visit every one of those edges
     rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else np.arange(nr)
     col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, rows)
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
@@ -610,23 +617,31 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
 
 def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     """The maximum-weight assignment of each of a stack of same-shape
-    grids, as its edges sorted by row; ties resolve as the module docstring
-    states.
-
-    Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
-    with one gather over :func:`_assignments`, and each takes the first
-    assignment within ``_TIE_TOL`` of its best total; larger grids are
-    solved one at a time.
-    """
+    grids, as its edges sorted by row, by the paths and tie rule of the
+    module docstring; larger grids are solved one at a time."""
     _check_weights(grids)
     return _best_edges(grids)
 
 
 def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     """:func:`_matched_edges` on weights already checked."""
-    _, nr, nc = grids.shape
+    g, nr, nc = grids.shape
     if not _enumerable(nr, nc):
         return [_solved_edges(w) for w in grids]
+    if g == 1:
+        # a lone grid in plain Python, which skips the stack's numpy calls:
+        # totals add each slot's weight in turn, left to right as numpy
+        # does, from 0.0, which adds exactly
+        lines = grids[0].tolist() if nr <= nc else grids[0].T.tolist()
+        perms = list(itertools.permutations(range(max(nr, nc)), min(nr, nc)))
+        totals = itertools.repeat(0.0)
+        for line, cols in zip(lines, zip(*perms)):
+            totals = map(operator.add, totals, map(line.__getitem__, cols))
+        totals = list(totals)
+        tied = itertools.compress(perms, map((max(totals) - _TIE_TOL).__le__, totals))
+        if nr <= nc:
+            return [list(enumerate(next(tied)))]
+        return [min(sorted(zip(a, range(nc))) for a in tied)]
     perms = _assignments(nr, nc)
     slots = np.arange(min(nr, nc))
     # totals[g, a]: the total assignment a gives grid g
@@ -641,16 +656,13 @@ def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
 def max_weight_matching(matrix) -> Matching:
     """Maximum-weight one-to-one assignment of rows to columns.
 
-    The matching has size min(n_rows, n_cols). Matrices with at most
-    ``_ENUMERATE_LIMIT`` injective assignments are solved by enumerating
-    them, larger ones by the augmenting-path solver; ties resolve to the
+    The matching has size min(n_rows, n_cols); ties resolve to the
     lexicographically smallest edge list as the module docstring states.
 
     :param matrix: a :class:`ScoreMatrix` or anything convertible to one.
     :return: the optimal :class:`Matching`.
     """
-    # ScoreMatrix has checked the weights
-    w = _coerce(matrix).weights
+    w = _weights(matrix)
     [edges] = _best_edges(w[None])
     return Matching.from_edges(edges, w)
 
@@ -671,30 +683,18 @@ def brute_force_matching(matrix) -> Matching:
     Refuses matrices with more assignments than an 8x8 has (8! = 40,320):
     ``math.perm(max side, min side)`` bounds its work.
     """
-    w = _coerce(matrix).weights
+    w = _weights(matrix)
     nr, nc = w.shape
     if not _enumerable(nr, nc, _BRUTE_FORCE_LIMIT):
         n, k = max(nr, nc), min(nr, nc)
         # log10 of math.perm(n, k), a count that may be too large to print
         digits = (math.lgamma(n + 1) - math.lgamma(n - k + 1)) / math.log(10)
         count = f"{math.perm(n, k):,}" if digits < 15 else f"about 1e{digits:.0f}"
-        raise ValueError(
-            f"brute force limited to {_BRUTE_FORCE_LIMIT:,} assignments, got {count} ({nr}x{nc})"
-        )
-    best_edges = None
-    best_total = -np.inf
-    if nr <= nc:
-        # rows 0..nr-1 in order: permutation order is already lexicographic
-        for cols in itertools.permutations(range(nc), nr):
-            total = math.fsum(w[i, cols[i]] for i in range(nr))
-            if total > best_total:
-                best_total = total
-                best_edges = tuple(enumerate(cols))
-    else:
-        for rows in itertools.permutations(range(nr), nc):
-            edges = tuple(sorted((rows[j], j) for j in range(nc)))
-            total = math.fsum(w[r, c] for r, c in edges)
-            if total > best_total or (total == best_total and edges < best_edges):
-                best_total = total
-                best_edges = edges
+        raise ValueError(f"brute force limited to {_BRUTE_FORCE_LIMIT:,} assignments, got {count} ({nr}x{nc})")
+    # the best total first, then the smallest edge list, sorted by row
+    edge_lists = (
+        tuple(enumerate(a)) if nr <= nc else tuple(sorted(zip(a, range(nc))))
+        for a in itertools.permutations(range(max(nr, nc)), min(nr, nc))
+    )
+    _, best_edges = min((-math.fsum(w[r, c] for r, c in edges), edges) for edges in edge_lists)
     return Matching.from_edges(best_edges, w)

@@ -280,6 +280,28 @@ def oracle_lex_min_assignment(weights):
     return edges
 
 
+def oracle_greedy_start(w, reps, supply):
+    """The matcher's warm start before any bidding, as a loop over the row
+    classes: column reduction (v is minus each column's maximum), then each
+    class ``b`` (row ``w[reps[b]]``), in order, takes up to ``supply[b]`` of
+    the free columns where its reduced cost ``-v - w[r]`` is smallest, lowest
+    first. Returns (owner, u, v, have) as the matcher's ``_warm_start`` does."""
+    k, n = len(reps), w.shape[1]
+    u = np.empty(k)
+    owner = np.full(n, -1, dtype=np.intp)
+    have = np.zeros(k, dtype=np.intp)
+    neg_v = w.max(axis=0)
+    free = np.ones(n, dtype=bool)
+    for b, r in enumerate(reps.tolist()):
+        reduced = neg_v - w[r]
+        u[b] = reduced.min()
+        taken = np.flatnonzero((reduced == u[b]) & free)[:supply[b]]
+        owner[taken] = b
+        free[taken] = False
+        have[b] = taken.size
+    return owner, u, -neg_v, have.tolist()
+
+
 def enumerate_sequences(model, max_len):
     """All nonzero-probability finished sequences as (tokens, logp) pairs,
     by brute-force tree expansion.

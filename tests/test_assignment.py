@@ -7,6 +7,7 @@ import math
 import os
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from oracles import oracle_lex_min_assignment
+from oracles import oracle_greedy_start, oracle_lex_min_assignment
 
+from multiscore import assignment
 from multiscore.assignment import (
     ScoreMatrix,
     _assignments,
@@ -94,6 +96,22 @@ def test_batched_totals_check_the_weights_first(side, bad, message):
     grids[1, side - 1, 0] = bad
     with pytest.raises(ValueError, match=message):
         _matched_totals(grids)
+
+
+@pytest.mark.parametrize("side", [3, 40], ids=["enumerated", "solved"])
+def test_matching_reads_views_and_other_dtypes_as_a_copy(side):
+    # max_weight_matching checks an array in place, without the copy a
+    # ScoreMatrix makes, so strided, read-only, broadcast and integer input
+    # must read as the same weights would and be left as they were
+    rng = np.random.default_rng(side)
+    base = rng.integers(0, 3, (2 * side, 2 * side)).astype(float)
+    before = base.copy()
+    views = [base[::2, 1::2], base.T[:side, :side], np.broadcast_to(base[0], (side, 2 * side)),
+             base[:side, :side].astype(np.int32)]
+    views[0].flags.writeable = False
+    for view in views:
+        assert max_weight_matching(view) == max_weight_matching(ScoreMatrix(view))
+    assert np.array_equal(base, before)
 
 
 class TestMaxWeightMatching:
@@ -328,6 +346,9 @@ def _distinct_row_squares():
 
 @settings(deadline=None, max_examples=150)
 @given(_distinct_row_squares())
+# match-grid's int300 and int600 at a size the oracle can check: dense ties,
+# every row on a cycle, and moves whose searches run several levels deep
+@example(np.random.default_rng(600).integers(0, 3, (60, 60)).astype(float))
 def test_peeled_tie_break_matches_the_oracle(w):
     # square, every row its own class, above the enumeration bound: the
     # tie-break searches only the rows on an alternating cycle
@@ -370,6 +391,9 @@ def test_assignments_come_in_edge_list_order():
 # an 11x2 tied between rows (1, 10) and rows (10, 0) on columns (0, 1): the
 # first in permutation order is not the lexicographically smallest edge list
 @example(np.array([[0.0, 1.0], [1.0, 0.0]] + [[0.0, 0.0]] * 8 + [[2.0, 2.0]]))
+# the same for a lone 3x2, scored in Python: rows (1, 2) on columns (0, 1)
+# come first in permutation order, rows (0, 2) on columns (1, 0) win
+@example(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
 def test_tie_heavy_edges_match_brute_force(w):
     assert max_weight_matching(w).edges == brute_force_matching(w).edges
 
@@ -388,6 +412,8 @@ def _seeded_matrix(kind, shape, seed):
         return rng.integers(0, 3, shape).astype(float)
     if kind == "all-equal":
         return np.full(shape, 50.0)
+    if kind == "one-decimal":
+        return rng.integers(0, 1001, shape) / 10
     if kind == "repeated-rows":
         # an n-best grid: a few distinct rows, each repeated
         distinct = rng.uniform(0, 100, (int(rng.integers(1, 9)), shape[1]))
@@ -427,6 +453,33 @@ def test_solver_duals_certify_optimality(kind, shape, seed, warm_start):
     assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
     assert np.abs(cost[owner, cols] - u[owner] - v).max() <= 1e-9
     assert abs(supply @ u + v.sum() - cost[owner, cols].sum()) <= n * 1e-9
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["uniform", "integers-0-2", "one-decimal", "all-equal", "repeated-rows"]),
+    st.tuples(st.integers(1, 90), st.integers(1, 90)),
+    st.integers(0, 2**32 - 1),
+)
+# match-grid's int300: each row ties on about 100 columns
+@example("integers-0-2", (300, 300), 0)
+@example("repeated-rows", (200, 200), 0)
+@example("all-equal", (30, 70), 0)
+def test_warm_start_equals_the_greedy_loop(kind, shape, seed):
+    # bit for bit, padded inputs included; bidding is switched off, so that
+    # what is compared is the greedy match the rounds start from
+    w = _seeded_matrix(kind, shape, seed)
+    n = max(shape)
+    padded = np.zeros((n, n))
+    padded[: shape[0], : shape[1]] = w
+    class_of_row, reps = _row_classes(padded)
+    supply = np.bincount(class_of_row).tolist()
+    with mock.patch.object(assignment, "_BID_FLOOR", math.inf):
+        got = _warm_start(padded, reps, supply)
+    want = oracle_greedy_start(padded, reps, supply)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
 
 
 def _bid_grid(kind, n, seed):
@@ -509,9 +562,13 @@ def test_enumeration_and_solver_pick_the_same_edges(w):
 
 def _grid_stacks():
     """Stacks of 1-5 same-shape grids, tie-heavy or not; sides up to 7, so
-    the solver's shapes (6x6 and up) come too."""
+    the solver's shapes (6x6 and up) come too, and every enumerated shape
+    with a side over 5, wide and tall. A stack of one grid is scored in
+    Python, a larger stack with numpy, and max_weight_matching scores each
+    grid alone, so the two enumerations are checked against each other."""
     weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 100.0))
-    shapes = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5))
+    shapes = st.tuples(st.one_of(_sides(7), st.sampled_from(_THIN_SHAPES)), st.integers(1, 5)).map(
+        lambda sg: sg[0] + (sg[1],))
     return st.tuples(shapes, st.booleans()).flatmap(
         lambda sb: arrays(np.float64, sb[0][2:] + sb[0][:2],
                           elements=st.sampled_from([0.0, 1.0, 2.0]) if sb[1] else weights)
@@ -527,6 +584,9 @@ def test_batched_edges_and_totals_equal_one_matching_each(grids):
     matchings = [max_weight_matching(w) for w in grids]
     assert [tuple(edges) for edges in _matched_edges(grids)] == [m.edges for m in matchings]
     assert _matched_totals(grids) == [m.total for m in matchings]
+    # two copies of a grid take the stack's numpy path, whatever the size
+    # of the stack drawn
+    assert [tuple(_matched_edges(np.stack([w, w]))[0]) for w in grids] == [m.edges for m in matchings]
 
 
 def _repeated_row_grids():
@@ -552,6 +612,8 @@ def _repeated_row_grid(kind, shape, k, seed):
 @given(_repeated_row_grids())
 @example(("integers-0-2", (40, 6), 2, 0))
 @example(("uniform", (6, 40), 8, 0))
+# an n-best grid: 8 distinct rows repeated, a class on every open column
+@example(("integers-0-2", (60, 50), 8, 1))
 def test_repeated_rows_match_the_oracles(case):
     # repeated rows are solved as one row with a multiplicity; in both
     # orientations the edges must be the lexicographically smallest optimal

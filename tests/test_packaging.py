@@ -114,3 +114,13 @@ def test_every_public_name_resolves_and_is_listed():
     assert set(multiscore.__all__) <= set(dir(multiscore))
     with pytest.raises(AttributeError, match="no_such_name"):
         multiscore.no_such_name
+
+
+def test_the_names_the_benchmark_imports_resolve():
+    # bench/run.py's match-grid and generate checks import these from the
+    # modules named here; moving one fails every run of those workloads
+    from multiscore.assignment import brute_force_matching, max_weight_matching
+    from multiscore.corpus import bind_outputs, load_jsonl, load_outputs_jsonl
+
+    for f in (brute_force_matching, max_weight_matching, bind_outputs, load_jsonl, load_outputs_jsonl):
+        assert callable(f), f

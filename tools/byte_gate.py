@@ -41,7 +41,13 @@ the five shapes of ``tests/matching_golden/``, the long, thin 1x5000,
 grids of every shape the matcher enumerates (at most 120 assignments),
 either way round, and square grids of distinct rows that the solver's
 bidding rounds see (one-decimal and {0..9} weights at sides 6, 20, 60 and
-200, and uniform at 300): 8 more, 599 in all.
+200, and uniform at 300): 8 more. Last, corpora of 150 sets of k = 6, 8
+and 12 distinct outputs against k distinct references (every grid past the
+enumeration bound, so each goes to the solver), with random texts and with
+near-tied ones (3-5 words from a vocabulary of 3, so that many cells of a
+grid score alike), each run through ``evaluate --format json`` and
+``multiscore --per-instance --format json`` for both metrics: 18 more, 617
+in all.
 """
 
 from __future__ import annotations
@@ -91,6 +97,17 @@ COMMANDS = [
     for fmt in ("json", "table")
 ]
 
+
+# sets of k distinct outputs against k distinct references, k past the
+# matcher's enumeration bound, so that every grid goes to the solver
+SET_SIZES = (6, 8, 12)
+SET_INSTANCES = 150
+
+# the commands run on the sets corpora
+SET_COMMANDS = [("evaluate-json", ["evaluate", "--format", "json"])] + [
+    (f"multiscore-{metric}-json", ["multiscore", "--per-instance", "--metric", metric, "--format", "json"])
+    for metric in ("bleu", "chrf")
+]
 
 # seeds of the benchmark's match-grid inputs the matcher section solves, on
 # top of the default one
@@ -259,6 +276,40 @@ def _interleaved(narrow, wide, dst):
             fh.writelines(lines)
 
 
+def _set_corpora(inputs, workloads):
+    """Write a corpus of SET_INSTANCES sets for each k of SET_SIZES, twice:
+    random texts, and near-tied ones (3-5 words from a vocabulary of 3, so
+    that many cells of a grid score alike); return {name: --data/--outputs
+    args}."""
+    import numpy as np
+
+    cases = {}
+    for k in SET_SIZES:
+        for kind in ("random", "near-tied"):
+            name = f"sets-{k}-{kind}"
+            rng = np.random.default_rng([3, k, kind == "random"])
+            words = workloads.VOCAB if kind == "random" else workloads.VOCAB[:3]
+            lo, hi = (workloads.SENT_LO, workloads.SENT_HI) if kind == "random" else (3, 6)
+
+            def texts():
+                drawn = []
+                while len(drawn) < k:
+                    text = " ".join(words[i] for i in rng.integers(0, len(words), size=rng.integers(lo, hi)))
+                    if text not in drawn:
+                        drawn.append(text)
+                return drawn
+
+            os.makedirs(os.path.join(inputs, name))
+            with open(os.path.join(inputs, name, "refs.jsonl"), "w", encoding="utf-8", newline="\n") as refs, \
+                    open(os.path.join(inputs, name, "outs.jsonl"), "w", encoding="utf-8", newline="\n") as outs:
+                for i in range(SET_INSTANCES):
+                    refs.write(json.dumps({"id": f"k{i}", "references": texts()}) + "\n")
+                    outs.write(json.dumps({"id": f"k{i}", "outputs": texts()}) + "\n")
+            cases[name] = ["--data", os.path.join("inputs", name, "refs.jsonl"),
+                           "--outputs", os.path.join("inputs", name, "outs.jsonl")]
+    return cases
+
+
 def _generate_runs(repo, outdir, demo, workloads):
     """Run generate with every strategy on the benchmark's generate corpus
     at its default seed, and on the demo corpus at GENERATE_KNOBS, writing
@@ -279,8 +330,9 @@ def _generate_runs(repo, outdir, demo, workloads):
 
 
 def build_inputs(repo, outdir):
-    """Write the gate inputs under OUTDIR/inputs, running the generate
-    commands; return ({name: --data/--outputs args}, generate exit codes)."""
+    """Write the gate inputs under OUTDIR/inputs, running the generate and
+    matcher commands; return ({name: --data/--outputs args} for COMMANDS,
+    the same for SET_COMMANDS, those commands' exit codes)."""
     inputs = os.path.join(outdir, "inputs")
     os.makedirs(inputs)
     demo = os.path.join("inputs", "demo.jsonl")
@@ -321,7 +373,7 @@ def build_inputs(repo, outdir):
     golden = os.path.join("inputs", "evaluate_golden.jsonl")
     shutil.copyfile(os.path.join(HERE, "tests", "evaluate_golden", "evaluate.jsonl"), os.path.join(outdir, golden))
     cases["evaluate-golden"] = ["--data", golden]
-    return cases, codes
+    return cases, _set_corpora(inputs, workloads), codes
 
 
 def main(argv=None) -> int:
@@ -333,11 +385,14 @@ def main(argv=None) -> int:
     if os.path.exists(outdir) and os.listdir(outdir):
         parser.error(f"{outdir} is not empty")
     os.makedirs(outdir, exist_ok=True)
-    cases, codes = build_inputs(repo, outdir)
+    cases, set_cases, codes = build_inputs(repo, outdir)
     for case, io_args in cases.items():
         for label, command in COMMANDS:
             codes.append(_run(repo, outdir, f"{case}/{label}", command + io_args))
             codes.append(_run(repo, outdir, f"{case}/{label}-cased", command + io_args + ["--no-lowercase"]))
+    for case, io_args in set_cases.items():
+        for label, command in SET_COMMANDS:
+            codes.append(_run(repo, outdir, f"{case}/{label}", command + io_args))
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a non-zero exit; results in {outdir}/results")
     return 0
 
