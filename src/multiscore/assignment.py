@@ -2,27 +2,32 @@
 oracle for verification.
 
 Every matching goes through :func:`_matched_edges`, which takes a stack
-of same-shape grids and picks one of two paths by the number of injective
-assignments of the smaller side into the larger, ``math.perm(max side,
-min side)`` (so a 3x2000 grid, with 8e9 of them, goes to the solver):
+of same-shape grids (one grid for :func:`max_weight_matching`) and picks
+one of two paths by the number of injective assignments of the smaller
+side into the larger, ``math.perm(max side, min side)``:
 
 * at most ``_ENUMERATE_LIMIT`` = 120 (every shape up to 5x5, 4x5, 3x6, 2x11
-  and 1x120, either way round): every assignment is scored, a stack with
-  one numpy gather-and-sum and a lone grid in plain Python, to the same
-  floats. Each grid takes the first assignment, in edge-list order, within
-  1e-9 of its best total;
+  and 1x120, either way round): every assignment of every grid in the
+  stack is scored with one numpy gather-and-sum, or, for a lone grid of at
+  most ``_LONE_LIMIT`` = 56 assignments, in plain Python, to the same
+  floats. The assignments come in the order of their edge lists, so each
+  grid takes the first one within 1e-9 of its best total;
 * more: shortest augmenting paths over dual potentials (the Hungarian
   method in the form of Jonker & Volgenant 1987 and Crouse 2016), in its
   transportation form: bit-for-bit equal rows are one row class whose
   supply is its row count, and each search settles a whole class at once,
   so it costs O(k n) for k distinct rows, and the at most n searches
-  O(k n^2). Rectangular inputs are squared by zero-weight padding (a wide
-  input's padded rows are one class); padded edges never appear in
-  results. A square input starts warm: column reduction and a greedy
-  match, found for all classes in one banded pass, then, when its rows
-  are all distinct and at least ``_BID_FLOOR`` = 64, a few rounds in which
-  every free row bids for its best column at once (the Jacobi form of
-  Bertsekas's auction), so that fewer rows reach the searches.
+  O(k n^2) (O(n^3) without repeats). Rectangular inputs are squared by
+  zero-weight padding (a wide input's padded rows are one class); padded
+  edges never appear in results. A square input starts warm: column
+  reduction and a greedy match, found for all classes in one banded pass,
+  then, when its rows are all distinct and there are at least
+  ``_BID_FLOOR`` = 64 of them, a few rounds in which every free row bids
+  for its best column at once (the Jacobi form of Bertsekas's auction),
+  so that fewer rows reach the searches.
+
+The rule counts assignments, not the smaller side: a 3x2000 input has
+8e9 of them and goes to the solver.
 
 Tie rule: among the tied assignments, the lexicographically smallest edge
 list (sorted by row, then column) is returned, so results are
@@ -30,20 +35,27 @@ reproducible across runs and platforms. Enumeration ties every
 assignment whose total is within 1e-9 of the best. The solver ties every
 assignment inside its tight subgraph, the edges whose reduced cost under
 its optimal duals is within 1e-9 of zero; an assignment's reduced costs
-sum to its distance below the optimum. So, with n the larger side, an
-assignment within 1e-9 of the optimum is tied on both paths, one more than
-n * 1e-9 below it on neither, and in between the solver's answer depends
-on its duals (the warm start and its bids included).
+sum to its distance below the optimum. So, with n the larger side:
+
+* an assignment within 1e-9 of the optimum total is tied on both paths;
+* one more than n * 1e-9 below it is tied on neither;
+* in between, the solver's answer depends on its duals (the warm start and
+  its bids included), and the two paths may disagree.
 
 Each augmenting path ends at the first free column among those at minimum
-distance, so tie-heavy input costs about what random input does. A second
-optimum differs from the solver's along alternating cycles of the tight
-subgraph, so a row on none of them keeps its column in every optimum. On a
-square input of distinct rows, rows that cannot lie on a cycle are peeled
-away first (on random input, all of them); padded or repeated rows make
-the tight subgraph dense, so those inputs skip the peel. The tie-break
-then searches only the rows with a tight open column below their own,
-told apart by a few operations on Python integers used as bit sets.
+distance, and the tie-break is an iterative search, so tie-heavy input
+(all-equal or small-integer weights) costs about what random input does.
+
+A second optimum differs from the solver's along alternating cycles of the
+tight subgraph, so a row on none of them keeps its column in every optimum.
+On a square input whose rows are all distinct, rows that cannot lie on a
+cycle are peeled away first, and the tie-break searches only the rest: on
+random input no row is left, and the solver's matching is the answer. Padded
+or repeated rows are one class tight on all its columns, which makes the
+tight subgraph dense, so those inputs skip the peel and the tie-break is
+given every real row to search. Of those rows, only the ones with a tight
+open column below their own run a search; the rest are told apart by a few
+operations on Python integers used as bit sets.
 """
 
 from __future__ import annotations
@@ -59,16 +71,26 @@ import numpy as np
 _TIE_TOL = 1e-9
 
 # enumerate every assignment when there are at most this many: a lone call
-# takes 6-18 us up to 24 and 12-53 us up to 120, 3-85x less than the
-# solver's 80-2900; enumeration still wins at 360 (4x6) and ties at 720
-# (5x6, 6x6), but a higher bound would move which path decides near-ties
+# takes 9-19 us up to 24, 13-25 us up to 56 and 20-101 us up to 120, 3-46x
+# less than the solver's 86-2750 us; at 360 (4x6) and 720 (5x6, 6x6) the
+# solver is 7-10% faster, and a higher bound would also move which path
+# decides near-ties
 _ENUMERATE_LIMIT = 120
 
-# at most this many rounds of bids follow the greedy warm start. On random
-# 500x500 and 1000x1000 grids, the rows left for the searches and the solve
-# time against no rounds: none 112 + 225 rows; 8 rounds 48 + 97, 0.76-0.78;
-# 16 rounds 30 + 61, 0.67; 32 rounds 20 + 42, 0.69; 64 and 128 rounds 0.66;
-# until no row can bid 2 + 4 rows but 8.5x, by ever smaller overbids
+# a lone grid of at most this many assignments is scored in plain Python
+# instead of by the stack's numpy gather. Per call, Python against numpy
+# (uniform grids, one CPU): 2-24 assignments (2x2 to 4x4) 0.31-0.88x; 30-56
+# (1x30 to 1x56, 2x6 to 2x8, either way round) 0.55-0.93x; 60 (3x5 1.04x,
+# 5x3 0.72x); 110-120 0.75-1.51x (5x5 40.4 against 26.7 us)
+_LONE_LIMIT = 56
+
+# at most this many rounds of bids follow the greedy warm start (see
+# _warm_start). On match-grid's random 500x500 and 1000x1000, the free rows
+# left for the searches and the in-process solve time against no rounds:
+# none 112 + 225 rows; 8 rounds 48 + 97, 0.76-0.78; 16 rounds 30 + 61, 0.67;
+# 32 rounds 20 + 42, 0.69; 64 and 128 rounds 0.66; bidding until no row
+# can bid leaves 2 + 4 rows but takes 8.5x, as rows that value the same
+# columns alike outbid each other by ever smaller steps
 _BID_ROUNDS = 16
 
 # the rounds run on grids of at least this many rows only. Solve time with
@@ -96,12 +118,8 @@ def _weights(matrix) -> np.ndarray:
 def _check_weights(w: np.ndarray) -> None:
     """Reject weights outside [0, 100], non-finite ones first."""
     # NaN and +-inf fail the range test too, so finiteness is only read to
-    # pick the message; up to 16 cells a Python pass beats two reductions
-    if w.size <= 16:
-        ok = all(0.0 <= x <= 100.0 for x in w.ravel().tolist())
-    else:
-        ok = w.min() >= 0.0 and w.max() <= 100.0
-    if not ok:
+    # pick the message
+    if not (w.min() >= 0.0 and w.max() <= 100.0):
         if not np.isfinite(w).all():
             raise ValueError("score matrix contains non-finite weights")
         raise ValueError("score matrix weights must lie in [0, 100]")
@@ -141,8 +159,9 @@ class Matching:
     def from_edges(cls, edges, weights: np.ndarray) -> "Matching":
         edges = tuple(sorted(edges))
         edge_weights = tuple(weights.item(r, c) for r, c in edges)
-        # fsum: permuting the input's rows or columns permutes the matching
-        # without moving the total by even one ulp
+        # fsum: the total is independent of summation order, so permuting
+        # rows/columns of the input permutes the matching without moving
+        # the total by even one ulp
         return cls(edges=edges, edge_weights=edge_weights, total=math.fsum(edge_weights))
 
 
@@ -264,15 +283,17 @@ def _warm_start(
     its reduced cost is minimal (Jonker & Volgenant 1987): one banded pass
     finds those columns as :func:`_row_bits`, and the walk over the classes
     makes no numpy call. When every row is its own class and there are at
-    least ``_BID_FLOOR``, up to ``_BID_ROUNDS`` rounds of bids follow (the
-    Jacobi form of Bertsekas's auction). In each, every free row finds its
-    smallest reduced cost ``u1``, at column ``j1``, and its second smallest
-    ``u2``; a row with ``u2 > u1`` bids, lowering ``v[j1]`` so that its own
-    reduced cost there becomes ``u2``. Each column goes to the bid that
-    lowers ``v`` most (the lowest row on ties), whose ``u`` becomes ``u2``,
-    and frees its previous owner. Lowering ``v`` keeps every ``u`` feasible,
-    and only columns that change hands move, so owned edges stay tight.
-    Then each row still free gets ``u`` = its smallest reduced cost.
+    least ``_BID_FLOOR``, up to ``_BID_ROUNDS`` rounds of bids follow, the
+    Jacobi form of Bertsekas's auction, which does for all free rows at once
+    what augmenting row reduction does row by row. In each round every free
+    row finds its smallest reduced cost ``u1``, at column ``j1``, and its
+    second smallest ``u2``; a row with ``u2 > u1`` bids, lowering ``v[j1]``
+    so that its own reduced cost there becomes ``u2``. Each column goes to
+    the bid that lowers ``v`` most (the lowest row on ties), whose ``u``
+    becomes ``u2``; the column's previous owner is freed. Lowering ``v``
+    keeps every ``u`` feasible, and only columns that change hands move, so
+    owned edges stay tight. Rounds end early when no row can bid; then each
+    free row's ``u`` is set to its smallest reduced cost.
     """
     k, n = len(reps), w.shape[1]
     u = np.empty(k)
@@ -343,9 +364,16 @@ def _solve_min_cost(
     (owner, u, v) where owner[j] is the class matched to column j, each
     class owning ``supply[b]`` columns, and u (per class), v (per column)
     are feasible dual potentials with u[b] + v[j] <= -w[reps[b], j], tight
-    on matched edges. With ``warm_start``, only the rows that
-    :func:`_warm_start` leaves free are searched for; it pays off on square
-    inputs only, since a padded input's zero rows leave most rows free.
+    on matched edges. A class of one row is a row of the assignment
+    problem, so an input without repeated rows is solved exactly as the
+    row-by-row Hungarian method would.
+
+    With ``warm_start``, the searches start from :func:`_warm_start`'s
+    partial matching and duals (column reduction, a greedy match and, when
+    every row is its own class and there are at least ``_BID_FLOOR``,
+    bidding rounds), so only the rows it leaves free are searched for; it
+    pays off on square inputs only, since a padded input's zero rows leave
+    most rows free after it.
 
     Each search sends one unit from a class with unmet supply to a free
     column. The start class's own columns are settled at distance 0; when
@@ -389,7 +417,8 @@ def _solve_min_cost(
             # the class relaxed at each step, and the offset it added
             steps, offsets = [], []
             while True:
-                # .item() reads a Python scalar, building no numpy one per step
+                # scalars are read with .item(): a Python float or int, no
+                # numpy scalar built on each of the search's steps
                 np.subtract(neg_v_open, rows[b], out=slack)
                 offset = base - u.item(b)
                 slack += offset
@@ -401,9 +430,10 @@ def _solve_min_cost(
                 b = owner.item(j)
                 if b >= 0:
                     # any column at the minimum is a valid Dijkstra step; ending
-                    # at a free one keeps tie-heavy solves to O(n) steps
-                    # (Crouse 2016). Free columns are never settled, so dist
-                    # holds their distances
+                    # at a free one keeps tie-heavy solves to O(n) steps instead
+                    # of walking every tied assigned column first (Crouse 2016);
+                    # free columns are never settled, since reaching one ends
+                    # the search, so dist holds their distances
                     if free_cols is None:
                         free_cols = np.flatnonzero(owner < 0)
                     f = free_cols.item(dist[free_cols].argmin())
@@ -425,10 +455,11 @@ def _solve_min_cost(
                     groups.append((b, theirs, base))
             # the alternating path, from the free column back to the start:
             # a column's predecessor is the class of the first step that gave
-            # it its final distance, so its slack at each step before it was
-            # settled is recomputed (same floats, same order as the search's)
-            # and the first minimum taken; one settled after one step was
-            # reached from the start
+            # it its final distance, so its slack at every step before it was
+            # settled is recomputed, from the same floats in the same order
+            # as the search's, and the first minimum taken. Cheaper than
+            # recording the predecessor of every column at every step. A
+            # column settled after one step was reached from the start
             path, t = [], len(steps)
             if t > 1:
                 step_rows = reps[steps]
@@ -507,7 +538,10 @@ def _cycle_rows(tight: np.ndarray, row_of_col: np.ndarray) -> np.ndarray:
 
 
 def _lex_min_tight_matching(
-    tight: np.ndarray, row_of_col: np.ndarray, n_real_rows: int, rows: np.ndarray
+    tight: np.ndarray,
+    row_of_col: np.ndarray,
+    n_real_rows: int,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the tight
     subgraph, starting from a known perfect matching.
@@ -521,8 +555,9 @@ def _lex_min_tight_matching(
 
     ``rows`` are the real rows that may move, ascending (all of them, or
     those :func:`_cycle_rows` returns); every other real row keeps its
-    column, fixed before the first search. Each row is tested for a
-    candidate on :func:`_row_bits`, so only rows with one make numpy calls.
+    column, which is fixed before the first search. Each row is tested for
+    a candidate on :func:`_row_bits`, so only rows with one make numpy
+    calls.
     """
     n = tight.shape[0]
     col_of_row = np.empty(n, dtype=np.intp)
@@ -535,7 +570,8 @@ def _lex_min_tight_matching(
     [open_bits] = _row_bits(~fixed_cols[None])
     for row, tight_bits in zip(rows.tolist(), _row_bits(tight[rows])):
         # keeping the current column is always feasible, so only tight open
-        # columns below it are candidates (real columns come before padded)
+        # columns strictly below it are candidates (ascending index order is
+        # the preference order: real columns come before padded ones)
         current = col_of_row.item(row)
         if tight_bits & open_bits & ((1 << current) - 1):
             candidates = np.flatnonzero(tight[row, :current] & ~fixed_cols[:current])
@@ -591,8 +627,10 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     row_of_col[np.argsort(owner, kind="stable")] = np.argsort(class_of_row, kind="stable")
 
     # optimal assignments live inside the tight subgraph (complementary
-    # slackness), matched edges included regardless of rounding. Each class's
-    # first row is tested, in bands, and a repeated class's other rows copy it
+    # slackness); matched edges are included regardless of rounding. Each
+    # class's first row is tested, in bands of classes, so that no n x n
+    # float temporary is made; then the other rows of a repeated class copy
+    # its first
     neg_v = -v
     tight = np.empty((n, n), dtype=bool)
     step = max(1, _BAND_CELLS // n)
@@ -607,9 +645,10 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
         tight[class_of_row == b] = tight[r]
     tight[row_of_col, np.arange(n)] = True
 
-    # only rows on an alternating cycle can move (on random input, none).
-    # With padded or repeated rows, one class is tight on all its columns,
-    # and the peel would visit every one of those edges
+    # only rows on an alternating cycle can move, and on a square input of
+    # distinct rows there are usually few (on random input, none). With
+    # padded or repeated rows, one class is tight on all its columns, and
+    # the peel would visit every one of those edges
     rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else np.arange(nr)
     col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, rows)
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
@@ -617,8 +656,15 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
 
 def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     """The maximum-weight assignment of each of a stack of same-shape
-    grids, as its edges sorted by row, by the paths and tie rule of the
-    module docstring; larger grids are solved one at a time."""
+    grids, as its edges sorted by row; ties resolve as the module docstring
+    states.
+
+    Grids with at most ``_ENUMERATE_LIMIT`` assignments are scored together
+    with one gather over :func:`_assignments` (a lone grid of at most
+    ``_LONE_LIMIT`` in plain Python), and each takes the first assignment
+    within ``_TIE_TOL`` of its best total; larger grids are solved one at a
+    time.
+    """
     _check_weights(grids)
     return _best_edges(grids)
 
@@ -628,7 +674,7 @@ def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     g, nr, nc = grids.shape
     if not _enumerable(nr, nc):
         return [_solved_edges(w) for w in grids]
-    if g == 1:
+    if g == 1 and _enumerable(nr, nc, _LONE_LIMIT):
         # a lone grid in plain Python, which skips the stack's numpy calls:
         # totals add each slot's weight in turn, left to right as numpy
         # does, from 0.0, which adds exactly
@@ -656,7 +702,9 @@ def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
 def max_weight_matching(matrix) -> Matching:
     """Maximum-weight one-to-one assignment of rows to columns.
 
-    The matching has size min(n_rows, n_cols); ties resolve to the
+    The matching has size min(n_rows, n_cols). Matrices with at most
+    ``_ENUMERATE_LIMIT`` injective assignments are solved by enumerating
+    them, larger ones by the augmenting-path solver; ties resolve to the
     lexicographically smallest edge list as the module docstring states.
 
     :param matrix: a :class:`ScoreMatrix` or anything convertible to one.
@@ -690,11 +738,23 @@ def brute_force_matching(matrix) -> Matching:
         # log10 of math.perm(n, k), a count that may be too large to print
         digits = (math.lgamma(n + 1) - math.lgamma(n - k + 1)) / math.log(10)
         count = f"{math.perm(n, k):,}" if digits < 15 else f"about 1e{digits:.0f}"
-        raise ValueError(f"brute force limited to {_BRUTE_FORCE_LIMIT:,} assignments, got {count} ({nr}x{nc})")
-    # the best total first, then the smallest edge list, sorted by row
-    edge_lists = (
-        tuple(enumerate(a)) if nr <= nc else tuple(sorted(zip(a, range(nc))))
-        for a in itertools.permutations(range(max(nr, nc)), min(nr, nc))
-    )
-    _, best_edges = min((-math.fsum(w[r, c] for r, c in edges), edges) for edges in edge_lists)
+        raise ValueError(
+            f"brute force limited to {_BRUTE_FORCE_LIMIT:,} assignments, got {count} ({nr}x{nc})"
+        )
+    best_edges = None
+    best_total = -np.inf
+    if nr <= nc:
+        # rows 0..nr-1 in order: permutation order is already lexicographic
+        for cols in itertools.permutations(range(nc), nr):
+            total = math.fsum(w[i, cols[i]] for i in range(nr))
+            if total > best_total:
+                best_total = total
+                best_edges = tuple(enumerate(cols))
+    else:
+        for rows in itertools.permutations(range(nr), nc):
+            edges = tuple(sorted((rows[j], j) for j in range(nc)))
+            total = math.fsum(w[r, c] for r, c in edges)
+            if total > best_total or (total == best_total and edges < best_edges):
+                best_total = total
+                best_edges = edges
     return Matching.from_edges(best_edges, w)

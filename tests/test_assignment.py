@@ -509,6 +509,28 @@ def test_bidding_rounds_keep_the_search_invariant(kind, n, seed):
     assert (np.array(have) <= supply).all()
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(["uniform", "integers-0-2", "one-decimal"]), st.integers(60, 120), st.integers(0, 2**32 - 1))
+@example("one-decimal", 63, 0)
+@example("one-decimal", 64, 0)
+@example("integers-0-2", 64, 1)
+def test_bids_then_searches_certify_optimality(kind, n, seed):
+    # sides on both sides of _BID_FLOOR: from 64 rows up the searches start
+    # after the bidding rounds, and the duals they end with must still prove
+    # the matching optimal: feasible, tight on every matched edge, and
+    # summing to its cost
+    w = _bid_grid(kind, n, seed)
+    class_of_row, reps = _row_classes(w)
+    assert len(reps) == n
+    owner, u, v = _solve_min_cost(w, reps, [1] * n, warm_start=True)
+    assert np.array_equal(np.sort(owner), np.arange(n))
+    cost = -w[reps]
+    cols = np.arange(n)
+    assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+    assert np.abs(cost[owner, cols] - u[owner] - v).max() <= 1e-9
+    assert abs(u.sum() + v.sum() - cost[owner, cols].sum()) <= n * 1e-9
+
+
 def test_row_classes_group_equal_rows_in_first_seen_order():
     w = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [-0.0, 0.0]])
     class_of_row, reps = _row_classes(w)
@@ -563,9 +585,10 @@ def test_enumeration_and_solver_pick_the_same_edges(w):
 def _grid_stacks():
     """Stacks of 1-5 same-shape grids, tie-heavy or not; sides up to 7, so
     the solver's shapes (6x6 and up) come too, and every enumerated shape
-    with a side over 5, wide and tall. A stack of one grid is scored in
-    Python, a larger stack with numpy, and max_weight_matching scores each
-    grid alone, so the two enumerations are checked against each other."""
+    with a side over 5, wide and tall. A stack of one grid of at most
+    _LONE_LIMIT assignments is scored in Python, any other with numpy, and
+    max_weight_matching scores each grid alone, so the two enumerations
+    are checked against each other."""
     weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 100.0))
     shapes = st.tuples(st.one_of(_sides(7), st.sampled_from(_THIN_SHAPES)), st.integers(1, 5)).map(
         lambda sg: sg[0] + (sg[1],))
@@ -580,6 +603,12 @@ def _grid_stacks():
 # three tied assignments, of which the first in permutation order, rows
 # (1, 2) on columns (0, 1), is not the lexicographically smallest edge list
 @example(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]]))
+# lone grids on either side of _LONE_LIMIT = 56: 2x8 is scored in Python,
+# 3x5 by the stack's numpy path
+@example(np.random.default_rng(8).integers(0, 3, (1, 2, 8)).astype(float))
+@example(np.random.default_rng(8).integers(0, 3, (1, 8, 2)).astype(float))
+@example(np.random.default_rng(8).integers(0, 3, (1, 3, 5)).astype(float))
+@example(np.random.default_rng(8).integers(0, 3, (1, 5, 3)).astype(float))
 def test_batched_edges_and_totals_equal_one_matching_each(grids):
     matchings = [max_weight_matching(w) for w in grids]
     assert [tuple(edges) for edges in _matched_edges(grids)] == [m.edges for m in matchings]
