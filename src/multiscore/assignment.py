@@ -17,14 +17,14 @@ side into the larger, ``math.perm(max side, min side)``:
   transportation form: bit-for-bit equal rows are one row class whose
   supply is its row count, and each search settles a whole class at once,
   so it costs O(k n) for k distinct rows, and the at most n searches
-  O(k n^2) (O(n^3) without repeats). Rectangular inputs are squared by
-  zero-weight padding (a wide input's padded rows are one class); padded
-  edges never appear in results. A square input starts warm: column
-  reduction and a greedy match, found for all classes in one banded pass,
-  then, when its rows are all distinct and there are at least
-  ``_BID_FLOOR`` = 64 of them, a few rounds in which every free row bids
-  for its best column at once (the Jacobi form of Bertsekas's auction),
-  so that fewer rows reach the searches.
+  O(k n^2) (O(n^3) without repeats). A wide input is solved on its own
+  rows and a tall one on its transpose, cold and unpadded (Crouse 2016).
+  A square input starts warm: column reduction and a greedy match, found
+  for all classes in one banded pass, then, when its rows are all
+  distinct and there are at least ``_BID_FLOOR`` = 64 of them, a few
+  rounds in which every free row bids for its best column at once (the
+  Jacobi form of Bertsekas's auction), so that fewer rows reach the
+  searches.
 
 The rule counts assignments, not the smaller side: a 3x2000 input has
 8e9 of them and goes to the solver.
@@ -50,12 +50,13 @@ A second optimum differs from the solver's along alternating cycles of the
 tight subgraph, so a row on none of them keeps its column in every optimum.
 On a square input whose rows are all distinct, rows that cannot lie on a
 cycle are peeled away first, and the tie-break searches only the rest: on
-random input no row is left, and the solver's matching is the answer. Padded
-or repeated rows are one class tight on all its columns, which makes the
-tight subgraph dense, so those inputs skip the peel and the tie-break is
-given every real row to search. Of those rows, only the ones with a tight
-open column below their own run a search; the rest are told apart by a few
-operations on Python integers used as bit sets.
+random input no row is left, and the solver's matching is the answer. The
+tie-break sees a rectangular input as squared by zero rows (zero columns of
+a tall one), which hold the columns the real rows leave free and are tight
+wherever v is 0; they, like repeated rows, make the tight subgraph dense,
+so those inputs skip the peel and every real row is searched. Of those,
+only the rows with a tight open column below their own run a search; the
+rest are told apart by a few operations on Python integers used as bit sets.
 """
 
 from __future__ import annotations
@@ -354,26 +355,25 @@ def _warm_start(
 
 
 def _solve_min_cost(
-    w: np.ndarray, reps: np.ndarray, supply: list[int], warm_start: bool
+    w: np.ndarray, reps: np.ndarray, supply: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-cost transportation from row classes to unit-capacity columns
     via shortest augmenting paths, with costs ``-w``.
 
     Class ``b`` is ``supply[b]`` equal rows, all copies of row
-    ``w[reps[b]]``; the supplies sum to the number of columns. Returns
-    (owner, u, v) where owner[j] is the class matched to column j, each
-    class owning ``supply[b]`` columns, and u (per class), v (per column)
-    are feasible dual potentials with u[b] + v[j] <= -w[reps[b], j], tight
-    on matched edges. A class of one row is a row of the assignment
-    problem, so an input without repeated rows is solved exactly as the
-    row-by-row Hungarian method would.
+    ``w[reps[b]]``; the supplies sum to at most the number of columns.
+    Returns (owner, u, v) where owner[j] is the class matched to column j
+    (-1 for a free one), each class owning ``supply[b]`` columns, and u
+    (per class), v (per column) are feasible dual potentials with u[b] +
+    v[j] <= -w[reps[b], j], tight on matched edges. A class of one row is a
+    row of the assignment problem, so an input without repeated rows is
+    solved exactly as the row-by-row Hungarian method would.
 
-    With ``warm_start``, the searches start from :func:`_warm_start`'s
-    partial matching and duals (column reduction, a greedy match and, when
-    every row is its own class and there are at least ``_BID_FLOOR``,
-    bidding rounds), so only the rows it leaves free are searched for; it
-    pays off on square inputs only, since a padded input's zero rows leave
-    most rows free after it.
+    A square input starts warm, from :func:`_warm_start`'s partial matching
+    and duals, so only the rows it leaves free are searched for. A wide one
+    starts cold, at zero duals: a rectangular optimum needs v <= 0, with
+    v == 0 on every free column, which column reduction would break; a
+    cold solve lowers only the v of the columns it settles, all owned.
 
     Each search sends one unit from a class with unmet supply to a free
     column. The start class's own columns are settled at distance 0; when
@@ -387,7 +387,7 @@ def _solve_min_cost(
     """
     k, n = len(reps), w.shape[1]
     rows = [w[r] for r in reps.tolist()]
-    if warm_start:
+    if w.shape[0] == n:
         owner, u, v, have = _warm_start(w, reps, supply)
     else:
         u = np.zeros(k)
@@ -547,11 +547,13 @@ def _lex_min_tight_matching(
     subgraph, starting from a known perfect matching.
 
     Rows are fixed in ascending order; each real row prefers real columns in
-    ascending order, then padded columns. Row ``r`` on column ``c0`` can
-    take a tight open column ``c`` iff the owner of ``c`` has an alternating
-    path to ``c0`` through open columns. One backwards breadth-first search
-    from ``c0`` finds every such ``c`` at once, so each row costs O(n^2)
-    vectorised work and no recursion.
+    ascending order, then zero columns. Rows from ``n_real_rows`` on are
+    zero rows, all alike: row ``n_real_rows`` of ``tight`` stands for every
+    one of them. Row ``r`` on column ``c0`` can take a tight open column
+    ``c`` iff the owner of ``c`` has an alternating path to ``c0`` through
+    open columns. One backwards breadth-first search from ``c0`` finds every
+    such ``c`` at once, so each row costs O(n^2) vectorised work and no
+    recursion.
 
     ``rows`` are the real rows that may move, ascending (all of them, or
     those :func:`_cycle_rows` returns); every other real row keeps its
@@ -559,7 +561,7 @@ def _lex_min_tight_matching(
     a candidate on :func:`_row_bits`, so only rows with one make numpy
     calls.
     """
-    n = tight.shape[0]
+    n = tight.shape[1]
     col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
     fixed_cols = np.zeros(n, dtype=bool)
@@ -580,7 +582,7 @@ def _lex_min_tight_matching(
             frontier = np.array([current])
             while frontier.size and not reached[candidates[0]]:
                 open_cols = np.flatnonzero(~reached)
-                hits = tight[row_of_col[open_cols]][:, frontier]
+                hits = tight[np.minimum(row_of_col[open_cols], n_real_rows)][:, frontier]
                 found = hits.any(axis=1)
                 next_col[open_cols[found]] = frontier[hits[found].argmax(axis=1)]
                 frontier = open_cols[found]
@@ -603,28 +605,18 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     """Best assignment by the augmenting-path solver over the classes of
     equal rows, and the tie-break inside its tight subgraph."""
     nr, nc = w.shape
-    n = max(nr, nc)
-    class_of_row, reps = _row_classes(w)
+    k, n = min(nr, nc), max(nr, nc)
+    # maximize by minimizing the negated weights; a tall input is solved on
+    # its transpose, made contiguous so that its rows are read at unit stride
+    ws = np.ascontiguousarray(w.T) if nr > nc else w
+    class_of_row, reps = _row_classes(ws)
     supply = np.bincount(class_of_row).tolist()
-    # maximize by minimizing the negated weights, squared by zero padding: a
-    # wide input's padded rows are one class, row nr of a copy with one zero
-    # row added; a square one is solved on w itself
-    if nr > nc:
-        wp = np.zeros((n, n))
-        wp[:, :nc] = w
-    elif nr < nc:
-        wp = np.zeros((nr + 1, n))
-        wp[:nr] = w
-        reps = np.append(reps, nr)
-        class_of_row = np.append(class_of_row, np.full(n - nr, len(supply)))
-        supply.append(n - nr)
-    else:
-        wp = w
-    owner, u, v = _solve_min_cost(wp, reps, supply, warm_start=nr == nc)
-    # a class's columns go to its rows in ascending order; any order would
-    # do, since equal rows have equal tight rows
+    owner, u, v = _solve_min_cost(ws, reps, supply)
+    # the n - k free columns (owner -1, so sorted first) go to zero rows k..
+    # and a class's columns to its rows, both in ascending order; any order
+    # would do, since equal rows have equal tight rows
     row_of_col = np.empty(n, dtype=np.intp)
-    row_of_col[np.argsort(owner, kind="stable")] = np.argsort(class_of_row, kind="stable")
+    row_of_col[np.argsort(owner, kind="stable")] = np.r_[k:n, np.argsort(class_of_row, kind="stable")]
 
     # optimal assignments live inside the tight subgraph (complementary
     # slackness); matched edges are included regardless of rounding. Each
@@ -632,23 +624,31 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     # float temporary is made; then the other rows of a repeated class copy
     # its first
     neg_v = -v
-    tight = np.empty((n, n), dtype=bool)
+    tight = np.empty((k + (k < n), n), dtype=bool)
     step = max(1, _BAND_CELLS // n)
     for lo in range(0, len(reps), step):
-        band = wp[reps[lo:lo + step]]
+        band = ws[reps[lo:lo + step]]
         band += u[lo:lo + step, None]
         np.subtract(neg_v, band, out=band)
         tight[reps[lo:lo + step]] = band <= _TIE_TOL
     for b in np.flatnonzero(np.array(supply) > 1).tolist():
         r = reps[b]
         tight[r, owner == b] = True
-        tight[class_of_row == b] = tight[r]
-    tight[row_of_col, np.arange(n)] = True
+        tight[:k][class_of_row == b] = tight[r]
+    # row k, when there are zero rows, stands for all of them: their u and
+    # weights are 0, and the free columns they hold have v == 0
+    tight[k:] = neg_v <= _TIE_TOL
+    tight[np.minimum(row_of_col, k), np.arange(n)] = True
+    if nr > nc:
+        # back to the tall input: its rows are the transpose's columns, and
+        # the transpose's zero rows its n - k zero columns
+        tight = np.hstack((tight[:k].T, np.broadcast_to(tight[k:].T, (n, n - k))))
+        row_of_col = np.argsort(row_of_col)
 
     # only rows on an alternating cycle can move, and on a square input of
     # distinct rows there are usually few (on random input, none). With
-    # padded or repeated rows, one class is tight on all its columns, and
-    # the peel would visit every one of those edges
+    # zero or repeated rows, one class is tight on all its columns, and the
+    # peel would visit every one of those edges
     rows = _cycle_rows(tight, row_of_col) if nr == nc == len(reps) else np.arange(nr)
     col_of_row = _lex_min_tight_matching(tight, row_of_col, nr, rows)
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]

@@ -36,18 +36,19 @@ corpus at the default seed, and on the demo corpus at ``--seed 7`` with
 as JSON to ``results/matcher/INPUT.stdout``, one process per input: the
 benchmark's match-grid matrices at the default seed and at seeds 7 and 11,
 the five shapes of ``tests/matching_golden/``, the long, thin 1x5000,
-5000x1 and 3x2000, n-best-like grids of repeated rows, and seeded stacks of
-{0, 1, 2} grids (uniform, and {0, 1} with one row of 2s) and rounding-pool
-grids of every shape the matcher enumerates (at most 120 assignments),
-either way round, and square grids of distinct rows that the solver's
-bidding rounds see (one-decimal and {0..9} weights at sides 6, 20, 60 and
-200, and uniform at 300): 8 more. Last, corpora of 150 sets of k = 6, 8
-and 12 distinct outputs against k distinct references (every grid past the
-enumeration bound, so each goes to the solver), with random texts and with
-near-tied ones (3-5 words from a vocabulary of 3, so that many cells of a
-grid score alike), each run through ``evaluate --format json`` and
-``multiscore --per-instance --format json`` for both metrics: 18 more, 617
-in all.
+5000x1, 3x2000 and 2000x3, n-best-like grids of repeated rows, and seeded
+stacks of {0, 1, 2} grids (uniform, and {0, 1} with one row of 2s) and
+rounding-pool grids of every shape the matcher enumerates (at most 120
+assignments), either way round, square grids of distinct rows that the
+solver's bidding rounds see (one-decimal and {0..9} weights at sides 6, 20,
+60 and 200, and uniform at 300), and near-tied rectangles (one-decimal and
+{0..9} weights at 40x120 and 120x40, a tall grid being solved on its
+transpose): 9 more. Last, corpora of 150 sets of k = 6, 8 and 12 distinct
+outputs against k distinct references (every grid past the enumeration
+bound, so each goes to the solver), with random texts and with near-tied
+ones (3-5 words from a vocabulary of 3, so that many cells of a grid score
+alike), each run through ``evaluate --format json`` and ``multiscore
+--per-instance --format json`` for both metrics: 18 more, 618 in all.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _matcher_inputs(matcher, workloads):
     })
     rng = np.random.default_rng(11)
     np.savez(os.path.join(matcher, "long-thin.npz"),
-             **{f"{r}x{c}": rng.uniform(0, 100, (r, c)) for r, c in ((1, 5000), (5000, 1), (3, 2000))})
+             **{f"{r}x{c}": rng.uniform(0, 100, (r, c)) for r, c in ((1, 5000), (5000, 1), (3, 2000), (2000, 3))})
     # 8 distinct rows repeated to the grid's height, as in an n-best list
     rng = np.random.default_rng(14)
     repeats = {}
@@ -196,7 +197,18 @@ def _matcher_inputs(matcher, workloads):
         bids[f"integers-0-9-{n}"] = rng.integers(0, 10, (n, n)).astype(float)
     bids["uniform-300"] = rng.uniform(0, 100, (300, 300))
     np.savez(os.path.join(matcher, "bids.npz"), **bids)
-    return inputs | {name: f"{name}.npz" for name in ("golden", "long-thin", "nbest", "enumerated", "bids")}
+    # wide and tall grids of distinct rows whose near-ties the solver's duals
+    # decide: a wide grid is solved on its own rows, a tall one on its
+    # transpose
+    rng = np.random.default_rng(31)
+    rectangles = {}
+    for shape in ((4, 40, 120), (4, 120, 40)):
+        name = "%dx%d" % shape[1:]
+        rectangles[f"one-decimal-{name}"] = rng.integers(0, 1001, shape) / 10
+        rectangles[f"integers-0-9-{name}"] = rng.integers(0, 10, shape).astype(float)
+    np.savez(os.path.join(matcher, "rectangles.npz"), **rectangles)
+    names = ("golden", "long-thin", "nbest", "enumerated", "bids", "rectangles")
+    return inputs | {name: f"{name}.npz" for name in names}
 
 
 def _workloads():
