@@ -654,6 +654,21 @@ def _solved_edges(w: np.ndarray) -> list[tuple[int, int]]:
     return [(r, int(col_of_row[r])) for r in range(nr) if col_of_row[r] < nc]
 
 
+def _enumerated(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every assignment of each of a stack of enumerable grids: the
+    assignments (:func:`_assignments`), the index of each grid's first
+    assignment within ``_TIE_TOL`` of its best total, and the weights,
+    ``weights[g, a, s]`` being what assignment a takes from grid g on slot
+    s of the smaller side."""
+    nr, nc = grids.shape[1:]
+    perms = _assignments(nr, nc)
+    slots = np.arange(min(nr, nc))
+    weights = grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]
+    totals = weights.sum(axis=2)
+    tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
+    return perms, tied.argmax(axis=1), weights
+
+
 def _matched_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
     """The maximum-weight assignment of each of a stack of same-shape
     grids, as its edges sorted by row; ties resolve as the module docstring
@@ -688,12 +703,8 @@ def _best_edges(grids: np.ndarray) -> list[list[tuple[int, int]]]:
         if nr <= nc:
             return [list(enumerate(next(tied)))]
         return [min(sorted(zip(a, range(nc))) for a in tied)]
-    perms = _assignments(nr, nc)
-    slots = np.arange(min(nr, nc))
-    # totals[g, a]: the total assignment a gives grid g
-    totals = (grids[:, slots, perms] if nr <= nc else grids[:, perms, slots]).sum(axis=2)
-    tied = totals >= totals.max(axis=1, keepdims=True) - _TIE_TOL
-    first = perms[tied.argmax(axis=1)].tolist()
+    perms, first, _ = _enumerated(grids)
+    first = perms[first].tolist()
     if nr <= nc:
         return [list(enumerate(a)) for a in first]
     return [sorted(zip(a, range(nc))) for a in first]
@@ -717,10 +728,18 @@ def max_weight_matching(matrix) -> Matching:
 
 def _matched_totals(grids: np.ndarray) -> list[float]:
     """The :attr:`Matching.total` of each of :func:`_matched_edges`' matchings:
-    ``math.fsum`` of its edge weights, in any order."""
-    edges = np.array(_matched_edges(grids)).reshape(len(grids), -1, 2)
-    weights = grids[np.arange(len(grids))[:, None], edges[:, :, 0], edges[:, :, 1]]
-    return [math.fsum(row) for row in weights.tolist()]
+    ``math.fsum`` of its edge weights, in any order. An enumerable stack's
+    weights come from the gather that chose its assignments, with no edge
+    lists built."""
+    _check_weights(grids)
+    g, nr, nc = grids.shape
+    if _enumerable(nr, nc):
+        _, first, weights = _enumerated(grids)
+        chosen = weights[np.arange(g), first]
+    else:
+        edges = np.array([_solved_edges(w) for w in grids]).reshape(g, -1, 2)
+        chosen = grids[np.arange(g)[:, None], edges[:, :, 0], edges[:, :, 1]]
+    return [math.fsum(row) for row in chosen.tolist()]
 
 
 def brute_force_matching(matrix) -> Matching:

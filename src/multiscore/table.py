@@ -25,20 +25,23 @@ BLEU) or in any other output (Self-BLEU). Lengths and totals come from
 each text's symbol count. A BLEU statistics row is ``[hyp_len, ref_len,
 matched_1..N, total_1..N]``, a chrF++ row (matched, hypothesis total,
 reference total) per order, character orders first. :func:`_bleu_scores`
-and :func:`_chrf_scores` score a whole block's rows together, element by
-element in the scalar formula's order, so every score is the float one
-statistics row alone gives.
+and :func:`_chrf_scores` score a whole block's rows together, in the
+scalar formula's order, so every score is the float one statistics row
+alone gives. BLEU's ``math.log`` and ``math.exp`` run once per distinct
+pair of counts where a lookup table over the pairs (:func:`_tabled`) is no
+larger than the array it serves, and element by element elsewhere.
 
 An n-gram of order n is ranked from (its first n-1 symbols' rank, its
 last symbol), and order 0 is the instance. Its sort key also carries the
-table column of the text it sits in, so that a gram's positions sort by
-column and its first and last hold its smallest and largest. A key is at
-most (positions in the block) x 0x110000 x (table width), so it fits an
-int64 at every order, whatever the alphabet, while positions x width stays
-below 2**63 / 0x110000, about 8e12; a wider block (say, one instance of a
-million distinct texts of eight characters) is an error, never a wrapped
-key. Nothing outlives a block: each table is dropped once its statistics
-are taken.
+table column of the text it sits in, in its low ``(width - 1).bit_length()``
+bits, so that a gram's positions sort by column, its first and last hold
+its smallest and largest, and gram and column come apart by a shift and a
+mask. A key is below (positions in the block) x 0x110000 x (table width
+rounded up to a power of two), so it fits an int64 at every order, whatever
+the alphabet, while positions x that width stays below 2**63 / 0x110000,
+about 8e12; a wider block (say, one instance of a million distinct texts of
+eight characters) is an error, never a wrapped key. Nothing outlives a
+block: each table is dropped once its statistics are taken.
 """
 
 from __future__ import annotations
@@ -111,10 +114,33 @@ class Block(NamedTuple):
 
 
 def _each(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` of every element. ``math.log`` and ``math.exp`` give the
-    floats the scalar formula gives; ``np.log`` and ``np.exp`` may differ
-    from them by an ulp on some CPUs."""
+    """``fn`` of every element, one Python call per element. ``math.log``
+    and ``math.exp`` give the floats the scalar formula gives; ``np.log``
+    and ``np.exp`` may differ from them by an ulp on some CPUs."""
     return np.fromiter(map(fn, values.ravel().tolist()), dtype=np.float64, count=values.size).reshape(values.shape)
+
+
+def _tabled(fn, formula, a: np.ndarray, b: np.ndarray, a_top: int, b_top: int) -> np.ndarray:
+    """``_each(fn, formula(a, b))`` for same-shape arrays of integers in
+    0..``a_top`` and 0..``b_top``, with ``fn`` run once per distinct (a, b)
+    pair present: their values fill a table indexed by ``a * (b_top + 1) +
+    b``, with no sort, and each element reads its pair's cell. ``formula``
+    sees the same integers either way, so each value is the same float.
+    The table is built only when it has no more cells than ``a`` has
+    elements; otherwise ``fn`` runs element by element, as it does for a
+    corpus's totals or a single row, whose counts would need a table larger
+    than the array."""
+    span = b_top + 1
+    cells = (a_top + 1) * span
+    if cells > a.size:
+        return _each(fn, formula(a, b))
+    key = a * span + b
+    present = np.zeros(cells, dtype=bool)
+    present[key] = True
+    at = present.nonzero()[0]
+    table = np.empty(cells)
+    table[at] = _each(fn, formula(*np.divmod(at, span)))
+    return table.take(key)
 
 
 def _bleu_scores(stats, config) -> np.ndarray:
@@ -122,20 +148,32 @@ def _bleu_scores(stats, config) -> np.ndarray:
     ``[hyp_len, ref_len, matched_1..N, total_1..N]``, N =
     ``config.max_order``. The log precisions are added order by order; a
     zero hypothesis length, or a zero matched or total count at any order,
-    scores 0.0. Add-one smoothing applies from order 2."""
+    scores 0.0. Add-one smoothing applies from order 2.
+
+    Only the other rows are scored. Their log precisions and brevity
+    penalties come from :func:`_tabled`, one ``math.log`` per distinct
+    (matched, total) and one ``math.exp`` per distinct (ref_len, hyp_len)
+    where a table pays, and then one ``math.exp`` of its mean log precision
+    per row."""
     stats = np.asarray(stats, dtype=np.int64)
     n = config.max_order
-    hyp_len, ref_len = stats[..., 0], stats[..., 1]
-    matched, total = stats[..., 2:2 + n], stats[..., 2 + n:2 + 2 * n]
+    rows = stats.reshape(-1, stats.shape[-1])
     if config.smoothing == SMOOTH_ADD_ONE:
-        matched, total = matched + (np.arange(n) >= 1), total + (np.arange(n) >= 1)
-    counted = (matched != 0) & (total != 0)
-    zero = (hyp_len == 0) | ~counted.all(axis=-1)
-    logs = _each(math.log, np.divide(matched, total, out=np.ones(matched.shape), where=counted))
+        smoothed = np.zeros(rows.shape[-1], dtype=np.int64)
+        smoothed[3:2 + n] = smoothed[3 + n:] = 1  # matched and total from order 2
+        rows = rows + smoothed
+    # counts are never negative, so a least count of 0 means a zero count
+    live = np.minimum(rows[:, 0], rows[:, 2:].min(axis=1)).nonzero()[0]
+    rows = rows[live]
+    hyp_top, ref_top, *tops = rows.max(axis=0, initial=0).tolist()
+    logs = _tabled(math.log, np.divide, rows[:, 2:2 + n], rows[:, 2 + n:], max(tops[:n]), max(tops[n:]))
     # a running sum adds order after order, as the scalar loop does
-    log_sum = np.add.accumulate(logs, axis=-1)[..., -1]
-    brevity, mean = _each(math.exp, np.stack([1.0 - ref_len / np.where(zero, 1, hyp_len), log_sum / n]))
-    return np.where(zero, 0.0, np.minimum(1.0, brevity) * mean * 100.0)
+    log_sum = np.add.accumulate(logs, axis=1)[:, -1]
+    brevity = _tabled(math.exp, lambda ref_len, hyp_len: 1.0 - ref_len / hyp_len, rows[:, 1], rows[:, 0],
+                      ref_top, hyp_top)
+    scores = np.zeros(stats.shape[:-1])
+    scores.reshape(-1)[live] = np.minimum(1.0, brevity) * _each(math.exp, log_sum / n) * 100.0
+    return scores
 
 
 def _chrf_scores(stats, beta: float) -> np.ndarray:
@@ -224,6 +262,8 @@ class _Layout:
         starts = sizes.cumsum() - sizes
         starts[1::2] -= self.width_out
         self.column = np.arange(len(self.keys)) - starts.repeat(sizes)
+        # a sort key holds the column in its low bits
+        self.bits = (self.width_out + self.width_ref - 1).bit_length()
 
     def chars(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The character stream: code points, each text's length, and the
@@ -280,14 +320,14 @@ class _Layout:
         before the next order. Once none is left, the remaining orders get
         empty tables without any ranking."""
         width = self.width_out + self.width_ref
-        if len(symbols) * n_symbols * width >= 1 << 63:
+        if len(symbols) * n_symbols << self.bits >= 1 << 63:
             raise ValueError(f"a block of {len(symbols)} symbols and {width} table columns is too wide to count")
         owner = np.arange(len(lengths)).repeat(lengths)
         inst = self.inst.take(owner)
         left = lengths.cumsum().take(owner) - np.arange(len(symbols))  # symbols to the text's end
-        # a position's symbol and its text's table column as the low part of
-        # a key, so that a gram's positions sort by column
-        tail = symbols * width + self.column.take(owner)
+        # a position's symbol, and its text's table column in the low bits,
+        # as the low part of a key, so that a gram's positions sort by column
+        tail = symbols << self.bits | self.column.take(owner)
         del owner  # held through every yield otherwise
         rank = inst.copy()  # order 0: the instance
         at = np.arange(len(symbols))  # where a surviving n-gram starts
@@ -300,7 +340,7 @@ class _Layout:
                     yield counts[:, :self.width_out], counts[:, self.width_out:], bounds
                 return
             # the ranking's temporaries die with the call, before the yield
-            at, out, ref, bounds = self._ranked(at, rank.take(at) * (n_symbols * width) + tail.take(at + (n - 1)),
+            at, out, ref, bounds = self._ranked(at, rank.take(at) * (n_symbols << self.bits) + tail.take(at + (n - 1)),
                                                 rank, inst)
             yield out, ref, bounds
 
@@ -312,7 +352,8 @@ class _Layout:
         width = self.width_out + self.width_ref
         order = keys.argsort()
         at = at.take(order)
-        gram, cols = np.divmod(keys.take(order), width)
+        keys = keys.take(order)
+        gram, cols = keys >> self.bits, keys & ((1 << self.bits) - 1)
         del keys, order
         # each gram's entries run edges[g]:edges[g + 1], and its first and
         # last hold its smallest and largest column; it survives when the

@@ -624,6 +624,7 @@ def test_batched_edges_and_totals_equal_one_matching_each(grids):
     # two copies of a grid take the stack's numpy path, whatever the size
     # of the stack drawn
     assert [tuple(_matched_edges(np.stack([w, w]))[0]) for w in grids] == [m.edges for m in matchings]
+    assert [_matched_totals(np.stack([w, w])) for w in grids] == [[m.total] * 2 for m in matchings]
 
 
 def _repeated_row_grids():

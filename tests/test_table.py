@@ -2,7 +2,10 @@
 their integer statistics and grids equal the frozen Counter oracles', and
 a report does not depend on where the blocks are cut."""
 
+import collections
+import math
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -150,6 +153,14 @@ def test_a_key_that_would_pass_int64_is_an_error():
     symbols, lengths, _ = layout.chars()
     with pytest.raises(ValueError, match="too wide to count"):
         next(layout.tables(symbols, lengths, (1 << 63) // (2 * len(symbols)) + 1, 1))
+    # a key keeps the column in its low bits: 3 table columns take a field of 4
+    [block] = table._blocks([EvalInstance(id="b", references=("x y", "y z"), outputs=("x z",))], True)
+    layout = table._Layout(block)
+    symbols, lengths, _ = layout.chars()
+    largest = ((1 << 63) - 1) // (4 * len(symbols))
+    next(layout.tables(symbols, lengths, largest, 1))
+    with pytest.raises(ValueError, match="too wide to count"):
+        next(layout.tables(symbols, lengths, largest + 1, 1))
 
 
 def test_only_the_statistics_asked_for_are_taken(monkeypatch):
@@ -180,6 +191,20 @@ def _stats(width):
                   elements=_stats_counts)
 
 
+def _block_stats(width, rows, top):
+    """(row, statistic) arrays of ``rows`` rows of counts in 0..``top``,
+    each order's matches at most its total, as a block's pairs give them."""
+
+    def build(seed, n_rows, n_top):
+        rng = np.random.default_rng(seed)
+        n = (width - 2) // 2
+        total = rng.integers(0, n_top + 1, (n_rows, n))
+        lengths = rng.integers(0, n_top + 1, (n_rows, 2))
+        return np.concatenate([lengths, rng.integers(0, total + 1), total], axis=1)
+
+    return st.builds(build, st.integers(0, 2**32 - 1), rows, top)
+
+
 def _assert_each_row_equals(scores, stats, oracle):
     assert scores.shape == stats.shape[:-1]
     for index in np.ndindex(scores.shape):
@@ -190,8 +215,41 @@ def _assert_each_row_equals(scores, stats, oracle):
 @given(data=st.data(), max_order=st.integers(1, 9), smoothing=st.sampled_from([SMOOTH_ADD_ONE, SMOOTH_NONE]))
 def test_bleu_scores_equal_the_scalar_oracle(data, max_order, smoothing):
     config = BleuConfig(max_order=max_order, smoothing=smoothing)
-    stats = data.draw(_stats(2 + 2 * max_order))
+    width = 2 + 2 * max_order
+    stats = data.draw(st.one_of(
+        _stats(width),
+        # many rows of small counts, whose pairs a lookup table serves
+        _block_stats(width, st.integers(200, 600), st.integers(1, 8)),
+        # a single row, and corpus-size totals, scored element by element
+        _block_stats(width, st.just(1), st.integers(1, 50)),
+        _block_stats(width, st.integers(1, 4), st.integers(10**4, 10**6)),
+    ))
     _assert_each_row_equals(table._bleu_scores(stats, config), stats, lambda row: oracle_bleu_score(row, config))
+
+
+def test_bleu_scores_take_one_log_per_distinct_pair(monkeypatch):
+    # a block of eval-small's shape: 3 outputs against 2-4 references of 3-9 words
+    rng = np.random.default_rng(43)
+    corpus = [_words_instance(rng, k, 3, n_ref) for k, n_ref in enumerate(rng.integers(2, 5, 300).tolist())]
+    [block] = table.count_blocks(corpus, True, pair_order=4)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def call(x):
+            calls[fn.__name__] += 1
+            return fn(x)
+        return call
+
+    monkeypatch.setattr(table, "math", types.SimpleNamespace(log=counted(math.log), exp=counted(math.exp)))
+    config = BleuConfig()
+    scores = table._bleu_scores(block.pair_bleu, config)
+    _assert_each_row_equals(scores, block.pair_bleu, lambda row: oracle_bleu_score(row, config))
+    rows = block.pair_bleu.reshape(-1, 10)
+    smoothed = rows[:, 2:] + [0, 1, 1, 1, 0, 1, 1, 1]
+    pairs = set(zip(smoothed[:, :4].ravel().tolist(), smoothed[:, 4:].ravel().tolist()))
+    assert 0 < calls["log"] <= len(pairs)
+    # one brevity penalty per distinct pair of lengths, and one mean per row
+    assert calls["exp"] <= len(set(map(tuple, rows[:, :2].tolist()))) + len(rows)
 
 
 @pytest.mark.parametrize("smoothing", [SMOOTH_ADD_ONE, SMOOTH_NONE])

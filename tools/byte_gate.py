@@ -15,7 +15,10 @@ sets (the generate runs are gate commands too), a title-cased copy of those
 sets, the benchmark's eval-small and eval-nbest inputs at the default seed
 (built by ``bench/workloads.py``), the two interleaved into one corpus, so
 that each wide n-best instance sits between runs of narrow ones, eval-nbest's
-inputs at seed 7 too, the benchmark's Zipfian generate training corpus (300
+inputs at seed 7 too, a long-short corpus of 1,200 eval-small-like instances
+of which every 400th has 150-300-word outputs and references (a block
+holding one scores BLEU element by element, a block of short ones alone
+from lookup tables), the benchmark's Zipfian generate training corpus (300
 word types) against each of the four sets ``generate`` makes from it at the
 default seed, a Unicode-edge corpus (Greek capital sigma at text edges,
 astral-plane symbols, punctuation-only chunks, and tab, U+2028 and U+00A0
@@ -26,7 +29,7 @@ of its outputs, and ``tests/evaluate_golden/``. On each, ``evaluate
 metric flags; then both commands at non-default ones (``--bleu-max-order
 2``; ``--chrf-char-order 3 --chrf-word-order 0 --chrf-beta 1``),
 ``evaluate`` in json and table and ``multiscore`` with the metric the flags
-set, in both formats. Each runs with and without ``--no-lowercase``: 574
+set, in both formats. Each runs with and without ``--no-lowercase``: 604
 commands. On top of those, ``generate`` runs whose files land in
 ``results/generate/``: every strategy on the benchmark's generate training
 corpus at the default seed, and on the demo corpus at ``--seed 7`` with
@@ -48,7 +51,7 @@ outputs against k distinct references (every grid past the enumeration
 bound, so each goes to the solver), with random texts and with near-tied
 ones (3-5 words from a vocabulary of 3, so that many cells of a grid score
 alike), each run through ``evaluate --format json`` and ``multiscore
---per-instance --format json`` for both metrics: 18 more, 618 in all.
+--per-instance --format json`` for both metrics: 18 more, 648 in all.
 """
 
 from __future__ import annotations
@@ -109,6 +112,13 @@ SET_COMMANDS = [("evaluate-json", ["evaluate", "--format", "json"])] + [
     (f"multiscore-{metric}-json", ["multiscore", "--per-instance", "--metric", metric, "--format", "json"])
     for metric in ("bleu", "chrf")
 ]
+
+# the long-short corpus: eval-small-like instances, and every LONG_EVERY-th
+# one of 150-300-word texts, so that a block with a long instance has
+# counts too large for the BLEU lookup tables (they are scored element by
+# element) while a block of short ones alone takes the tables
+LONG_SHORT_INSTANCES = 1200
+LONG_EVERY = 400
 
 # seeds of the benchmark's match-grid inputs the matcher section solves, on
 # top of the default one
@@ -288,6 +298,24 @@ def _interleaved(narrow, wide, dst):
             fh.writelines(lines)
 
 
+def _long_short_corpus(dst, workloads):
+    """Write refs.jsonl and outs.jsonl of LONG_SHORT_INSTANCES instances into
+    ``dst``: eval-small-like ones (3 outputs, 2-4 references, 4-11 words),
+    and every LONG_EVERY-th one of 150-300-word texts instead."""
+    import numpy as np
+
+    rng = np.random.default_rng(37)
+    os.makedirs(dst)
+    with open(os.path.join(dst, "refs.jsonl"), "w", encoding="utf-8", newline="\n") as refs, \
+            open(os.path.join(dst, "outs.jsonl"), "w", encoding="utf-8", newline="\n") as outs:
+        for k in range(LONG_SHORT_INSTANCES):
+            lo, hi = (150, 301) if k % LONG_EVERY == LONG_EVERY // 2 else (workloads.SENT_LO, workloads.SENT_HI)
+            references = [workloads.random_sentence(rng, lo, hi) for _ in range(rng.integers(2, 5))]
+            refs.write(json.dumps({"id": f"l{k}", "references": references}) + "\n")
+            outputs = [workloads.random_sentence(rng, lo, hi) for _ in range(3)]
+            outs.write(json.dumps({"id": f"l{k}", "outputs": outputs}) + "\n")
+
+
 def _set_corpora(inputs, workloads):
     """Write a corpus of SET_INSTANCES sets for each k of SET_SIZES, twice:
     random texts, and near-tied ones (3-5 words from a vocabulary of 3, so
@@ -372,8 +400,10 @@ def build_inputs(repo, outdir):
                        "--outputs", os.path.join("inputs", name, "outs.jsonl")]
     _interleaved(os.path.join(inputs, "eval-small"), os.path.join(inputs, "eval-nbest"),
                  os.path.join(inputs, "eval-mixed"))
-    cases["eval-mixed"] = ["--data", os.path.join("inputs", "eval-mixed", "refs.jsonl"),
-                           "--outputs", os.path.join("inputs", "eval-mixed", "outs.jsonl")]
+    _long_short_corpus(os.path.join(inputs, "long-short"), workloads)
+    for name in ("eval-mixed", "long-short"):
+        cases[name] = ["--data", os.path.join("inputs", name, "refs.jsonl"),
+                       "--outputs", os.path.join("inputs", name, "outs.jsonl")]
     edge = os.path.join("inputs", "unicode-edge")
     _edge_corpus(os.path.join(outdir, edge))
     _title_cased(os.path.join(outdir, edge, "outs.jsonl"), os.path.join(outdir, edge, "outs-title.jsonl"))
