@@ -24,7 +24,7 @@ _MODULE_OF = {
     "ChrfConfig": "metrics",
     "ChrfMetric": "metrics",
     "Dataset": "corpus",
-    "EvalInstance": "multiscore",
+    "EvalInstance": "corpus",
     "EvaluationReport": "report",
     "GenerationSet": "decoding",
     "Matching": "assignment",

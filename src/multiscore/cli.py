@@ -3,13 +3,18 @@ matchings, or generate output sets with the toy decoding harness.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Reports go to
 stdout (or --out, written atomically); diagnostics go to stderr only.
+
+Each command imports only the modules it runs: start-up loads numpy, the
+loader (``corpus``) and ``text``; ``evaluate`` and ``multiscore`` add the
+scoring stack (metrics, matcher, report, count tables) and ``logging``, and
+``generate`` adds the decoder alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import logging
 import math
 import os
 import sys
@@ -19,33 +24,45 @@ import numpy as np
 
 from .corpus import Dataset, _load_bound, load_jsonl
 from .corpus import bind_outputs, load_outputs_jsonl  # unused here: bench/tracer.py patches these bindings
-from .decoding import (
-    SET_SIZE,
-    STRATEGY_BEAM,
-    STRATEGY_ENSEMBLE,
-    STRATEGY_RANDOM,
-    STRATEGY_TOPK,
-    generate_ensemble,
-    generate_random,
-    generate_top3_beam,
-    generate_topk_random,
-    train_ngram,
-)
-from .metrics import SMOOTH_NONE, BleuConfig, BleuMetric, ChrfConfig, ChrfMetric
-from .multiscore import corpus_multi_score
-from .report import evaluate_all, render, round2
 from .text import tokenize_words
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-_STRATEGIES = {
-    "beam3": STRATEGY_BEAM,
-    "random": STRATEGY_RANDOM,
-    "topk3": STRATEGY_TOPK,
-    "ensemble": STRATEGY_ENSEMBLE,
+_STRATEGIES = ("beam3", "random", "topk3", "ensemble")
+
+# the scoring and decoding functions the commands call, each with the module
+# that defines it, imported on a name's first use (PEP 562, as in the
+# package's __init__), so that a command loads only what it runs.
+# bench/tracer.py times a run by replacing these bindings on this module and
+# checks that the run adds no other name to it, so each stays a module
+# attribute and the commands read it through this namespace (_bound): a
+# replaced binding is the one called
+_MODULE_OF = {
+    "corpus_multi_score": "multiscore",
+    "evaluate_all": "report",
+    "render": "report",
+    "train_ngram": "decoding",
+    "generate_ensemble": "decoding",
+    "generate_random": "decoding",
+    "generate_top3_beam": "decoding",
+    "generate_topk_random": "decoding",
 }
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def _bound(name):
+    """This module's binding of the lazy ``name``, imported on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 def _write_atomic(path: str | None, payload: bytes) -> None:
@@ -86,8 +103,10 @@ def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-lowercase", action="store_true", help="evaluate case-sensitively")
 
 
-def _metric_configs(args) -> tuple[BleuConfig, BleuConfig, ChrfConfig]:
+def _metric_configs(args):
     """(sentence BLEU, corpus BLEU, chrF++) configs from the metric flags."""
+    from .metrics import SMOOTH_NONE, BleuConfig, ChrfConfig
+
     return (
         BleuConfig(max_order=args.bleu_max_order),
         BleuConfig(max_order=args.bleu_max_order, smoothing=SMOOTH_NONE),
@@ -95,10 +114,23 @@ def _metric_configs(args) -> tuple[BleuConfig, BleuConfig, ChrfConfig]:
     )
 
 
+def _log_to_stderr(args) -> None:
+    """Send log records to stderr: warnings, and with -v progress too. Only
+    the commands that score log, so only they import ``logging``."""
+    import logging
+
+    logging.basicConfig(
+        stream=sys.stderr,
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
+
+
 def _cmd_evaluate(args) -> int:
+    _log_to_stderr(args)
     dataset = _load_bound_dataset(args.data, args.outputs)
     sent_cfg, corp_cfg, chrf_cfg = _metric_configs(args)
-    report = evaluate_all(
+    report = _bound("evaluate_all")(
         dataset,
         sentence_bleu_config=sent_cfg,
         corpus_bleu_config=corp_cfg,
@@ -106,13 +138,15 @@ def _cmd_evaluate(args) -> int:
         allow_unequal=args.allow_unequal,
         lowercase=not args.no_lowercase,
     )
-    _write_atomic(args.out, render(report, args.format))
+    _write_atomic(args.out, _bound("render")(report, args.format))
     return EXIT_OK
 
 
 def _round2_table():
     """:func:`round2` for one report, formatting each distinct value once
     (an n-best grid holds few distinct scores in many cells)."""
+    from .report import round2
+
     table: dict = {}
 
     def fmt(value) -> str:
@@ -154,13 +188,16 @@ def _matrix_lines(result, fmt) -> list[str]:
 
 
 def _cmd_multiscore(args) -> int:
+    from .metrics import BleuMetric, ChrfMetric
+
+    _log_to_stderr(args)
     dataset = _load_bound_dataset(args.data, args.outputs)
     sent_cfg, _, chrf_cfg = _metric_configs(args)
     if args.metric == "bleu":
         metric = BleuMetric(sent_cfg)
     else:
         metric = ChrfMetric(chrf_cfg)
-    mean, results = corpus_multi_score(
+    mean, results = _bound("corpus_multi_score")(
         dataset.instances, metric, allow_unequal=args.allow_unequal, lowercase=not args.no_lowercase
     )
     fmt = _round2_table()
@@ -203,6 +240,8 @@ def _instance_seed(seed: int, index: int) -> int:
 def _check_generate_knobs(args) -> None:
     """Reject an out-of-range generation flag by name, before the training
     file is read and whichever strategy would use it."""
+    from .decoding import SET_SIZE
+
     # beam3 keeps the best three finished hypotheses, so its beam holds three
     min_width = SET_SIZE if args.strategy == "beam3" else 1
     for flag, value, low in (
@@ -221,17 +260,19 @@ def _check_generate_knobs(args) -> None:
 
 
 def _cmd_generate(args) -> int:
+    from .decoding import SET_SIZE
+
     _check_generate_knobs(args)
+    train_ngram = _bound("train_ngram")
     dataset = load_jsonl(args.train)
     lowercase = not args.no_lowercase
     sequences = [
         tokenize_words(ref, lowercase=lowercase) for inst in dataset for ref in inst.references
     ]
-    strategy = _STRATEGIES[args.strategy]
     first_id = dataset.instances[0].id
     # the n-gram model never sees the instance, so a beam3 or ensemble set
     # is the same for every instance: decode it once and label it per id
-    if strategy == STRATEGY_ENSEMBLE:
+    if args.strategy == "ensemble":
         if len(sequences) < SET_SIZE:
             raise ValueError(
                 f"ensemble needs at least {SET_SIZE} training references (one per shard), "
@@ -241,15 +282,15 @@ def _cmd_generate(args) -> int:
         models = [
             train_ngram(sequences[k::SET_SIZE], order=args.order, add_k=args.add_k) for k in range(SET_SIZE)
         ]
-        shared = generate_ensemble(
+        shared = _bound("generate_ensemble")(
             models, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
             instance_id=first_id,
         )
     else:
         model = train_ngram(sequences, order=args.order, add_k=args.add_k)
         shared = None
-        if strategy == STRATEGY_BEAM:
-            shared = generate_top3_beam(
+        if args.strategy == "beam3":
+            shared = _bound("generate_top3_beam")(
                 model, beam_width=args.beam_width, max_len=args.max_len, alpha=args.alpha,
                 instance_id=first_id,
             )
@@ -257,12 +298,12 @@ def _cmd_generate(args) -> int:
     for index, inst in enumerate(dataset):
         if shared is not None:
             gen = shared
-        elif strategy == STRATEGY_RANDOM:
-            gen = generate_random(
+        elif args.strategy == "random":
+            gen = _bound("generate_random")(
                 model, seed=_instance_seed(args.seed, index), max_len=args.max_len, instance_id=inst.id,
             )
         else:
-            gen = generate_topk_random(
+            gen = _bound("generate_topk_random")(
                 model, k=args.topk, seed=_instance_seed(args.seed, index), max_len=args.max_len,
                 instance_id=inst.id,
             )
@@ -306,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate 3-sentence output sets with the toy n-gram harness")
     p_gen.add_argument("--train", required=True, help="dataset JSONL whose references train the model")
     p_gen.add_argument("--order", type=int, default=3, help="n-gram order (default 3)")
-    p_gen.add_argument("--strategy", choices=tuple(_STRATEGIES), required=True)
+    p_gen.add_argument("--strategy", choices=_STRATEGIES, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="outputs JSONL path (atomic write)")
     p_gen.add_argument("--add-k", type=float, default=0.1, help="add-k smoothing constant (default 0.1)")
@@ -321,11 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except ValueError as exc:

@@ -18,7 +18,31 @@ from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .multiscore import EvalInstance
+
+@dataclass(frozen=True)
+class EvalInstance:
+    """One input's reference set plus (optionally) one system's output set.
+
+    ``outputs`` may be empty for reference-only data; evaluation requires it
+    to be populated, e.g. via :func:`bind_outputs`. It holds only texts;
+    each evaluation builds and drops its own ``Sentence`` objects.
+    """
+
+    id: str
+    references: tuple[str, ...]
+    outputs: tuple[str, ...] = ()
+    category: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "references", tuple(self.references))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if not self.id:
+            raise ValueError("instance id must be non-empty")
+        if not self.references:
+            raise ValueError(f"instance {self.id!r}: references must be non-empty")
+        for texts, kind in ((self.references, "reference"), (self.outputs, "output")):
+            if not (all(map(isinstance, texts, repeat(str))) and all(map(str.strip, texts))):
+                raise ValueError(f"instance {self.id!r}: empty {kind} sentence")
 
 
 @dataclass(frozen=True)

@@ -7,42 +7,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .assignment import Matching, ScoreMatrix, _matched_edges, max_weight_matching
+from .corpus import EvalInstance
 from .metrics import BleuMetric, ChrfMetric, SentenceMetric, _texts
 from .text import Sentence
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class EvalInstance:
-    """One input's reference set plus (optionally) one system's output set.
-
-    ``outputs`` may be empty for reference-only data; evaluation requires it
-    to be populated, e.g. via :func:`multiscore.corpus.bind_outputs`. It holds
-    only texts; each evaluation builds and drops its own ``Sentence`` objects.
-    """
-
-    id: str
-    references: tuple[str, ...]
-    outputs: tuple[str, ...] = ()
-    category: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "references", tuple(self.references))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.id:
-            raise ValueError("instance id must be non-empty")
-        if not self.references:
-            raise ValueError(f"instance {self.id!r}: references must be non-empty")
-        for texts, kind in ((self.references, "reference"), (self.outputs, "output")):
-            if not (all(map(isinstance, texts, repeat(str))) and all(map(str.strip, texts))):
-                raise ValueError(f"instance {self.id!r}: empty {kind} sentence")
 
 
 def _sizes_differ(n_outputs: int, n_references: int, allow_unequal: bool, instance_id: str = "") -> bool:

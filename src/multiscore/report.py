@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import _matched_totals
-from .corpus import Dataset
+from .corpus import Dataset, EvalInstance
 from .metrics import (
     BleuConfig,
     ChrfConfig,
@@ -35,7 +35,7 @@ from .metrics import (
     corpus_chrfpp,  # unused here: bench/tracer.py patches this binding
     self_bleu,  # unused here: bench/tracer.py patches this binding
 )
-from .multiscore import EvalInstance, _admit
+from .multiscore import _admit
 from .multiscore import corpus_multi_score  # unused here: bench/tracer.py patches this binding
 
 log = logging.getLogger(__name__)

@@ -5,6 +5,8 @@ import io
 import json
 import logging
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -517,3 +519,94 @@ class TestFuzz:
             if generated == EXIT_OK:
                 # anything generate writes, evaluate accepts
                 assert set(load_outputs_jsonl(gen)) == {inst.id for inst in load_jsonl(data)}
+
+
+# the two ways a process enters the CLI: as a module (the byte gate's form)
+# and through main() (the console script's and the benchmark's form)
+ENTRIES = {
+    "module": ["-m", "multiscore.cli"],
+    "main": ["-c", "import sys\nfrom multiscore.cli import main\nsys.exit(main())"],
+}
+
+UNEQUAL_WARNINGS = (
+    b"WARNING multiscore.multiscore: instance 'a': matching 2 outputs against 3 references"
+    b" (averaging over the smaller side)\n"
+    b"WARNING multiscore.multiscore: instance 'c': matching 1 outputs against 3 references"
+    b" (averaging over the smaller side)\n"
+    b"WARNING multiscore.report: instance 'c' has a single output; Self-BLEU skipped\n"
+)
+
+
+def run_cli(entry, argv, cwd):
+    """``multiscore ARGV`` in a fresh interpreter entered the ``entry`` way."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *ENTRIES[entry], *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+
+
+@pytest.fixture
+def unequal_outputs(tmp_path):
+    outs = tmp_path / "unequal.jsonl"
+    outs.write_text(
+        '{"id":"a","outputs":["the cat sat on the mat","a cat sat"]}\n'
+        '{"id":"b","outputs":["the dog ran away","a dog ran off","a dog ran far away"]}\n'
+        '{"id":"c","outputs":["big sky over town"]}\n',
+        encoding="utf-8",
+    )
+    return outs
+
+
+class TestEntryPaths:
+    """Each command in a fresh process, as users and the tools start it."""
+
+    COMMANDS = {
+        "evaluate": ["evaluate", "--format", "json"],
+        "multiscore": ["multiscore", "--per-instance", "--metric", "chrf"],
+        "generate": ["generate", "--strategy", "topk3", "--seed", "3", "--out", "gen.jsonl"],
+    }
+
+    def argv(self, command, data):
+        flag = "--train" if command == "generate" else "--data"
+        return [*self.COMMANDS[command], flag, data]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_both_entries_run_every_command_alike(self, toy_data, tmp_path, command):
+        results = {}
+        for entry in ENTRIES:
+            cwd = tmp_path / entry
+            cwd.mkdir()
+            proc = run_cli(entry, self.argv(command, toy_data), cwd)
+            written = (cwd / "gen.jsonl").read_bytes() if command == "generate" else b""
+            results[entry] = (proc.returncode, proc.stdout, proc.stderr, written)
+        assert results["module"] == results["main"]
+        code, stdout, stderr, written = results["main"]
+        assert (code, stderr) == (EXIT_OK, b"")
+        assert stdout or written
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_verbose_leaves_stdout_alone(self, toy_data, tmp_path, command):
+        quiet = run_cli("main", self.argv(command, toy_data), tmp_path)
+        quiet_file = (tmp_path / "gen.jsonl").read_bytes() if command == "generate" else b""
+        loud = run_cli("main", ["-v", *self.argv(command, toy_data)], tmp_path)
+        loud_file = (tmp_path / "gen.jsonl").read_bytes() if command == "generate" else b""
+        assert (loud.returncode, loud.stdout, loud_file) == (quiet.returncode, quiet.stdout, quiet_file)
+        assert quiet.returncode == EXIT_OK
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("verbose", [[], ["-v"]])
+    def test_unequal_sizes_are_warned_on_stderr(self, toy_data, unequal_outputs, tmp_path, entry, verbose):
+        proc = run_cli(entry, [*verbose, "evaluate", "--data", toy_data, "--outputs", unequal_outputs,
+                               "--allow-unequal"], tmp_path)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == UNEQUAL_WARNINGS
+        assert proc.stdout.startswith(b"metric")
+
+    @pytest.mark.parametrize("strategy", ["beam3", "random", "topk3", "ensemble"])
+    @pytest.mark.parametrize("verbose", [[], ["-v"]])
+    def test_generate_writes_nothing_to_stderr(self, toy_data, tmp_path, strategy, verbose):
+        proc = run_cli("main", [*verbose, "generate", "--train", toy_data, "--strategy", strategy,
+                                "--out", "gen.jsonl"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"", b"")
+        assert load_outputs_jsonl(tmp_path / "gen.jsonl").keys() == {"a", "b", "c"}

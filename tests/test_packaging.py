@@ -1,11 +1,12 @@
 """A built install carries every bundled data file and exports exactly the
-public names README documents, no module keeps a process-global memo,
-start-up does not load the count tables, and the package loads a public
+public names README documents, no module keeps a process-global memo, each
+CLI command loads only the modules it runs, and the package loads a public
 name's module only when the name is used."""
 
 import ast
 import fnmatch
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -73,14 +74,20 @@ def test_no_module_memoizes_with_functools():
     assert not found, f"functools memo in {found}"
 
 
-def loaded_modules(statement):
-    """The package modules a fresh interpreter has loaded after running
+def every_loaded_module(statement):
+    """Every module a fresh interpreter has loaded after running
     ``statement``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith('multiscore')))"
+    code = f"import sys; {statement}; print(sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    return ast.literal_eval(out)
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def loaded_modules(statement):
+    """The package modules a fresh interpreter has loaded after running
+    ``statement``."""
+    return [m for m in every_loaded_module(statement) if m.startswith("multiscore")]
 
 
 def test_start_up_does_not_load_the_count_tables():
@@ -92,13 +99,47 @@ def test_start_up_does_not_load_the_count_tables():
     assert "multiscore.table" not in loaded
 
 
-def test_start_up_loads_exactly_the_modules_commands_need():
-    # the package imports nothing itself, and the CLI's own imports load
-    # the modules every command needs, no more and no fewer
-    assert loaded_modules("import multiscore.cli") == [
-        "multiscore", "multiscore.assignment", "multiscore.cli", "multiscore.corpus", "multiscore.decoding",
-        "multiscore.metrics", "multiscore.multiscore", "multiscore.report", "multiscore.text",
-    ]
+START_UP = ["multiscore", "multiscore.cli", "multiscore.corpus", "multiscore.text"]
+SCORING = ["multiscore.assignment", "multiscore.metrics", "multiscore.multiscore", "multiscore.report",
+           "multiscore.table"]
+DEMO = ROOT / "src" / "multiscore" / "data" / "demo_corpus.jsonl"
+
+
+def run_of(argv):
+    """A statement that runs the CLI on ``argv`` in process."""
+    return f"from multiscore.cli import main; assert main({[str(a) for a in argv]!r}) == 0"
+
+
+def test_start_up_loads_only_the_loader_and_text():
+    # the commands import what they run on first use, so start-up holds
+    # only what every command reads its input with
+    assert loaded_modules("import multiscore.cli") == START_UP
+
+
+@pytest.mark.parametrize("strategy", ["beam3", "random", "topk3", "ensemble"])
+def test_generate_loads_the_decoder_and_no_scoring_module(tmp_path, strategy):
+    loaded = every_loaded_module(run_of(["-v", "generate", "--train", DEMO, "--strategy", strategy,
+                                         "--out", tmp_path / "gen.jsonl"]))
+    assert [m for m in loaded if m.startswith("multiscore")] == sorted(START_UP + ["multiscore.decoding"])
+    assert "logging" not in loaded
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--format", "json"], ["multiscore", "--per-instance"],
+                                     ["multiscore", "--metric", "chrf"]])
+def test_scoring_commands_load_every_module_but_the_decoder(tmp_path, command):
+    outs = tmp_path / "outs.jsonl"
+    with open(DEMO, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    outs.write_text("".join(json.dumps({"id": r["id"], "outputs": r["references"]}) + "\n" for r in records),
+                    encoding="utf-8")
+    loaded = loaded_modules(run_of([*command, "--data", DEMO, "--outputs", outs, "--out", tmp_path / "report"]))
+    assert loaded == sorted(START_UP + SCORING)
+
+
+def test_the_loader_and_instance_type_load_no_numpy():
+    loaded = every_loaded_module("from multiscore import load_jsonl, EvalInstance")
+    assert [m for m in loaded if m.startswith("multiscore")] == ["multiscore", "multiscore.corpus"]
+    assert "numpy" not in loaded
 
 
 def test_importing_the_matcher_loads_only_the_matcher():

@@ -51,7 +51,14 @@ outputs against k distinct references (every grid past the enumeration
 bound, so each goes to the solver), with random texts and with near-tied
 ones (3-5 words from a vocabulary of 3, so that many cells of a grid score
 alike), each run through ``evaluate --format json`` and ``multiscore
---per-instance --format json`` for both metrics: 18 more, 648 in all.
+--per-instance --format json`` for both metrics: 18 more. Then ``evaluate
+--allow-unequal --format json`` on the Unicode-edge corpus (whose sets of
+unequal sizes log warnings) and ``generate --strategy random`` on the
+benchmark's generate corpus run once with ``-v`` and once through the
+benchmark's entry (``python -c`` calling ``multiscore.cli.main``; every
+other command runs ``python -m multiscore.cli``), so that the CLI's log
+set-up and its bindings imported on first use are gated on stderr bytes
+too: 4 more, 652 in all.
 """
 
 from __future__ import annotations
@@ -369,6 +376,25 @@ def _generate_runs(repo, outdir, demo, workloads):
     ]
 
 
+# bench/run.py's way into the CLI
+ENTRY = ("-c", "import sys\nfrom multiscore.cli import main\nsys.exit(main())")
+
+
+def _entry_runs(repo, outdir, io_args):
+    """Run ``evaluate --allow-unequal`` on ``io_args`` and ``generate`` on the
+    benchmark's generate corpus, each with ``-v`` and through ENTRY; return
+    the exit codes."""
+    train = os.path.join("inputs", "generate", "train.jsonl")
+    evaluate = ["evaluate", "--allow-unequal", "--format", "json", *io_args]
+    codes = []
+    for label, python_args, flags in (("verbose", ("-m", "multiscore.cli"), ["-v"]), ("entry", ENTRY, [])):
+        out = os.path.join("results", "generate", f"entry-random-{label}.jsonl")
+        generate = ["generate", "--train", train, "--strategy", "random", "--seed", DEMO_SEED, "--out", out]
+        codes.append(_run(repo, outdir, f"entry/evaluate-{label}", flags + evaluate, python_args))
+        codes.append(_run(repo, outdir, f"entry/generate-{label}", flags + generate, python_args))
+    return codes
+
+
 def build_inputs(repo, outdir):
     """Write the gate inputs under OUTDIR/inputs, running the generate and
     matcher commands; return ({name: --data/--outputs args} for COMMANDS,
@@ -435,6 +461,7 @@ def main(argv=None) -> int:
     for case, io_args in set_cases.items():
         for label, command in SET_COMMANDS:
             codes.append(_run(repo, outdir, f"{case}/{label}", command + io_args))
+    codes += _entry_runs(repo, outdir, cases["unicode-edge"])
     print(f"{len(codes)} commands, {sum(c != 0 for c in codes)} with a non-zero exit; results in {outdir}/results")
     return 0
 
